@@ -62,7 +62,6 @@ from .metrics import (
     p2_objective,
     phi1,
     phi2_sq_all,
-    phi2_sq_analytic,
     phi2_sq_monte_carlo,
 )
 from .oracles import (
@@ -1012,7 +1011,7 @@ def _verify_instance(seed: int, index: int) -> list[tuple[str, bool, str]]:
     checks.append(("gradient_matches_numeric", rel <= 1e-4, f"rel err {rel:.2e}"))
 
     # Closed-form noise error vs simulation through the receiver.
-    analytic = phi2_sq_analytic(plan.receive.denormalizers, part.counts[0], 0.05)
+    analytic = phi2_sq_all(plan.receive.denormalizers, part, 0.05)[0]
     simulated = phi2_sq_monte_carlo(
         plan.beamformer,
         plan.receive.denormalizers,

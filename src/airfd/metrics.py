@@ -27,7 +27,6 @@ __all__ = [
     "a2_coefficient",
     "misalignment_vectors",
     "phi1",
-    "phi2_sq_analytic",
     "phi2_sq_all",
     "phi2_sq_monte_carlo",
     "p2_objective",
@@ -131,35 +130,19 @@ def phi1(
     return mix @ norms
 
 
-def phi2_sq_analytic(
-    denormalizers: np.ndarray, counts_row: np.ndarray, noise_variance: float
-) -> float:
-    """Expected squared noise error of one device's aggregation view:
+def phi2_sq_all(
+    denormalizers: np.ndarray,
+    partition: DatasetPartition,
+    noise_variance: float,
+) -> np.ndarray:
+    """Expected squared noise error of every device's aggregation view,
+    shape (M,):
 
         sum_k (B_i^k / B_i) K sigma_n^2 / (lambda^k)^2,
 
     the expectation of the denormalized combined-noise norm under a unit-norm
     beamformer (each of the K slots of a class block contributes sigma_n^2).
     """
-    lams = np.asarray(denormalizers, dtype=np.float64)
-    counts_row = np.asarray(counts_row, dtype=np.float64)
-    if lams.shape != counts_row.shape or lams.ndim != 1:
-        raise ValueError("denormalizers and counts_row must both be (K,)")
-    if np.any(lams <= 0):
-        raise ValueError("denormalizers must be positive")
-    if noise_variance < 0:
-        raise ValueError("noise_variance must be nonnegative")
-    k = lams.shape[0]
-    mix = counts_row / counts_row.sum()
-    return float(np.sum(mix * k * noise_variance / lams**2))
-
-
-def phi2_sq_all(
-    denormalizers: np.ndarray,
-    partition: DatasetPartition,
-    noise_variance: float,
-) -> np.ndarray:
-    """phi2_sq_analytic for every device at once, shape (M,)."""
     lams = np.asarray(denormalizers, dtype=np.float64)
     mix = partition.counts / partition.per_wd_totals[:, None]
     return (mix * partition.num_classes * noise_variance / lams[None, :] ** 2).sum(
@@ -334,8 +317,6 @@ class RoundMetrics:
 
     The wall_ms column is pinned at 0.0 in emitted rows so outputs stay
     byte-reproducible; measured timing is reported in the run summary instead.
-    Optional per-device/per-class arrays ride along for in-process inspection
-    and never enter the CSV.
     """
 
     trial: int
@@ -355,10 +336,6 @@ class RoundMetrics:
     train_loss_mean: float
     test_acc_mean: float
     wall_ms: float = 0.0
-    phi1_per_wd: np.ndarray | None = None
-    phi2_sq_per_wd: np.ndarray | None = None
-    power_utilization: np.ndarray | None = None
-    straggler_indices: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.phi1_max < 0 or self.phi1_mean < 0 or self.phi2_sq_mean < 0:

@@ -42,7 +42,8 @@ def beamformer_grid_search(
         for j in range(problem.num_wds):
             if not problem.active_mask[k, j]:
                 continue
-            h = problem.constraint_matrices[k, j]
+            v = problem.constraint_vectors[k, j]
+            h = np.outer(v, v.conj())
             rows.append(
                 (float(h[0, 0].real), float(h[1, 1].real), float(h[0, 1].real), float(h[0, 1].imag))
             )

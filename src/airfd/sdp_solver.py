@@ -3,11 +3,12 @@ problem: over Hermitian N x N matrices W and per-class slack scalars e^k,
 
     minimize    sum_k c_k e^k
     subject to  Tr(W) = 1,  W >= 0 (PSD),
-                e^k + Tr(W H_j^k) >= 0   for every active (j, k),
+                e^k + v^H W v >= 0   for every active constraint vector v = v_j^k,
 
-where each H_j^k is Hermitian PSD. The rank-one constraint of the original
-beamforming problem is dropped; on generic instances the optimum is rank-one
-anyway and the beamformer is recovered from the principal eigenvector.
+that is, each constraint matrix H_j^k = v v^H is rank-one and is stored as
+its factor v. The rank-one constraint of the original beamforming problem is
+dropped; on generic instances the optimum is rank-one anyway and the
+beamformer is recovered from the principal eigenvector.
 
 Algorithm: a primal-dual path-following interior-point method with a Mehrotra
 predictor-corrector step, run in real arithmetic on the standard symmetric
@@ -41,7 +42,6 @@ __all__ = [
     "SdpConvergenceError",
     "PrincipalEigenpair",
     "solve",
-    "hermitian_to_real_embedding",
     "canonical_phase",
     "extract_principal_eigenpair",
     "dump_instance",
@@ -50,51 +50,48 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """One relaxed beamforming instance.
+    """One relaxed beamforming instance, stored by its rank-one factors.
 
     Attributes:
         dim: Beamformer dimension N.
         class_weights: (K,) positive objective weights c_k.
-        constraint_matrices: (K, M, N, N) complex array; entry [k, j] is the
-            Hermitian PSD matrix H_j^k of constraint (j, k). Entries where the
-            mask is False are ignored (conventionally zero).
+        constraint_vectors: (K, M, N) complex array; entry [k, j] is the
+            vector v_j^k whose outer product v v^H is the constraint matrix
+            of constraint (j, k), so every constraint is Hermitian PSD by
+            construction. Entries where the mask is False are ignored
+            (conventionally zero).
         active_mask: (K, M) booleans; False marks devices that do not
             participate in a class. Every class needs at least one active row.
     """
 
     dim: int
     class_weights: np.ndarray
-    constraint_matrices: np.ndarray
+    constraint_vectors: np.ndarray
     active_mask: np.ndarray
 
     def __post_init__(self) -> None:
         c = np.asarray(self.class_weights, dtype=np.float64)
-        mats = np.asarray(self.constraint_matrices, dtype=np.complex128)
+        vecs = np.asarray(self.constraint_vectors, dtype=np.complex128)
         mask = np.asarray(self.active_mask, dtype=bool)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if c.ndim != 1 or np.any(c <= 0):
             raise ValueError("class_weights must be positive scalars")
         k = c.shape[0]
-        if mats.ndim != 4 or mats.shape[0] != k or mats.shape[2:] != (self.dim, self.dim):
+        if vecs.ndim != 3 or vecs.shape[0] != k or vecs.shape[2] != self.dim:
             raise ValueError(
-                f"constraint_matrices must be (K, M, N, N) = ({k}, M, {self.dim}, {self.dim})"
+                f"constraint_vectors must be (K, M, N) = ({k}, M, {self.dim})"
             )
-        if mask.shape != mats.shape[:2]:
+        if mask.shape != vecs.shape[:2]:
             raise ValueError("active_mask must be (K, M)")
         if np.any(~mask.any(axis=1)):
             raise ValueError("infeasible mask: some class has no active device")
-        scale = max(1.0, float(np.abs(mats).max()))
-        for kk, jj in np.argwhere(mask):
-            h = mats[kk, jj]
-            if np.abs(h - h.conj().T).max() > 1e-10 * scale:
-                raise ValueError(f"constraint matrix ({jj}, {kk}) is not Hermitian")
-            if np.linalg.eigvalsh(h)[0] < -1e-10 * scale:
-                raise ValueError(f"constraint matrix ({jj}, {kk}) is not PSD")
-        for arr in (c, mats, mask):
+        if not np.all(np.isfinite(vecs[mask])):
+            raise ValueError("active constraint vectors must be finite")
+        for arr in (c, vecs, mask):
             arr.setflags(write=False)
         object.__setattr__(self, "class_weights", c)
-        object.__setattr__(self, "constraint_matrices", mats)
+        object.__setattr__(self, "constraint_vectors", vecs)
         object.__setattr__(self, "active_mask", mask)
 
     @property
@@ -103,7 +100,7 @@ class SdpProblem:
 
     @property
     def num_wds(self) -> int:
-        return self.constraint_matrices.shape[1]
+        return self.constraint_vectors.shape[1]
 
 
 @dataclass(frozen=True)
@@ -140,21 +137,7 @@ class PrincipalEigenpair(NamedTuple):
     value: float
     vector: np.ndarray
     degenerate: bool
-
-
-def hermitian_to_real_embedding(h: np.ndarray) -> np.ndarray:
-    """Embed a Hermitian N x N matrix as [[Re, -Im], [Im, Re]] in S^{2N}.
-
-    The embedding's eigenvalues are those of the input, each with doubled
-    multiplicity, so PSD-ness is preserved in both directions.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("input must be a square matrix")
-    if np.abs(h - h.conj().T).max() > 1e-10 * max(1.0, float(np.abs(h).max())):
-        raise ValueError("input must be Hermitian")
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
+    runner_up: float
 
 
 def _complex_from_embedding(x: np.ndarray) -> np.ndarray:
@@ -177,7 +160,8 @@ def canonical_phase(vector: np.ndarray) -> np.ndarray:
 
 
 def extract_principal_eigenpair(w: np.ndarray) -> PrincipalEigenpair:
-    """Largest eigenvalue and unit eigenvector of a Hermitian PSD matrix.
+    """Largest eigenvalue and unit eigenvector of a Hermitian PSD matrix,
+    with the second-largest eigenvalue as `runner_up` (0.0 for a 1 x 1 input).
 
     The eigenvector's global phase is fixed deterministically: the first entry
     of largest magnitude is made real and nonnegative. The degenerate flag is
@@ -196,8 +180,11 @@ def extract_principal_eigenpair(w: np.ndarray) -> PrincipalEigenpair:
         raise ValueError("input must be PSD")
     value = float(values[-1])
     vector = canonical_phase(vectors[:, -1])
-    degenerate = w.shape[0] > 1 and values[-2] >= value * (1.0 - 1e-6)
-    return PrincipalEigenpair(value=value, vector=vector, degenerate=degenerate)
+    runner_up = float(values[-2]) if w.shape[0] > 1 else 0.0
+    degenerate = w.shape[0] > 1 and runner_up >= value * (1.0 - 1e-6)
+    return PrincipalEigenpair(
+        value=value, vector=vector, degenerate=degenerate, runner_up=runner_up
+    )
 
 
 def _psd_step_limit(v: np.ndarray, dv: np.ndarray) -> float:
@@ -447,7 +434,6 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
         SdpConvergenceError: if the iteration cap is hit; carries the best
             iterate in its ``best`` attribute.
     """
-    n = problem.dim
     mask = problem.active_mask
     all_pairs = np.argwhere(mask)  # rows of (k, j)
     # Presolve: exactly repeated constraints within a class are redundant and
@@ -455,19 +441,19 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
     seen = set()
     kept = []
     for row, (k, j) in enumerate(all_pairs):
-        key = (int(k), problem.constraint_matrices[k, j].tobytes())
+        key = (int(k), problem.constraint_vectors[k, j].tobytes())
         if key not in seen:
             seen.add(key)
             kept.append(row)
     pairs = all_pairs[kept]
     class_of = pairs[:, 0].astype(np.int64)
     num_classes = problem.num_classes
+    vecs = problem.constraint_vectors[pairs[:, 0], pairs[:, 1]]
+    h = vecs[:, :, None] * np.conj(vecs[:, None, :])  # (m, N, N) v v^H
 
     # Per-class scaling for conditioning: H'_l = kappa_k H_l, c'_k = c_k / kappa_k
     # leaves the problem invariant with e^k -> kappa_k e^k.
-    traces = np.array(
-        [float(np.trace(problem.constraint_matrices[k, j]).real) for k, j in pairs]
-    )
+    traces = np.trace(h, axis1=1, axis2=2).real
     kappa = np.ones(num_classes)
     for k in range(num_classes):
         top = traces[class_of == k].max()
@@ -477,11 +463,9 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
     gamma = float(np.mean(c_scaled))
     c_scaled = c_scaled / gamma
 
-    h_embedded = np.empty((len(pairs), 2 * n, 2 * n))
-    for l, (k, j) in enumerate(pairs):
-        h_embedded[l] = kappa[k] * hermitian_to_real_embedding(
-            problem.constraint_matrices[k, j]
-        )
+    # Symmetric real embedding [[Re, -Im], [Im, Re]] of every row at once.
+    h_embedded = np.block([[h.real, -h.imag], [h.imag, h.real]])
+    h_embedded *= kappa[class_of, None, None]
 
     core = _Core(h_embedded, class_of, c_scaled)
     iterations, converged = core.iterate(tol, max_iterations)
@@ -512,17 +496,20 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
 def dump_instance(problem: SdpProblem) -> str:
     """Self-describing text dump for cross-checking against external solvers.
 
-    Format: a dimensions line, the class weights, then one block per active
-    constraint with its row-major matrix entries as "re im" pairs.
+    Format: a dimensions line, the class weights, then one line per active
+    constraint (class k, device j) holding the entries of its rank-one
+    factor v_j^k as "re im" pairs, after "constraint class=k wd=j".
     """
     lines = [
         f"sdp dim={problem.dim} classes={problem.num_classes} wds={problem.num_wds}",
         "class_weights " + " ".join(repr(float(v)) for v in problem.class_weights),
     ]
     for k, j in np.argwhere(problem.active_mask):
-        lines.append(f"constraint class={k} wd={j}")
-        for row in problem.constraint_matrices[k, j]:
-            lines.append(
-                " ".join(f"{entry.real!r} {entry.imag!r}" for entry in row)
+        lines.append(
+            f"constraint class={k} wd={j} "
+            + " ".join(
+                f"{float(entry.real)!r} {float(entry.imag)!r}"
+                for entry in problem.constraint_vectors[k, j]
             )
+        )
     return "\n".join(lines) + "\n"

@@ -60,6 +60,11 @@ _ACTIVE_MARGIN = 1e-4
 _POLISH_STEPS = 4
 # Largest KKT residual, in the polish's O(1) scaled units, taken as roundoff.
 _POLISH_RESIDUAL = 1e-12
+# Relative margin within which a bottleneck expression counts as tied with
+# its class minimum for the straggler label. At the polished optimum, tied
+# bottlenecks agree only to roundoff, so a strict argmin would let the last
+# bits of the channel (its per-device phases, say) pick the label.
+_TIE_MARGIN = 1e-12
 
 
 class PlanDegeneracyError(RuntimeError):
@@ -77,7 +82,8 @@ class PostprocessingResult(NamedTuple):
         denormalizers: (K,) positive per-class scalars lambda^k.
         offsets: (M, K) mean-offset weights a_i^k = B_i^k / B^k.
         straggler_indices: (K,) index of the device attaining each class's
-            bottleneck minimum (lowest index on exact ties).
+            bottleneck minimum: the lowest index whose expression lies within
+            a relative _TIE_MARGIN of the minimum.
     """
 
     denormalizers: np.ndarray
@@ -168,6 +174,23 @@ def transmit_active_mask(
     return partition.active_mask & (stds >= Q_HAT_FLOOR)
 
 
+def _scaled_channels(
+    channel: ChannelState,
+    knowledge_stds: np.ndarray,
+    partition: DatasetPartition,
+    peak_powers: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (M, K) transmit mask and the (K, M, N) scaled channel vectors
+
+        v_j^k = (sqrt(P_j) / (B_j^k q_hat_j^k)) h_j,
+
+    zero where device j does not transmit class k."""
+    active = transmit_active_mask(partition, knowledge_stds)
+    denom = np.where(active, partition.counts * knowledge_stds, 1.0)
+    scale = np.where(active, np.sqrt(peak_powers)[:, None] / denom, 0.0)  # (M, K)
+    return active, scale.T[:, :, None] * channel.coefficients[None, :, :]
+
+
 def build_relaxation(
     channel: ChannelState,
     knowledge_stds: np.ndarray,
@@ -177,7 +200,7 @@ def build_relaxation(
     """Assemble the relaxed beamformer-selection problem for one round.
 
     Each transmitting (class k, device j) pair contributes the rank-one
-    constraint matrix built from the scaled channel vector
+    constraint v v^H, stored as its factor, the scaled channel vector
 
         v_j^k = (sqrt(P_j) / (B_j^k q_hat_j^k)) h_j,
 
@@ -189,7 +212,6 @@ def build_relaxation(
     stds = np.asarray(knowledge_stds, dtype=np.float64)
     peaks = np.asarray(peak_powers, dtype=np.float64)
     m, k = partition.counts.shape
-    n = channel.num_antennas
     if channel.num_wds != m:
         raise ValueError("channel and partition disagree on the device count")
     if stds.shape != (m, k):
@@ -197,29 +219,23 @@ def build_relaxation(
     if peaks.shape != (m,) or np.any(peaks <= 0):
         raise ValueError("peak_powers must be (M,) positive")
 
-    active = transmit_active_mask(partition, stds)  # (M, K)
-    denom = np.where(active, partition.counts * stds, 1.0)
-    scale = np.where(active, np.sqrt(peaks)[:, None] / denom, 0.0)  # (M, K)
-    vecs = scale.T[:, :, None] * channel.coefficients[None, :, :]  # (K, M, N)
-    mats = vecs[:, :, :, None] * np.conj(vecs[:, :, None, :])  # (K, M, N, N)
-
+    active, vecs = _scaled_channels(channel, stds, partition, peaks)
     class_weights = (
         partition.counts / partition.per_wd_totals[:, None]
     ).sum(axis=0) / partition.class_totals
     return SdpProblem(
-        dim=n,
+        dim=channel.num_antennas,
         class_weights=class_weights,
-        constraint_matrices=mats,
+        constraint_vectors=vecs,
         active_mask=active.T.copy(),
     )
 
 
 def _constraint_gains(w: np.ndarray, problem: SdpProblem) -> np.ndarray:
-    """(K, M) squared gains w^H H_j^k w (real for Hermitian H); +inf where
-    the device does not take part in the class."""
-    mats = problem.constraint_matrices
-    hw = (mats.reshape(-1, problem.dim) @ w).reshape(mats.shape[:3])
-    gains = np.real(hw @ np.conj(w))
+    """(K, M) squared gains |w^H v_j^k|^2; +inf where the device does not
+    take part in the class."""
+    projections = np.conj(problem.constraint_vectors) @ w
+    gains = projections.real**2 + projections.imag**2
     return np.where(problem.active_mask, gains, np.inf)
 
 
@@ -267,7 +283,8 @@ def _polish_beamformer(w: np.ndarray, problem: SdpProblem) -> np.ndarray:
     active = gains <= level[:, None] * (1.0 + _ACTIVE_MARGIN)
     cls, dev = np.nonzero(active)
     size = cls.size
-    mats = problem.constraint_matrices[cls, dev] / level[cls, None, None]
+    vecs = problem.constraint_vectors[cls, dev]
+    mats = vecs[:, :, None] * np.conj(vecs[:, None, :]) / level[cls, None, None]
     flat = mats.reshape(size, n * n)
     weights = problem.class_weights * level
     weights = weights / weights.sum()
@@ -351,22 +368,17 @@ def _combined_gains(channel: ChannelState, beamformer: np.ndarray) -> np.ndarray
 
 
 def _bottleneck_expressions(
-    gains_abs: np.ndarray,
-    active: np.ndarray,
-    partition: DatasetPartition,
+    beamformer: np.ndarray,
+    channel: ChannelState,
     knowledge_stds: np.ndarray,
+    partition: DatasetPartition,
     peak_powers: np.ndarray,
 ) -> np.ndarray:
-    """Per-(device, class) denormalizer candidates
-    B^k |w^H h_i| sqrt(P_i) / (B_i^k q_hat_i^k); +inf where not transmitting."""
-    denom = np.where(active, partition.counts * knowledge_stds, 1.0)
-    expr = (
-        partition.class_totals[None, :]
-        * gains_abs[:, None]
-        * np.sqrt(peak_powers)[:, None]
-        / denom
-    )
-    return np.where(active, expr, np.inf)
+    """Per-(device, class) denormalizer candidates B^k |w^H v_i^k|, shape
+    (M, K); +inf where not transmitting."""
+    active, vecs = _scaled_channels(channel, knowledge_stds, partition, peak_powers)
+    expr = partition.class_totals[:, None] * np.abs(vecs @ np.conj(beamformer))
+    return np.where(active, expr.T, np.inf)
 
 
 def optimal_postprocessing(
@@ -383,8 +395,11 @@ def optimal_postprocessing(
 
         lambda^k = min_i B^k |w^H h_i| sqrt(P_i) / (B_i^k q_hat_i^k),
 
-    attained by the class's bottleneck device (lowest index on ties), and the
-    mean-offset weights are the aggregation weights a_i^k = B_i^k / B^k.
+    attained by the class's bottleneck device, and the mean-offset weights
+    are the aggregation weights a_i^k = B_i^k / B^k. Devices whose
+    expressions agree with the minimum to a relative _TIE_MARGIN count as
+    tied, and the lowest index among them is reported as the straggler, so
+    the label does not depend on roundoff.
 
     Raises:
         PlanDegeneracyError: some transmitting device has w^H h_i = 0.
@@ -392,20 +407,19 @@ def optimal_postprocessing(
     stds = np.asarray(knowledge_stds, dtype=np.float64)
     peaks = np.asarray(peak_powers, dtype=np.float64)
     active = transmit_active_mask(partition, stds)
-    gains = np.abs(_combined_gains(channel, beamformer))
-    nulled = (gains == 0.0) & active.any(axis=1)
+    nulled = (_combined_gains(channel, beamformer) == 0.0) & active.any(axis=1)
     if np.any(nulled):
         raise PlanDegeneracyError(
             f"combining vector nulls transmitting device(s) {np.flatnonzero(nulled).tolist()}"
         )
-    expr = _bottleneck_expressions(gains, active, partition, stds, peaks)
-    straggler_indices = np.argmin(expr, axis=0)  # first minimum = lowest index
-    denormalizers = expr[straggler_indices, np.arange(expr.shape[1])]
+    expr = _bottleneck_expressions(beamformer, channel, stds, partition, peaks)
+    denormalizers = expr.min(axis=0)
+    tied = expr <= denormalizers * (1.0 + _TIE_MARGIN)
     offsets = partition.counts / partition.class_totals[None, :]
     return PostprocessingResult(
         denormalizers=denormalizers,
         offsets=offsets,
-        straggler_indices=straggler_indices.astype(np.int64),
+        straggler_indices=np.argmax(tied, axis=0).astype(np.int64),
     )
 
 
@@ -480,8 +494,6 @@ def optimize_round(
     problem = build_relaxation(channel, knowledge_stds, partition, peaks)
     solution = solve(problem, tol=tol, max_iterations=max_iterations)
     pair = extract_principal_eigenpair(solution.W)
-    eigvals = np.linalg.eigvalsh(solution.W)
-    eig2 = float(eigvals[-2]) if problem.dim > 1 else 0.0
     w = _polish_beamformer(pair.vector, problem)
     post = optimal_postprocessing(w, channel, knowledge_stds, partition, peaks)
     equalizers = optimal_equalizers(
@@ -497,8 +509,8 @@ def optimize_round(
         tag="optimal",
         straggler_indices=post.straggler_indices,
         diagnostics=PlanDiagnostics(
-            eig1=float(eigvals[-1]),
-            eig2=eig2,
+            eig1=pair.value,
+            eig2=pair.runner_up,
             relaxation_objective=float(solution.objective),
             solver_iterations=solution.iterations,
             degenerate_rank=pair.degenerate,
@@ -529,7 +541,7 @@ def uniform_baseline(
     phases = np.where(gains > 0.0, np.conj(combined) / np.where(gains > 0.0, gains, 1.0), 1.0)
     equalizers = np.where(active, np.sqrt(peaks)[:, None] * phases[:, None], 0.0 + 0.0j)
 
-    expr = _bottleneck_expressions(gains, active, partition, stds, peaks)
+    expr = _bottleneck_expressions(w, channel, stds, partition, peaks)
     finite = np.where(active, expr, 0.0)
     denormalizers = finite.sum(axis=0) / active.sum(axis=0)
     offsets = partition.counts / partition.class_totals[None, :]

@@ -20,7 +20,7 @@ from airfd.learner import Architecture, init_params, loss_and_grad
 from airfd.metrics import (
     misalignment_vectors,
     p2_objective,
-    phi2_sq_analytic,
+    phi2_sq_all,
     phi2_sq_monte_carlo,
 )
 from airfd.oracles import beamformer_grid_search, finite_difference_gradient
@@ -172,6 +172,27 @@ def test_c04_per_class_bottleneck_saturates_its_power_budget():
     assert time.perf_counter() - start < 10.0
 
 
+def test_c04_straggler_label_is_invariant_to_channel_phases():
+    """Rotating each device's channel phase leaves every straggler label
+    unchanged. Instance 7 of the c04 generator has a bottleneck tied between
+    two devices at the optimum, where their expressions agree only to
+    roundoff; a strict argmin picks a different label after the rotation."""
+    rng = substream(0, "saturation", 7)
+    channel, knowledge, part, peaks = random_instance(
+        rng,
+        num_wds=int(rng.integers(3, 9)),
+        num_classes=int(rng.integers(2, 6)),
+        num_antennas=int(rng.integers(2, 5)),
+    )
+    phases = np.exp(1j * np.random.default_rng(7).uniform(0, 2 * np.pi, part.num_wds))
+    rotated = ChannelState(coefficients=channel.coefficients * phases[:, None])
+    plan = optimize_round(channel, knowledge.stds, part, peaks)
+    plan_rotated = optimize_round(rotated, knowledge.stds, part, peaks)
+    np.testing.assert_array_equal(
+        plan_rotated.straggler_indices, plan.straggler_indices
+    )
+
+
 def test_c05_noise_error_formula_matches_monte_carlo():
     """The analytic squared noise error matches a 1e5-draw Monte-Carlo
     simulation within 2% on 20 random instances, within 1 minute."""
@@ -186,9 +207,7 @@ def test_c05_noise_error_formula_matches_monte_carlo():
             num_antennas=int(rng.integers(2, 5)),
         )
         plan = optimize_round(channel, knowledge.stds, part, peaks)
-        analytic = phi2_sq_analytic(
-            plan.receive.denormalizers, part.counts[0], noise_variance
-        )
+        analytic = phi2_sq_all(plan.receive.denormalizers, part, noise_variance)[0]
         simulated = phi2_sq_monte_carlo(
             plan.beamformer,
             plan.receive.denormalizers,

@@ -20,7 +20,6 @@ from airfd.metrics import (
     p2_objective,
     phi1,
     phi2_sq_all,
-    phi2_sq_analytic,
     phi2_sq_monte_carlo,
 )
 from airfd.transceiver import (
@@ -168,10 +167,12 @@ class TestPhi1:
 
 class TestPhi2:
     def test_zero_noise(self):
-        assert phi2_sq_analytic(np.array([1.0, 2.0]), np.array([3, 5]), 0.0) == 0.0
+        partition = DatasetPartition(counts=np.array([[3, 5]]))
+        assert phi2_sq_all(np.array([1.0, 2.0]), partition, 0.0)[0] == 0.0
 
     def test_single_class_unit_values(self):
-        assert phi2_sq_analytic(np.array([1.0]), np.array([7]), 0.25) == pytest.approx(
+        partition = DatasetPartition(counts=np.array([[7]]))
+        assert phi2_sq_all(np.array([1.0]), partition, 0.25)[0] == pytest.approx(
             0.25, rel=1e-15
         )
 
@@ -182,19 +183,10 @@ class TestPhi2:
         expected = sum(
             counts[kk] / 10.0 * 3 * sigma / lams[kk] ** 2 for kk in range(3)
         )
-        assert phi2_sq_analytic(lams, counts, sigma) == pytest.approx(
+        partition = DatasetPartition(counts=counts[None, :])
+        assert phi2_sq_all(lams, partition, sigma)[0] == pytest.approx(
             expected, rel=1e-12
         )
-
-    def test_all_devices_matches_per_row(self):
-        rng = np.random.default_rng(110)
-        partition = random_partition(rng, 5, 3)
-        lams = rng.uniform(0.5, 2.0, 3)
-        all_vals = phi2_sq_all(lams, partition, 0.3)
-        for i in range(5):
-            assert all_vals[i] == pytest.approx(
-                phi2_sq_analytic(lams, partition.counts[i], 0.3), rel=1e-12
-            )
 
     def test_monte_carlo_matches_analytic(self):
         rng = np.random.default_rng(111)
@@ -206,7 +198,7 @@ class TestPhi2:
         estimate = phi2_sq_monte_carlo(
             w, lams, counts, sigma, np.random.default_rng(2024), draws=20_000
         )
-        target = phi2_sq_analytic(lams, counts, sigma)
+        target = phi2_sq_all(lams, DatasetPartition(counts=counts[None, :]), sigma)[0]
         assert abs(estimate - target) <= 0.02 * target
 
 

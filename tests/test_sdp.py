@@ -1,4 +1,4 @@
-"""Tests for the semidefinite solver, the real embedding, and eigen-extraction."""
+"""Tests for the semidefinite solver, its problem format, and eigen-extraction."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from airfd.sdp_solver import (
     SdpSolution,
     dump_instance,
     extract_principal_eigenpair,
-    hermitian_to_real_embedding,
     solve,
 )
 
@@ -26,74 +25,32 @@ def rank_one_problem(vectors_by_class, weights):
     num_classes = len(vectors_by_class)
     num_wds = max(len(v) for v in vectors_by_class)
     dim = vectors_by_class[0][0].shape[0]
-    mats = np.zeros((num_classes, num_wds, dim, dim), dtype=np.complex128)
+    vecs = np.zeros((num_classes, num_wds, dim), dtype=np.complex128)
     mask = np.zeros((num_classes, num_wds), dtype=bool)
     for k, vectors in enumerate(vectors_by_class):
         for j, vec in enumerate(vectors):
-            mats[k, j] = np.outer(vec, vec.conj())
+            vecs[k, j] = vec
             mask[k, j] = True
     return SdpProblem(
         dim=dim,
         class_weights=np.asarray(weights, dtype=np.float64),
-        constraint_matrices=mats,
+        constraint_vectors=vecs,
         active_mask=mask,
     )
 
 
 def reduced_objective(w_matrix, problem):
-    """Independent evaluation: sum_k c_k * (-min over active j of Tr(W H))."""
+    """Independent evaluation: sum_k c_k * (-min over active j of Tr(W H)),
+    with H = v v^H formed from the constraint vector."""
     total = 0.0
     for k in range(problem.num_classes):
         values = [
-            float(np.trace(w_matrix @ problem.constraint_matrices[k, j]).real)
-            for j in range(problem.num_wds)
-            if problem.active_mask[k, j]
+            float(np.trace(w_matrix @ np.outer(v, v.conj())).real)
+            for v, active in zip(problem.constraint_vectors[k], problem.active_mask[k])
+            if active
         ]
         total += problem.class_weights[k] * (-min(values))
     return total
-
-
-class TestEmbedding:
-    def test_identity_doubles(self):
-        out = hermitian_to_real_embedding(np.eye(3))
-        assert np.array_equal(out, np.eye(6))
-
-    def test_real_symmetric_becomes_block_diagonal(self):
-        a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        out = hermitian_to_real_embedding(a)
-        expected = np.block([[a, np.zeros((2, 2))], [np.zeros((2, 2)), a]])
-        assert np.array_equal(out, expected)
-
-    def test_eigenvalues_double_in_multiplicity(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = 0.5 * (a + a.conj().T)
-        vals = np.linalg.eigvalsh(h)
-        vals_embedded = np.linalg.eigvalsh(hermitian_to_real_embedding(h))
-        assert np.allclose(np.repeat(vals, 2), vals_embedded, atol=1e-10)
-
-    def test_trace_doubles(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        h = 0.5 * (a + a.conj().T)
-        embedded = hermitian_to_real_embedding(h)
-        assert abs(np.trace(embedded) - 2.0 * np.trace(h).real) < 1e-12
-
-    def test_inner_product_halves(self):
-        rng = np.random.default_rng(7)
-        mats = []
-        for _ in range(2):
-            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            mats.append(0.5 * (a + a.conj().T))
-        lhs = np.trace(mats[0] @ mats[1]).real
-        rhs = 0.5 * np.trace(
-            hermitian_to_real_embedding(mats[0]) @ hermitian_to_real_embedding(mats[1])
-        )
-        assert abs(lhs - rhs) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_to_real_embedding(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestPrincipalEigenpair:
@@ -139,47 +96,53 @@ class TestPrincipalEigenpair:
 class TestProblemValidation:
     def test_rejects_class_with_no_active_device(self):
         rng = np.random.default_rng(21)
-        v = random_unit_complex(rng, 3)
-        mats = np.zeros((2, 1, 3, 3), dtype=np.complex128)
-        mats[0, 0] = np.outer(v, v.conj())
+        vecs = np.zeros((2, 1, 3), dtype=np.complex128)
+        vecs[0, 0] = random_unit_complex(rng, 3)
         mask = np.array([[True], [False]])
         with pytest.raises(ValueError, match="infeasible mask"):
             SdpProblem(
                 dim=3,
                 class_weights=np.array([1.0, 1.0]),
-                constraint_matrices=mats,
+                constraint_vectors=vecs,
                 active_mask=mask,
             )
 
-    def test_rejects_non_hermitian_constraint(self):
-        mats = np.zeros((1, 1, 2, 2), dtype=np.complex128)
-        mats[0, 0] = np.array([[1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="Hermitian"):
-            SdpProblem(
-                dim=2,
-                class_weights=np.array([1.0]),
-                constraint_matrices=mats,
-                active_mask=np.ones((1, 1), bool),
-            )
+    def test_rejects_wrong_shaped_vectors(self):
+        # A (K, M, N, N) matrix stack, or vectors of the wrong length.
+        for vecs in (np.eye(2, dtype=np.complex128)[None, None], np.ones((1, 1, 3))):
+            with pytest.raises(ValueError, match=r"\(K, M, N\)"):
+                SdpProblem(
+                    dim=2,
+                    class_weights=np.array([1.0]),
+                    constraint_vectors=vecs,
+                    active_mask=np.ones((1, 1), bool),
+                )
 
-    def test_rejects_indefinite_constraint(self):
-        mats = np.zeros((1, 1, 2, 2), dtype=np.complex128)
-        mats[0, 0] = np.diag([1.0, -1.0])
-        with pytest.raises(ValueError, match="PSD"):
+    def test_rejects_non_finite_active_vector(self):
+        vecs = np.ones((1, 2, 2), dtype=np.complex128)
+        vecs[0, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
             SdpProblem(
                 dim=2,
                 class_weights=np.array([1.0]),
-                constraint_matrices=mats,
-                active_mask=np.ones((1, 1), bool),
+                constraint_vectors=vecs,
+                active_mask=np.ones((1, 2), bool),
             )
+        # The same entry is ignored when its row is masked out.
+        SdpProblem(
+            dim=2,
+            class_weights=np.array([1.0]),
+            constraint_vectors=vecs,
+            active_mask=np.array([[True, False]]),
+        )
 
     def test_rejects_nonpositive_weights(self):
-        mats = np.eye(2, dtype=np.complex128)[None, None]
+        vecs = np.ones((1, 1, 2), dtype=np.complex128)
         with pytest.raises(ValueError):
             SdpProblem(
                 dim=2,
                 class_weights=np.array([0.0]),
-                constraint_matrices=mats,
+                constraint_vectors=vecs,
                 active_mask=np.ones((1, 1), bool),
             )
 
@@ -211,8 +174,8 @@ class TestSolveClosedForm:
         assert np.linalg.eigvalsh(solution.W)[0] >= -1e-9
         # slacks are feasible for every active constraint
         for k in range(problem.num_classes):
-            for j in range(problem.num_wds):
-                value = np.trace(solution.W @ problem.constraint_matrices[k, j]).real
+            for v in problem.constraint_vectors[k]:
+                value = np.trace(solution.W @ np.outer(v, v.conj())).real
                 assert solution.slacks[k] + value >= -1e-6
         assert set(solution.residuals) == {
             "primal_eq",
@@ -328,10 +291,31 @@ class TestSolveProperties:
 class TestDump:
     def test_dump_round_trips_key_fields(self):
         rng = np.random.default_rng(51)
-        vectors = [[random_unit_complex(rng, 2) for _ in range(2)]]
-        problem = rank_one_problem(vectors, [1.5])
+        vectors = [[random_unit_complex(rng, 2) for _ in range(3)] for _ in range(2)]
+        vecs = np.array(vectors)
+        mask = np.array([[True, False, True], [False, True, True]])
+        vecs[~mask] = 0.0
+        problem = SdpProblem(
+            dim=2,
+            class_weights=np.array([1.5, 0.1]),
+            constraint_vectors=vecs,
+            active_mask=mask,
+        )
         text = dump_instance(problem)
         lines = text.strip().split("\n")
-        assert lines[0] == "sdp dim=2 classes=1 wds=2"
+        assert lines[0] == "sdp dim=2 classes=2 wds=3"
         assert lines[1].startswith("class_weights 1.5")
-        assert sum(1 for line in lines if line.startswith("constraint ")) == 2
+        weights = np.array([float(x) for x in lines[1].split()[1:]])
+        parsed_mask = np.zeros((2, 3), dtype=bool)
+        parsed = np.zeros((2, 3, 2), dtype=np.complex128)
+        for line in lines[2:]:
+            head, cls, wd, *entries = line.split()
+            assert head == "constraint"
+            k, j = int(cls.removeprefix("class=")), int(wd.removeprefix("wd="))
+            parsed_mask[k, j] = True
+            pairs = np.array([float(x) for x in entries]).reshape(-1, 2)
+            parsed[k, j] = pairs[:, 0] + 1j * pairs[:, 1]
+        assert len(lines) == 2 + mask.sum()
+        assert np.array_equal(weights, problem.class_weights)
+        assert np.array_equal(parsed_mask, mask)
+        assert np.array_equal(parsed.view(np.float64), vecs.view(np.float64))

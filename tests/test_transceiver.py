@@ -131,8 +131,8 @@ class TestBuildRelaxation:
                     / (partition.counts[i, kk] * knowledge.stds[i, kk])
                 ) * channel.coefficients[i]
                 np.testing.assert_allclose(
-                    problem.constraint_matrices[kk, i],
-                    np.outer(v, np.conj(v)),
+                    problem.constraint_vectors[kk, i],
+                    v,
                     rtol=1e-12,
                     atol=1e-15,
                 )
@@ -157,7 +157,7 @@ class TestBuildRelaxation:
         peaks = np.ones(3)
         problem = build_relaxation(channel, knowledge.stds, partition, peaks)
         assert not problem.active_mask[1, 0]
-        assert np.all(problem.constraint_matrices[1, 0] == 0)
+        assert np.all(problem.constraint_vectors[1, 0] == 0)
 
     def test_objective_matches_loop(self):
         rng = np.random.default_rng(13)
@@ -170,9 +170,11 @@ class TestBuildRelaxation:
         expected = 0.0
         for kk in range(problem.num_classes):
             worst = min(
-                float(np.real(np.conj(w) @ problem.constraint_matrices[kk, j] @ w))
-                for j in range(problem.num_wds)
-                if problem.active_mask[kk, j]
+                float(np.real(np.conj(w) @ np.outer(v, np.conj(v)) @ w))
+                for v, active in zip(
+                    problem.constraint_vectors[kk], problem.active_mask[kk]
+                )
+                if active
             )
             expected += problem.class_weights[kk] * (-worst)
         assert relaxation_objective(w, problem) == pytest.approx(expected, rel=1e-12)
