@@ -14,9 +14,18 @@ Modules:
     metrics     — error functionals, objectives, bound evaluation, CSV rows
     oracles     — independent cross-checks (grid search, loops, differences)
     expcli      — datasets, partitions, configuration, experiments, CLI
+
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS says
+otherwise: every matrix here is small, and threads only contend for them. The
+default takes effect only when numpy has not been imported before airfd.
 """
 
-from . import (
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from . import (  # noqa: E402  (BLAS threads are set before numpy loads)
     airagg,
     channel,
     expcli,

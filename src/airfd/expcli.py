@@ -38,18 +38,21 @@ from .channel import (
     scale_coefficients,
 )
 from .knowledge import (
+    ClassGather,
     DatasetPartition,
     KnowledgeSet,
     assemble_transmit_signal,
+    class_gather,
     global_target,
-    local_knowledge,
+    knowledge_vectors,
 )
 from .learner import (
     Architecture,
+    ForwardPass,
     LearnerConfig,
     ModelParams,
     evaluate_accuracy,
-    forward_batch,
+    forward_pass,
     init_params,
     loss_and_grad,
     train_round,
@@ -502,19 +505,27 @@ def generate_knowledge(
     labels_by_wd: list[np.ndarray],
     part: DatasetPartition,
     round_index: int,
-) -> KnowledgeSet:
-    """Every device's per-class average soft predictions plus statistics."""
-    num_classes = part.num_classes
-    q = np.empty((part.num_wds, num_classes, num_classes))
-    for i, params in enumerate(params_by_wd):
-        probs = forward_batch(params, features_by_wd[i])
-        outputs_by_class = [
-            probs[labels_by_wd[i] == k] for k in range(num_classes)
-        ]
-        q[i] = local_knowledge(outputs_by_class, part.counts[i])
+    gather: ClassGather | None = None,
+) -> tuple[KnowledgeSet, list[ForwardPass]]:
+    """Every device's per-class average soft predictions plus statistics.
+
+    Also returns each device's forward pass, which `train_round` reuses for
+    its full-batch loss while the parameters are unchanged. `gather` is the
+    class gather of `labels_by_wd` (built here when not given).
+    """
+    if gather is None:
+        gather = class_gather(labels_by_wd, part.num_classes)
+    if not np.array_equal(gather.counts, part.counts):
+        raise ValueError("labels disagree with the partition's sample counts")
+    passes = [
+        forward_pass(params, features)
+        for params, features in zip(params_by_wd, features_by_wd)
+    ]
+    q = knowledge_vectors([fp.probs for fp in passes], gather)
     means = q.mean(axis=2)
     stds = np.sqrt(np.mean((q - means[:, :, None]) ** 2, axis=2))
-    return KnowledgeSet(q=q, means=means, stds=stds, round_index=round_index)
+    knowledge = KnowledgeSet(q=q, means=means, stds=stds, round_index=round_index)
+    return knowledge, passes
 
 
 def aggregate_over_air(
@@ -652,6 +663,7 @@ def _run_trial(
     )
     features_by_wd = [train.features[idx] for idx in assignment]
     labels_by_wd = [train.labels[idx] for idx in assignment]
+    gather = class_gather(labels_by_wd, num_classes)
     distances = sample_distances(cha, substream(seed, "distance", trial))
     amplitudes = np.sqrt([path_loss(d, cha) for d in distances])
     unit_config = replace(
@@ -671,8 +683,8 @@ def _run_trial(
         params = list(initial)
         last_acc = 0.0
         for t in range(rounds):
-            knowledge = generate_knowledge(
-                params, features_by_wd, labels_by_wd, part, t
+            knowledge, passes = generate_knowledge(
+                params, features_by_wd, labels_by_wd, part, t, gather
             )
             fading = sample_channel(
                 unit_config, distances, substream(seed, "fading", trial, t), t
@@ -726,7 +738,9 @@ def _run_trial(
                     lrn,
                     t,
                     batch_rng,
+                    cache=passes[i],
                 )
+            del passes  # stale once the models have moved
             if t % config.eval_every == 0 or t == rounds - 1:
                 last_acc = float(
                     np.mean(

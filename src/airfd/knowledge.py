@@ -18,7 +18,9 @@ __all__ = [
     "DatasetPartition",
     "KnowledgeSet",
     "TransmitPlan",
-    "local_knowledge",
+    "ClassGather",
+    "class_gather",
+    "knowledge_vectors",
     "knowledge_stats",
     "normalize_knowledge",
     "assemble_transmit_signal",
@@ -170,37 +172,78 @@ class TransmitPlan:
         object.__setattr__(self, "peak_powers", peak)
 
 
-def local_knowledge(outputs_by_class: list[np.ndarray], counts_row: np.ndarray) -> np.ndarray:
-    """Average soft predictions per class for one device.
+@dataclass(frozen=True)
+class ClassGather:
+    """Where every device's samples of each class sit among the outputs of
+    all devices stacked in device order.
+
+    Labels are fixed within a trial, so one gather serves every round.
+
+    Attributes:
+        rows: Length-K tuple; rows[k] is an (M, L_k) int array, L_k being the
+            largest B_i^k. Row i lists the stacked positions of device i's
+            class-k samples in sample order, padded with `size`, the position
+            of the zero row appended after the stacked outputs.
+        counts: (M, K) sample counts B_i^k.
+        size: Number of samples over all devices.
+    """
+
+    rows: tuple[np.ndarray, ...]
+    counts: np.ndarray
+    size: int
+
+
+def class_gather(labels_by_wd: list[np.ndarray], num_classes: int) -> ClassGather:
+    """The gather of each class's samples, per device, for knowledge_vectors."""
+    num_wds = len(labels_by_wd)
+    labels = np.concatenate([np.asarray(lab) for lab in labels_by_wd])
+    owner = np.repeat(np.arange(num_wds), [len(lab) for lab in labels_by_wd])
+    if np.any(labels < 0) or np.any(labels >= num_classes):
+        raise ValueError("labels must lie in [0, K)")
+    counts = np.zeros((num_wds, num_classes), dtype=np.int64)
+    rows = []
+    for k in range(num_classes):
+        positions = np.flatnonzero(labels == k)
+        devices = owner[positions]
+        counts[:, k] = np.bincount(devices, minlength=num_wds)
+        # Rank of each sample among its device's class-k samples.
+        first = np.cumsum(counts[:, k]) - counts[:, k]
+        index = np.full((num_wds, counts[:, k].max()), labels.size)
+        index[devices, np.arange(positions.size) - first[devices]] = positions
+        rows.append(index)
+    counts.setflags(write=False)
+    return ClassGather(rows=tuple(rows), counts=counts, size=labels.size)
+
+
+def knowledge_vectors(
+    outputs_by_wd: list[np.ndarray], gather: ClassGather
+) -> np.ndarray:
+    """Average soft predictions per device and class.
 
     Args:
-        outputs_by_class: Length-K list; entry k is a (B_i^k, K) array of
-            softmax outputs of the device's class-k samples (an empty array
-            where the device holds none).
-        counts_row: Length-K sample counts B_i^k for consistency checking.
+        outputs_by_wd: Length-M list; entry i is the (B_i, K) softmax outputs
+            of device i's samples, in the order the gather was built from.
+        gather: The class gather of the devices' labels.
 
     Returns:
-        (K, K) array whose row k is the class-k knowledge vector. Rows of
-        classes with zero samples are filled with the uniform vector (they are
-        excluded from aggregation by their zero weight).
+        (M, K, K) array whose [i, k] row is device i's class-k knowledge
+        vector, summed in sample order and divided by B_i^k (the same bits
+        as the mean of those rows). Classes a device holds no samples of get
+        the uniform vector (they are excluded from aggregation by their zero
+        weight).
     """
-    counts_row = np.asarray(counts_row)
-    num_classes = len(outputs_by_class)
-    if counts_row.shape != (num_classes,):
-        raise ValueError("counts_row length must match the number of classes")
-    result = np.full((num_classes, num_classes), 1.0 / num_classes)
-    for k, outputs in enumerate(outputs_by_class):
-        outputs = np.asarray(outputs, dtype=np.float64)
-        if counts_row[k] > 0:
-            if outputs.size == 0:
-                raise ValueError(
-                    f"class {k} reports {counts_row[k]} samples but no outputs"
-                )
-            if outputs.shape != (counts_row[k], num_classes):
-                raise ValueError(
-                    f"class {k} outputs must have shape ({counts_row[k]}, {num_classes})"
-                )
-            result[k] = outputs.mean(axis=0)
+    num_wds, num_classes = gather.counts.shape
+    stacked = np.concatenate(
+        [np.asarray(out, dtype=np.float64) for out in outputs_by_wd]
+        + [np.zeros((1, num_classes))]
+    )
+    expected = (gather.size + 1, num_classes)
+    if len(outputs_by_wd) != num_wds or stacked.shape != expected:
+        raise ValueError("outputs do not match the gather's devices and samples")
+    sums = np.stack([stacked[rows].sum(axis=1) for rows in gather.rows], axis=1)
+    result = np.full((num_wds, num_classes, num_classes), 1.0 / num_classes)
+    held = gather.counts > 0
+    result[held] = sums[held] / gather.counts[held][:, None]
     return result
 
 

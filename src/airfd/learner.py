@@ -7,6 +7,7 @@ knowledge vector, under a diminishing step-size schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,7 +15,9 @@ __all__ = [
     "Architecture",
     "ModelParams",
     "LearnerConfig",
+    "ForwardPass",
     "init_params",
+    "forward_pass",
     "forward",
     "forward_batch",
     "loss_and_grad",
@@ -136,11 +139,28 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Softmax outputs for a (B, F) batch, shape (B, K).
+class ForwardPass(NamedTuple):
+    """One model's outputs on a (B, F) batch, kept so that the same forward
+    pass can serve knowledge extraction and the training loss.
 
-    Rows are positive and sum to 1 within 1e-12 for finite parameters.
+    Attributes:
+        hidden: (B, H) tanh activations of the hidden layer.
+        log_probs: (B, K) log-softmax outputs.
     """
+
+    hidden: np.ndarray
+    log_probs: np.ndarray
+
+    @property
+    def probs(self) -> np.ndarray:
+        """(B, K) softmax outputs."""
+        return np.exp(self.log_probs)
+
+
+def _hidden_and_logits(
+    params: ModelParams, features: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations (B, H) and logits (B, K) for a (B, F) batch."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != params.arch.feature_dim:
         raise ValueError(
@@ -148,7 +168,21 @@ def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
         )
     w1, b1, w2, b2 = _unpack(params.theta, params.arch)
     hidden = np.tanh(features @ w1 + b1)
-    return np.exp(_log_softmax(hidden @ w2 + b2))
+    return hidden, hidden @ w2 + b2
+
+
+def forward_pass(params: ModelParams, features: np.ndarray) -> ForwardPass:
+    """Hidden activations and log-softmax outputs for a (B, F) batch."""
+    hidden, logits = _hidden_and_logits(params, features)
+    return ForwardPass(hidden=hidden, log_probs=_log_softmax(logits))
+
+
+def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Softmax outputs for a (B, F) batch, shape (B, K).
+
+    Rows are positive and sum to 1 within 1e-12 for finite parameters.
+    """
+    return forward_pass(params, features).probs
 
 
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -165,6 +199,8 @@ def loss_and_grad(
     labels: np.ndarray,
     knowledge: np.ndarray,
     distill_weight: float,
+    *,
+    cache: ForwardPass | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean per-sample loss and its exact gradient in the flat parameters.
 
@@ -180,6 +216,8 @@ def loss_and_grad(
         knowledge: (K, K) real matrix; row v is the shared soft-prediction
             target for class v. Ignored when distill_weight == 0 (may be None).
         distill_weight: Nonnegative regularizer weight.
+        cache: This model's forward pass on these features, reused instead of
+            being recomputed (the result is bit-identical either way).
 
     Returns:
         (loss, gradient) with gradient flat of the parameter dimension.
@@ -206,12 +244,16 @@ def loss_and_grad(
         if not np.all(np.isfinite(knowledge)):
             raise ValueError("knowledge rows must be finite")
 
-    w1, b1, w2, b2 = _unpack(params.theta, arch)
-    pre_hidden = features @ w1 + b1
-    hidden = np.tanh(pre_hidden)
-    logits = hidden @ w2 + b2
-    log_probs = _log_softmax(logits)
-    probs = np.exp(log_probs)
+    if cache is None:
+        cache = forward_pass(params, features)
+    elif (cache.hidden.shape, cache.log_probs.shape) != (
+        (batch, arch.hidden_dim),
+        (batch, arch.num_classes),
+    ):
+        raise ValueError("cache does not match the batch and the architecture")
+    hidden, log_probs = cache
+    probs = cache.probs
+    w2 = _unpack(params.theta, arch)[2]
 
     rows = np.arange(batch)
     loss = float(-log_probs[rows, labels].mean())
@@ -268,6 +310,8 @@ def train_round(
     config: LearnerConfig,
     round_index: int,
     rng: np.random.Generator | None = None,
+    *,
+    cache: ForwardPass | None = None,
 ) -> tuple[ModelParams, float]:
     """One round of local training; returns updated params and the full-batch
     loss measured before the update.
@@ -275,11 +319,12 @@ def train_round(
     With local_epochs == 1 this is a single full-batch step. With
     local_epochs E > 1 the samples are shuffled once (requires rng) and split
     into E near-equal minibatches, each consuming one step at this round's
-    step size.
+    step size. `cache`, the forward pass of `params` on `features`, serves
+    the full-batch loss and gradient in place of a second forward pass.
     """
     eta = lr_schedule(round_index, config)
     loss, grad = loss_and_grad(
-        params, features, labels, knowledge, config.distill_weight
+        params, features, labels, knowledge, config.distill_weight, cache=cache
     )
     if config.local_epochs == 1:
         theta = local_update(params.theta, grad, eta)
@@ -306,9 +351,12 @@ def train_round(
 def evaluate_accuracy(
     params: ModelParams, features: np.ndarray, labels: np.ndarray
 ) -> float:
-    """Fraction of samples whose argmax output matches the label."""
-    probs = forward_batch(params, features)
-    predictions = np.argmax(probs, axis=1)
+    """Fraction of samples whose argmax output matches the label.
+
+    Softmax is monotone, so the prediction is the argmax of the logits.
+    """
+    _, logits = _hidden_and_logits(params, features)
+    predictions = np.argmax(logits, axis=1)
     return float(np.mean(predictions == np.asarray(labels)))
 
 

@@ -14,6 +14,7 @@ from .sdp_solver import SdpProblem
 __all__ = [
     "beamformer_grid_search",
     "naive_aggregate",
+    "local_knowledge",
     "finite_difference_gradient",
 ]
 
@@ -113,6 +114,41 @@ def naive_aggregate(
             acc += np.conj(beamformer[a]) * received[a]
         out[d] = acc
     return out
+
+
+def local_knowledge(
+    outputs_by_class: list[np.ndarray], counts_row: np.ndarray
+) -> np.ndarray:
+    """Average soft predictions per class for one device, class by class.
+
+    Args:
+        outputs_by_class: Length-K list; entry k is a (B_i^k, K) array of
+            softmax outputs of the device's class-k samples (an empty array
+            where the device holds none).
+        counts_row: Length-K sample counts B_i^k for consistency checking.
+
+    Returns:
+        (K, K) array whose row k is the class-k knowledge vector. Rows of
+        classes with zero samples are filled with the uniform vector.
+    """
+    counts_row = np.asarray(counts_row)
+    num_classes = len(outputs_by_class)
+    if counts_row.shape != (num_classes,):
+        raise ValueError("counts_row length must match the number of classes")
+    result = np.full((num_classes, num_classes), 1.0 / num_classes)
+    for k, outputs in enumerate(outputs_by_class):
+        outputs = np.asarray(outputs, dtype=np.float64)
+        if counts_row[k] > 0:
+            if outputs.size == 0:
+                raise ValueError(
+                    f"class {k} reports {counts_row[k]} samples but no outputs"
+                )
+            if outputs.shape != (counts_row[k], num_classes):
+                raise ValueError(
+                    f"class {k} outputs must have shape ({counts_row[k]}, {num_classes})"
+                )
+            result[k] = outputs.mean(axis=0)
+    return result
 
 
 def finite_difference_gradient(fn, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -635,12 +635,15 @@ def orthogonal_receive(
 
 
 def dump_plan(plan: TransceiverPlan) -> str:
-    """Deterministic text dump of a plan for golden-file comparison."""
-    lines = [f"plan tag={plan.tag}"]
-    w = plan.receive.beamformer
-    lines.append(
-        "beamformer " + " ".join(f"{z.real!r} {z.imag!r}" for z in w)
-    )
+    """Deterministic text dump of a plan for golden-file comparison.
+
+    Every number is a plain float repr, so the text parses back bit-exactly.
+    """
+
+    def pairs(values: np.ndarray) -> str:
+        return " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in values)
+
+    lines = [f"plan tag={plan.tag}", "beamformer " + pairs(plan.receive.beamformer)]
     lines.append(
         "denormalizers "
         + " ".join(repr(float(v)) for v in plan.receive.denormalizers)
@@ -650,12 +653,10 @@ def dump_plan(plan: TransceiverPlan) -> str:
     )
     d = plan.diagnostics
     lines.append(
-        f"diagnostics eig1={d.eig1!r} eig2={d.eig2!r} "
-        f"objective={d.relaxation_objective!r} iterations={d.solver_iterations}"
+        f"diagnostics eig1={float(d.eig1)!r} eig2={float(d.eig2)!r} "
+        f"objective={float(d.relaxation_objective)!r} "
+        f"iterations={d.solver_iterations}"
     )
     for i, row in enumerate(plan.transmit.equalizers):
-        lines.append(
-            f"equalizers wd={i} "
-            + " ".join(f"{z.real!r} {z.imag!r}" for z in row)
-        )
+        lines.append(f"equalizers wd={i} " + pairs(row))
     return "\n".join(lines) + "\n"

@@ -428,7 +428,7 @@ def _final_distillation_loss(config, result) -> float:
         )
         feats = [train.features[idx] for idx in assignment]
         labs = [train.labels[idx] for idx in assignment]
-        knowledge = expcli.generate_knowledge(
+        knowledge, _ = expcli.generate_knowledge(
             params, feats, labs, part, config.learner.rounds
         )
         target = global_target(knowledge, part)

@@ -27,9 +27,11 @@ from airfd.learner import (
     Architecture,
     LearnerConfig,
     evaluate_accuracy,
+    forward_batch,
     init_params,
     train_round,
 )
+from airfd.oracles import local_knowledge
 from airfd.rng import substream
 
 
@@ -169,6 +171,28 @@ def test_partition_counts_match_assignment():
         assert np.array_equal(
             np.bincount(data.labels[idx], minlength=3), part.counts[i]
         )
+
+
+def test_generate_knowledge_matches_oracle_and_returns_forward_passes():
+    spec = make_spec(num_samples=90)
+    data = synthesize_dataset(spec, substream(3, "data", 0))
+    part, assignment = partition(data, "dirichlet", 6, 0.1, substream(3, "p", 0))
+    feats = [data.features[idx] for idx in assignment]
+    labs = [data.labels[idx] for idx in assignment]
+    arch = Architecture(feature_dim=8, hidden_dim=5, num_classes=3)
+    params = [init_params(arch, substream(3, "init", 0, i)) for i in range(6)]
+    knowledge, passes = expcli.generate_knowledge(params, feats, labs, part, 4)
+    assert knowledge.round_index == 4 and np.any(part.counts == 0)
+    for i, model in enumerate(params):
+        probs = forward_batch(model, feats[i])
+        assert np.array_equal(passes[i].probs, probs)
+        expected = local_knowledge(
+            [probs[labs[i] == k] for k in range(3)], part.counts[i]
+        )
+        assert np.array_equal(knowledge.q[i], expected)
+    shuffled = [labs[1], labs[0]] + labs[2:]
+    with pytest.raises(ValueError, match="partition"):
+        expcli.generate_knowledge(params, feats, shuffled, part, 4)
 
 
 def test_partition_huge_concentration_is_near_uniform():
@@ -350,7 +374,7 @@ def test_error_free_matches_direct_reimplementation(tmp_path):
         for i in range(config.channel.num_wds)
     ]
     for t in range(lrn.rounds):
-        knowledge = expcli.generate_knowledge(params, feats, labs, part, t)
+        knowledge, _ = expcli.generate_knowledge(params, feats, labs, part, t)
         target = global_target(knowledge, part)
         batch_rng = substream(seed, "batch", 0, t)
         for i in range(config.channel.num_wds):

@@ -9,11 +9,13 @@ from airfd.knowledge import (
     KnowledgeSet,
     TransmitPlan,
     assemble_transmit_signal,
+    class_gather,
     global_target,
     knowledge_stats,
-    local_knowledge,
+    knowledge_vectors,
     normalize_knowledge,
 )
+from airfd.oracles import local_knowledge
 from airfd.rng import substream
 
 
@@ -30,6 +32,8 @@ def make_knowledge_set(rng, m, k):
 
 
 class TestLocalKnowledge:
+    """The per-class loop in oracles, the reference for knowledge_vectors."""
+
     def test_single_sample_is_identity(self):
         rng = substream(1, "lk")
         p = rng.dirichlet(np.ones(4))
@@ -67,6 +71,70 @@ class TestLocalKnowledge:
         result = local_knowledge(outputs, np.array([0, 1]))
         assert np.allclose(result[0], [0.5, 0.5])
         assert np.allclose(result[1], [0.7, 0.3])
+
+
+def ragged_devices(rng, num_wds, num_classes, concentration=0.1):
+    """Labels and softmax-like outputs of devices with Dirichlet class shares:
+    many (device, class) cells are empty, and device 0 holds exactly one
+    sample of class 0."""
+    labels_by_wd, outputs_by_wd = [], []
+    for i in range(num_wds):
+        shares = rng.dirichlet(np.full(num_classes, concentration))
+        counts = rng.multinomial(int(rng.integers(1, 40)), shares)
+        if i == 0:
+            counts[0] = 1
+        labels = rng.permutation(np.repeat(np.arange(num_classes), counts))
+        labels_by_wd.append(labels)
+        outputs_by_wd.append(rng.dirichlet(np.ones(num_classes), size=labels.size))
+    return labels_by_wd, outputs_by_wd
+
+
+class TestKnowledgeVectors:
+    def test_matches_oracle_loop_bit_for_bit(self):
+        empty_cells = single_cells = 0
+        for seed in range(30):
+            rng = substream(seed, "kv")
+            num_classes = int(rng.integers(2, 11))
+            labels_by_wd, outputs_by_wd = ragged_devices(rng, 12, num_classes)
+            gather = class_gather(labels_by_wd, num_classes)
+            result = knowledge_vectors(outputs_by_wd, gather)
+            for i, (labels, outputs) in enumerate(zip(labels_by_wd, outputs_by_wd)):
+                counts_row = np.bincount(labels, minlength=num_classes)
+                expected = local_knowledge(
+                    [outputs[labels == k] for k in range(num_classes)], counts_row
+                )
+                assert np.array_equal(result[i], expected)
+                empty_cells += int(np.sum(counts_row == 0))
+                single_cells += int(np.sum(counts_row == 1))
+        assert empty_cells > 0 and single_cells > 0
+
+    def test_gather_counts_and_padding(self):
+        labels_by_wd = [np.array([2, 0, 2]), np.array([1]), np.array([2, 2, 0, 2])]
+        gather = class_gather(labels_by_wd, 3)
+        assert np.array_equal(gather.counts, [[1, 0, 2], [0, 1, 0], [1, 0, 3]])
+        assert gather.size == 8
+        # Class 2 in stacked order: device 0 at 0, 2; device 2 at 4, 5, 7.
+        assert np.array_equal(gather.rows[2], [[0, 2, 8], [8, 8, 8], [4, 5, 7]])
+
+    def test_empty_cells_keep_the_uniform_placeholder(self):
+        labels_by_wd = [np.array([1, 1]), np.array([0])]
+        outputs_by_wd = [np.array([[0.2, 0.8], [0.4, 0.6]]), np.array([[0.9, 0.1]])]
+        result = knowledge_vectors(outputs_by_wd, class_gather(labels_by_wd, 2))
+        assert np.array_equal(result[0, 0], [0.5, 0.5])
+        assert np.allclose(result[0, 1], [0.3, 0.7], atol=1e-15)
+        assert np.array_equal(result[1, 0], [0.9, 0.1])
+        assert np.array_equal(result[1, 1], [0.5, 0.5])
+
+    def test_mismatched_outputs_rejected(self):
+        gather = class_gather([np.array([0, 1]), np.array([1])], 2)
+        with pytest.raises(ValueError, match="gather"):
+            knowledge_vectors([np.full((2, 2), 0.5)], gather)
+        with pytest.raises(ValueError, match="gather"):
+            knowledge_vectors([np.full((2, 2), 0.5), np.full((2, 2), 0.5)], gather)
+
+    def test_out_of_range_labels_rejected(self):
+        with pytest.raises(ValueError, match="labels"):
+            class_gather([np.array([0, 3])], 3)
 
 
 class TestKnowledgeStats:

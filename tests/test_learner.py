@@ -12,6 +12,7 @@ from airfd.learner import (
     evaluate_accuracy,
     forward,
     forward_batch,
+    forward_pass,
     init_params,
     load_params,
     local_update,
@@ -107,6 +108,8 @@ class TestForward:
         params = random_model(np.random.default_rng(9))
         with pytest.raises(ValueError, match="features"):
             forward_batch(params, np.zeros((4, 5)))
+        with pytest.raises(ValueError, match="features"):
+            evaluate_accuracy(params, np.zeros((4, 5)), np.zeros(4, dtype=int))
 
 
 class TestLossAndGrad:
@@ -171,6 +174,14 @@ class TestLossAndGrad:
         labels[0] = 3
         with pytest.raises(ValueError, match="labels"):
             loss_and_grad(params, features, labels, knowledge, 0.5)
+
+    def test_mismatched_cache_rejected(self):
+        rng = np.random.default_rng(15)
+        params = random_model(rng)
+        features, labels, knowledge = random_batch(rng)
+        cache = forward_pass(params, features[:-1])
+        with pytest.raises(ValueError, match="cache"):
+            loss_and_grad(params, features, labels, knowledge, 0.5, cache=cache)
 
 
 class TestSchedule:
@@ -270,6 +281,46 @@ class TestTrainRound:
             LearnerConfig(distill_weight=0.3, init_lr=0.01, rounds=5), 0,
         )
         assert not np.array_equal(out_a.theta, single.theta)
+
+    @pytest.mark.parametrize("local_epochs", [1, 3])
+    def test_cached_forward_pass_is_bit_identical(self, local_epochs):
+        rng = np.random.default_rng(33)
+        config = LearnerConfig(
+            distill_weight=0.4, init_lr=0.05, rounds=5, local_epochs=local_epochs
+        )
+        for t in range(4):
+            params = random_model(rng)
+            features, labels, knowledge = random_batch(rng, batch=25)
+            plain, plain_loss = train_round(
+                params, features, labels, knowledge, config, t,
+                np.random.default_rng(t),
+            )
+            cached, cached_loss = train_round(
+                params, features, labels, knowledge, config, t,
+                np.random.default_rng(t),
+                cache=forward_pass(params, features),
+            )
+            assert np.array_equal(cached.theta, plain.theta)
+            assert cached_loss == plain_loss
+        # The cache is what the full-batch loss uses: another model's pass
+        # moves it (and, for a single full-batch step, the update too).
+        foreign, foreign_loss = train_round(
+            params, features, labels, knowledge, config, t,
+            np.random.default_rng(t),
+            cache=forward_pass(random_model(rng), features),
+        )
+        assert foreign_loss != plain_loss
+        assert np.array_equal(foreign.theta, plain.theta) == (local_epochs > 1)
+
+    def test_accuracy_is_argmax_of_softmax_outputs(self):
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            params = random_model(rng, scale=2.0)
+            features, labels, _ = random_batch(rng, batch=60)
+            expected = float(
+                np.mean(np.argmax(forward_batch(params, features), axis=1) == labels)
+            )
+            assert evaluate_accuracy(params, features, labels) == expected
 
     def test_accuracy_on_saturated_model(self):
         theta = np.zeros(ARCH.param_count)

@@ -667,3 +667,24 @@ class TestPlanTypeAndDump:
         assert "beamformer" in text and "denormalizers" in text
         assert "equalizers wd=2" in text
         assert dump_plan(plan) == text
+
+    def test_dump_parses_back_bit_exactly(self):
+        plan = self.build_plan()
+        fields = {}
+        for line in dump_plan(plan).splitlines():
+            name, *values = line.split()
+            fields[name if name != "equalizers" else values.pop(0)] = values
+
+        def complex_entries(values):
+            parts = np.array([float(v) for v in values])
+            return parts[0::2] + 1j * parts[1::2]
+
+        assert "np.float64" not in dump_plan(plan)
+        assert np.array_equal(
+            complex_entries(fields["beamformer"]), plan.receive.beamformer
+        )
+        assert np.array_equal(
+            [float(v) for v in fields["denormalizers"]], plan.receive.denormalizers
+        )
+        for i, row in enumerate(plan.transmit.equalizers):
+            assert np.array_equal(complex_entries(fields[f"wd={i}"]), row)
