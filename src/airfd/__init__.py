@@ -6,8 +6,8 @@ CLI.
 Modules:
     rng         — deterministic tagged substreams for every random draw
     channel     — fading, path loss, receiver noise, channel-estimate quality
-    knowledge   — per-class soft predictions, normalization, transmit blocks
-    airagg      — superposed uplink combining and global-knowledge estimation
+    knowledge   — per-class soft predictions, their statistics, normalized blocks
+    airagg      — the superposed uplink round: combining and global estimation
     sdp_solver  — dense primal-dual interior-point semidefinite solver
     transceiver — per-round beamformer, power, and denormalizer optimization
     learner     — two-layer softmax classifier with a distillation term

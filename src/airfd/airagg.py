@@ -1,7 +1,7 @@
-"""Analog multiple-access aggregation: superposition of the devices' transmit
-signals over the fading uplink, receive combining with a unit-norm beamformer,
-class-block slicing, and the linear estimator that denormalizes the combined
-signal into an estimate of the global knowledge.
+"""Analog multiple-access aggregation: one superposed uplink round. Devices
+send their equalized, normalized knowledge blocks at once over the fading
+uplink; the server combines antennas with a unit-norm beamformer and
+denormalizes the combined signal into an estimate of the global knowledge.
 """
 
 from __future__ import annotations
@@ -11,13 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelState
+from .knowledge import DatasetPartition, KnowledgeSet
 
 __all__ = [
     "ReceiverPlan",
-    "EstimatedKnowledge",
     "superpose_and_combine",
-    "split_class_blocks",
-    "estimate_global",
+    "aggregate_over_air",
 ]
 
 
@@ -59,36 +58,6 @@ class ReceiverPlan:
         return self.denormalizers.shape[0]
 
 
-@dataclass(frozen=True)
-class EstimatedKnowledge:
-    """The estimator output: per-class complex estimates and their real parts.
-
-    Attributes:
-        complex_estimates: (K, K) complex; row k estimates the global class-k
-            soft-prediction vector.
-        real_view: Elementwise real part of complex_estimates — the view the
-            learner consumes (the signal component is real by construction;
-            the imaginary part is pure noise).
-        round_index: Round the estimate belongs to.
-    """
-
-    complex_estimates: np.ndarray
-    real_view: np.ndarray
-    round_index: int = 0
-
-    def __post_init__(self) -> None:
-        est = np.asarray(self.complex_estimates, dtype=np.complex128)
-        real = np.asarray(self.real_view, dtype=np.float64)
-        if est.ndim != 2 or est.shape[0] != est.shape[1]:
-            raise ValueError("complex_estimates must be (K, K)")
-        if real.shape != est.shape or not np.array_equal(real, est.real):
-            raise ValueError("real_view must be the elementwise real part")
-        est.setflags(write=False)
-        real.setflags(write=False)
-        object.__setattr__(self, "complex_estimates", est)
-        object.__setattr__(self, "real_view", real)
-
-
 def superpose_and_combine(
     signals: np.ndarray,
     channel: ChannelState,
@@ -124,46 +93,48 @@ def superpose_and_combine(
     return signals.T @ effective_gains + noise @ np.conj(w)
 
 
-def split_class_blocks(combined: np.ndarray, num_classes: int) -> np.ndarray:
-    """Slice the length-K**2 combined signal into K class blocks of length K."""
-    combined = np.asarray(combined)
-    if combined.shape != (num_classes * num_classes,):
-        raise ValueError(
-            f"combined signal must have length {num_classes * num_classes}"
-        )
-    return combined.reshape(num_classes, num_classes)
+def aggregate_over_air(
+    knowledge: KnowledgeSet,
+    partition: DatasetPartition,
+    plan,
+    channel: ChannelState,
+    noise: np.ndarray,
+) -> np.ndarray:
+    """One superposed uplink round under a transceiver plan.
 
+    Device i sends P_i^k x_i^k for every class k, its normalized blocks
+    scaled by its equalizers, all devices in the same K**2 channel uses; the
+    server combines antennas (superpose_and_combine) and estimates
 
-def estimate_global(
-    blocks: np.ndarray,
-    plan: ReceiverPlan,
-    means: np.ndarray,
-    round_index: int = 0,
-) -> EstimatedKnowledge:
-    """Denormalize the combined class blocks into global-knowledge estimates.
+        r_hat^k = y_hat^k / lambda^k + sum_i a_i^k q_bar_i^k 1.
 
-    r_hat^k = blocks[k] / denormalizers[k] + sum_i offsets[i, k] * means[i, k] * 1.
+    Blocks below the usable-variance floor stay silent and contribute through
+    their mean offsets alone.
 
     Args:
-        blocks: (K, K) complex; row k is the combined class-k block.
-        plan: Receiver plan supplying denormalizers and mean offsets.
-        means: (M, K) per-device knowledge means (uploaded error-free).
-        round_index: Stamped onto the returned estimate.
+        knowledge: All devices' knowledge vectors and statistics.
+        partition: Sample counts (which blocks are sent).
+        plan: Transceiver plan supplying the (M, K) transmit equalizers
+            (`plan.transmit`) and the beamformer, denormalizers and offsets
+            (`plan.receive`).
+        channel: The channel the transmissions go through.
+        noise: (K**2, N) complex receiver noise, one vector per channel use.
 
     Returns:
-        EstimatedKnowledge with complex estimates and their real view.
+        (K, K) complex array; row k estimates the global class-k knowledge.
+        The signal component is real; the imaginary part is noise.
     """
-    blocks = np.asarray(blocks, dtype=np.complex128)
-    means = np.asarray(means, dtype=np.float64)
-    k = plan.num_classes
-    if blocks.shape != (k, k):
-        raise ValueError(f"blocks must be ({k}, {k}), got {blocks.shape}")
-    if means.shape != plan.offsets.shape:
-        raise ValueError("means must have the same (M, K) shape as the offsets")
-    offset_per_class = np.sum(plan.offsets * means, axis=0)  # (K,)
-    estimates = blocks / plan.denormalizers[:, None] + offset_per_class[:, None]
-    return EstimatedKnowledge(
-        complex_estimates=estimates,
-        real_view=estimates.real,
-        round_index=round_index,
+    m, k = partition.counts.shape
+    equalizers = plan.transmit.equalizers
+    if equalizers.shape != (m, k):
+        raise ValueError("plan and partition disagree on (M, K)")
+    receive = plan.receive
+    signals = equalizers[:, :, None] * knowledge.normalized_blocks(partition)
+    combined = superpose_and_combine(
+        signals.reshape(m, k * k), channel, receive.beamformer, noise
+    )
+    offset_per_class = np.sum(receive.offsets * knowledge.means, axis=0)  # (K,)
+    return (
+        combined.reshape(k, k) / receive.denormalizers[:, None]
+        + offset_per_class[:, None]
     )

@@ -78,7 +78,6 @@ class ChannelState:
     """
 
     coefficients: np.ndarray
-    round_index: int = 0
 
     def __post_init__(self) -> None:
         coef = np.asarray(self.coefficients, dtype=np.complex128)
@@ -86,8 +85,6 @@ class ChannelState:
             raise ValueError(f"coefficients must be 2-D (M, N), got shape {coef.shape}")
         if not np.all(np.isfinite(coef.view(np.float64))):
             raise ValueError("coefficients must be finite")
-        if self.round_index < 0:
-            raise ValueError("round_index must be nonnegative")
         coef = coef.copy()
         coef.setflags(write=False)
         object.__setattr__(self, "coefficients", coef)
@@ -141,7 +138,6 @@ def sample_channel(
     config: ChannelConfig,
     distances: np.ndarray,
     rng: np.random.Generator,
-    round_index: int = 0,
 ) -> ChannelState:
     """Draw one block-fading state: h_i = sqrt(path_loss(d_i)) * g_i.
 
@@ -153,7 +149,6 @@ def sample_channel(
         config: Channel parameters.
         distances: Length-M distances in meters.
         rng: Seeded generator; the draw is bit-reproducible given the stream.
-        round_index: Stamped onto the returned state.
 
     Returns:
         ChannelState with an (M, N) coefficient matrix.
@@ -171,7 +166,7 @@ def sample_channel(
             rng, (int(zero_rows.sum()), config.num_antennas)
         )
     coefficients = amplitudes[:, None] * fading
-    return ChannelState(coefficients=coefficients, round_index=round_index)
+    return ChannelState(coefficients=coefficients)
 
 
 def scale_coefficients(state: ChannelState, per_wd_scale: np.ndarray) -> ChannelState:
@@ -184,10 +179,7 @@ def scale_coefficients(state: ChannelState, per_wd_scale: np.ndarray) -> Channel
     scale = np.asarray(per_wd_scale, dtype=np.float64)
     if scale.shape != (state.num_wds,):
         raise ValueError(f"per_wd_scale must have shape ({state.num_wds},)")
-    return ChannelState(
-        coefficients=state.coefficients * scale[:, None],
-        round_index=state.round_index,
-    )
+    return ChannelState(coefficients=state.coefficients * scale[:, None])
 
 
 def perturb_csi(
@@ -202,12 +194,10 @@ def perturb_csi(
     if not 0.0 <= zeta <= 1.0:
         raise ValueError(f"zeta must be in [0, 1], got {zeta}")
     if zeta == 1.0:
-        return ChannelState(
-            coefficients=truth.coefficients, round_index=truth.round_index
-        )
+        return ChannelState(coefficients=truth.coefficients)
     error = _standard_complex(rng, truth.coefficients.shape)
     perturbed = np.sqrt(zeta) * truth.coefficients + np.sqrt(1.0 - zeta) * error
-    return ChannelState(coefficients=perturbed, round_index=truth.round_index)
+    return ChannelState(coefficients=perturbed)
 
 
 def sample_noise(

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .airagg import estimate_global, split_class_blocks, superpose_and_combine
+from .airagg import aggregate_over_air, superpose_and_combine
 from .channel import (
     ChannelConfig,
     ChannelState,
@@ -41,7 +41,6 @@ from .knowledge import (
     ClassGather,
     DatasetPartition,
     KnowledgeSet,
-    assemble_transmit_signal,
     class_gather,
     global_target,
     knowledge_vectors,
@@ -78,7 +77,6 @@ from .transceiver import (
     optimize_round,
     orthogonal_receive,
     relaxation_objective,
-    transmit_active_mask,
     uniform_baseline,
 )
 
@@ -504,10 +502,9 @@ def generate_knowledge(
     features_by_wd: list[np.ndarray],
     labels_by_wd: list[np.ndarray],
     part: DatasetPartition,
-    round_index: int,
     gather: ClassGather | None = None,
 ) -> tuple[KnowledgeSet, list[ForwardPass]]:
-    """Every device's per-class average soft predictions plus statistics.
+    """Every device's per-class average soft predictions.
 
     Also returns each device's forward pass, which `train_round` reuses for
     its full-batch loss while the parameters are unchanged. `gather` is the
@@ -522,50 +519,7 @@ def generate_knowledge(
         for params, features in zip(params_by_wd, features_by_wd)
     ]
     q = knowledge_vectors([fp.probs for fp in passes], gather)
-    means = q.mean(axis=2)
-    stds = np.sqrt(np.mean((q - means[:, :, None]) ** 2, axis=2))
-    knowledge = KnowledgeSet(q=q, means=means, stds=stds, round_index=round_index)
-    return knowledge, passes
-
-
-def aggregate_over_air(
-    knowledge: KnowledgeSet,
-    part: DatasetPartition,
-    plan,
-    true_channel,
-    noise: np.ndarray,
-) -> np.ndarray:
-    """One superposed uplink round under `plan`, through the true channel.
-
-    Devices transmit their normalized, equalized knowledge blocks
-    simultaneously; the server combines antennas, denormalizes, and restores
-    the mean offsets. Blocks below the usable-variance floor stay silent (the
-    equalizer is zero there) and contribute through their offsets alone.
-
-    Returns:
-        (K, K) real array; row k estimates the global class-k knowledge.
-    """
-    mask = transmit_active_mask(part, knowledge.stds)
-    centered = knowledge.q - knowledge.means[:, :, None]
-    normalized = np.zeros_like(centered)
-    np.divide(
-        centered,
-        knowledge.stds[:, :, None],
-        out=normalized,
-        where=mask[:, :, None],
-    )
-    signals = np.stack(
-        [
-            assemble_transmit_signal(normalized[i], plan.transmit.equalizers[i])
-            for i in range(part.num_wds)
-        ]
-    )
-    combined = superpose_and_combine(signals, true_channel, plan.beamformer, noise)
-    blocks = split_class_blocks(combined, part.num_classes)
-    estimate = estimate_global(
-        blocks, plan.receive, knowledge.means, knowledge.round_index
-    )
-    return estimate.real_view
+    return KnowledgeSet(q=q), passes
 
 
 class CommunicationCost(NamedTuple):
@@ -684,10 +638,10 @@ def _run_trial(
         last_acc = 0.0
         for t in range(rounds):
             knowledge, passes = generate_knowledge(
-                params, features_by_wd, labels_by_wd, part, t, gather
+                params, features_by_wd, labels_by_wd, part, gather
             )
             fading = sample_channel(
-                unit_config, distances, substream(seed, "fading", trial, t), t
+                unit_config, distances, substream(seed, "fading", trial, t)
             )
             true_channel = scale_coefficients(fading, amplitudes)
 
@@ -703,7 +657,7 @@ def _run_trial(
                 ).reshape(num_wds, num_classes, num_classes, cha.num_antennas)
                 target = orthogonal_receive(
                     true_channel, knowledge, part, peaks, noise
-                ).real_view
+                ).real
             else:
                 perceived = scale_coefficients(
                     perturb_csi(fading, zeta, substream(seed, "csi", trial, t)),
@@ -723,7 +677,7 @@ def _run_trial(
                 )
                 target = aggregate_over_air(
                     knowledge, part, plan, true_channel, noise
-                )
+                ).real
 
             batch_rng = (
                 substream(seed, "batch", trial, t) if lrn.local_epochs > 1 else None
@@ -943,19 +897,18 @@ def _verify_instance(seed: int, index: int) -> list[tuple[str, bool, str]]:
     part = DatasetPartition(
         counts=rng.integers(5, 40, size=(num_wds, num_classes))
     )
-    q = rng.dirichlet(np.ones(num_classes), size=(num_wds, num_classes))
-    means = q.mean(axis=2)
-    stds = np.sqrt(np.mean((q - means[:, :, None]) ** 2, axis=2))
-    knowledge = KnowledgeSet(q=q, means=means, stds=stds)
+    knowledge = KnowledgeSet(
+        q=rng.dirichlet(np.ones(num_classes), size=(num_wds, num_classes))
+    )
     peaks = np.full(num_wds, 1.0)
 
-    plan = optimize_round(channel, stds, part, peaks)
+    plan = optimize_round(channel, knowledge.stds, part, peaks)
 
     # Noiseless end-to-end aggregation must reproduce the exact target.
     zero_noise = np.zeros(
         (num_classes * num_classes, num_antennas), dtype=np.complex128
     )
-    estimate = aggregate_over_air(knowledge, part, plan, channel, zero_noise)
+    estimate = aggregate_over_air(knowledge, part, plan, channel, zero_noise).real
     gap = float(np.max(np.abs(estimate - global_target(knowledge, part))))
     checks.append(("noiseless_aggregation_exact", gap <= 1e-9, f"max err {gap:.2e}"))
 
@@ -995,7 +948,7 @@ def _verify_instance(seed: int, index: int) -> list[tuple[str, bool, str]]:
         coefficients=channel.coefficients[:3, :2].copy()
     )
     small_part = DatasetPartition(counts=part.counts[:3, :2].copy())
-    small_stds = stds[:3, :2]
+    small_stds = knowledge.stds[:3, :2]
     small_peaks = peaks[:3]
     small_plan = optimize_round(small_channel, small_stds, small_part, small_peaks)
     problem = build_relaxation(small_channel, small_stds, small_part, small_peaks)

@@ -1,5 +1,6 @@
-"""Per-device soft-prediction knowledge: per-class averages, normalization
-statistics, transmit-signal assembly, and the ideal error-free global target.
+"""Per-device soft-prediction knowledge: per-class averages, their
+normalization statistics and normalized transmit blocks, and the ideal
+error-free global target.
 
 Every "knowledge vector" is a length-K probability vector: the average of
 softmax outputs over one device's samples of one class. Before transmission it
@@ -9,7 +10,7 @@ equalizer scaling sets the per-block transmit power exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,11 +20,9 @@ __all__ = [
     "KnowledgeSet",
     "TransmitPlan",
     "ClassGather",
+    "transmit_active_mask",
     "class_gather",
     "knowledge_vectors",
-    "knowledge_stats",
-    "normalize_knowledge",
-    "assemble_transmit_signal",
     "global_target",
 ]
 
@@ -32,10 +31,6 @@ __all__ = [
 # is fully carried by the mean offset, so the pipeline skips the block instead
 # of dividing by ~0. The floor value itself is valid.
 Q_HAT_FLOOR = 1e-8
-
-
-class DegenerateKnowledgeError(ValueError):
-    """Raised when a knowledge vector's std is below the usable floor."""
 
 
 @dataclass(frozen=True)
@@ -102,29 +97,24 @@ class KnowledgeSet:
 
     Attributes:
         q: (M, K, K) array; q[i, k] is device i's class-k knowledge vector.
-        means: (M, K) per-vector means q_bar.
-        stds: (M, K) per-vector population stds q_hat (nonnegative).
-        round_index: Round the knowledge was generated in.
+        means: (M, K) per-vector means q_bar = (1/K) sum_d q[d], derived
+            from q.
+        stds: (M, K) per-vector population stds
+            q_hat = sqrt((1/K) sum_d (q[d] - q_bar)**2), derived from q.
     """
 
     q: np.ndarray
-    means: np.ndarray
-    stds: np.ndarray
-    round_index: int = 0
+    means: np.ndarray = field(init=False)
+    stds: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         q = np.asarray(self.q, dtype=np.float64)
-        means = np.asarray(self.means, dtype=np.float64)
-        stds = np.asarray(self.stds, dtype=np.float64)
         if q.ndim != 3 or q.shape[1] != q.shape[2]:
             raise ValueError(f"q must be (M, K, K), got shape {q.shape}")
-        m, k = q.shape[0], q.shape[1]
-        if means.shape != (m, k) or stds.shape != (m, k):
-            raise ValueError("means/stds must both have shape (M, K)")
         if np.any(q < -1e-12) or np.any(np.abs(q.sum(axis=2) - 1.0) > 1e-10):
             raise ValueError("each knowledge vector must be a probability vector")
-        if np.any(stds < 0):
-            raise ValueError("stds must be nonnegative")
+        means = q.mean(axis=2)
+        stds = np.sqrt(np.mean((q - means[:, :, None]) ** 2, axis=2))
         for arr in (q, means, stds):
             arr.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -138,6 +128,20 @@ class KnowledgeSet:
     @property
     def num_classes(self) -> int:
         return self.q.shape[1]
+
+    def normalized_blocks(self, partition: DatasetPartition) -> np.ndarray:
+        """(M, K, K) normalized blocks x_i^k = (q_i^k - q_bar_i^k) / q_hat_i^k,
+        zero mean and unit second moment, and exactly zero where device i
+        sends no class-k block (see transmit_active_mask)."""
+        mask = transmit_active_mask(partition, self.stds)
+        blocks = np.zeros_like(self.q)
+        np.divide(
+            self.q - self.means[:, :, None],
+            self.stds[:, :, None],
+            out=blocks,
+            where=mask[:, :, None],
+        )
+        return blocks
 
 
 @dataclass(frozen=True)
@@ -170,6 +174,23 @@ class TransmitPlan:
         peak.setflags(write=False)
         object.__setattr__(self, "equalizers", eq)
         object.__setattr__(self, "peak_powers", peak)
+
+
+def transmit_active_mask(
+    partition: DatasetPartition, knowledge_stds: np.ndarray
+) -> np.ndarray:
+    """(M, K) bool: device i transmits a class-k block iff it holds class-k
+    samples AND its knowledge vector is non-degenerate.
+
+    A degenerate vector (std below the usable floor) equals its own mean to
+    within the floor, so its entire content is carried by the mean-offset term
+    and its normalized signal is omitted; the device still contributes its
+    mean weight a_i^k.
+    """
+    stds = np.asarray(knowledge_stds, dtype=np.float64)
+    if stds.shape != partition.counts.shape:
+        raise ValueError("knowledge_stds must have the partition's (M, K) shape")
+    return partition.active_mask & (stds >= Q_HAT_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -245,58 +266,6 @@ def knowledge_vectors(
     held = gather.counts > 0
     result[held] = sums[held] / gather.counts[held][:, None]
     return result
-
-
-def knowledge_stats(q_vec: np.ndarray) -> tuple[float, float]:
-    """Population mean and std of one knowledge vector.
-
-    q_bar = (1/K) sum_d q[d];  q_hat**2 = (1/K) sum_d (q[d] - q_bar)**2.
-    """
-    q_vec = np.asarray(q_vec, dtype=np.float64)
-    if q_vec.ndim != 1 or q_vec.size < 1:
-        raise ValueError("knowledge vector must be 1-D and non-empty")
-    mean = float(q_vec.mean())
-    std = float(np.sqrt(np.mean((q_vec - mean) ** 2)))
-    return mean, std
-
-
-def normalize_knowledge(q_vec: np.ndarray, q_bar: float, q_hat: float) -> np.ndarray:
-    """Zero-mean, unit-second-moment normalization x = (q - q_bar) / q_hat.
-
-    Raises:
-        DegenerateKnowledgeError: if q_hat is below the usable floor (a
-            numerically constant vector); callers skip transmitting such a
-            block — its content is carried exactly by the mean-offset term.
-    """
-    if q_hat < Q_HAT_FLOOR:
-        raise DegenerateKnowledgeError(
-            f"knowledge std {q_hat:.3e} is below the floor {Q_HAT_FLOOR:.0e}"
-        )
-    q_vec = np.asarray(q_vec, dtype=np.float64)
-    return (q_vec - q_bar) / q_hat
-
-
-def assemble_transmit_signal(
-    normalized_blocks: np.ndarray, equalizers_row: np.ndarray
-) -> np.ndarray:
-    """Concatenate the K equalized class blocks into one length-K**2 signal.
-
-    Args:
-        normalized_blocks: (K, K) real array; row k is the normalized class-k
-            knowledge x_i^k.
-        equalizers_row: Length-K complex equalizers of this device.
-
-    Returns:
-        Complex vector of length K**2; entries of block k all carry squared
-        magnitude |P_i^k|**2 on average over the block.
-    """
-    blocks = np.asarray(normalized_blocks, dtype=np.float64)
-    eq = np.asarray(equalizers_row, dtype=np.complex128)
-    if blocks.ndim != 2 or blocks.shape[0] != blocks.shape[1]:
-        raise ValueError(f"normalized_blocks must be (K, K), got {blocks.shape}")
-    if eq.shape != (blocks.shape[0],):
-        raise ValueError("equalizers_row length must match the class count")
-    return (eq[:, None] * blocks).reshape(-1)
 
 
 def global_target(knowledge: KnowledgeSet, partition: DatasetPartition) -> np.ndarray:

@@ -18,8 +18,6 @@ __all__ = [
     "ForwardPass",
     "init_params",
     "forward_pass",
-    "forward",
-    "forward_batch",
     "loss_and_grad",
     "lr_schedule",
     "local_update",
@@ -172,25 +170,70 @@ def _hidden_and_logits(
 
 
 def forward_pass(params: ModelParams, features: np.ndarray) -> ForwardPass:
-    """Hidden activations and log-softmax outputs for a (B, F) batch."""
+    """Hidden activations and log-softmax outputs for a (B, F) batch; the
+    softmax rows (`probs`) are positive and sum to 1 within 1e-12 for finite
+    parameters."""
     hidden, logits = _hidden_and_logits(params, features)
     return ForwardPass(hidden=hidden, log_probs=_log_softmax(logits))
 
 
-def forward_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Softmax outputs for a (B, F) batch, shape (B, K).
+class _Loss(NamedTuple):
+    """The mean loss of a checked batch and what its gradient reuses."""
 
-    Rows are positive and sum to 1 within 1e-12 for finite parameters.
-    """
-    return forward_pass(params, features).probs
+    value: float
+    features: np.ndarray
+    labels: np.ndarray
+    hidden: np.ndarray
+    probs: np.ndarray
+    residual: np.ndarray | None  # probs - knowledge[labels]; None if unused
 
 
-def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Softmax output for a single length-F feature vector, shape (K,)."""
+def _loss(
+    params: ModelParams,
+    features: np.ndarray,
+    labels: np.ndarray,
+    knowledge: np.ndarray,
+    distill_weight: float,
+    cache: ForwardPass | None,
+) -> _Loss:
+    """Check the batch and compute its mean loss (see loss_and_grad)."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 1:
-        raise ValueError("features must be a single vector; see forward_batch")
-    return forward_batch(params, features[None, :])[0]
+    labels = np.asarray(labels)
+    arch = params.arch
+    if features.ndim != 2 or features.shape[1] != arch.feature_dim:
+        raise ValueError(f"features must be (B, {arch.feature_dim})")
+    batch = features.shape[0]
+    if labels.shape != (batch,):
+        raise ValueError("labels must be (B,)")
+    if np.any(labels < 0) or np.any(labels >= arch.num_classes):
+        raise ValueError("labels must lie in [0, K)")
+    if distill_weight < 0:
+        raise ValueError("distill_weight must be nonnegative")
+    if distill_weight > 0:
+        knowledge = np.asarray(knowledge, dtype=np.float64)
+        if knowledge.shape != (arch.num_classes, arch.num_classes):
+            raise ValueError(
+                f"knowledge must be ({arch.num_classes}, {arch.num_classes}); "
+                "every label needs a target row"
+            )
+        if not np.all(np.isfinite(knowledge)):
+            raise ValueError("knowledge rows must be finite")
+
+    if cache is None:
+        cache = forward_pass(params, features)
+    elif (cache.hidden.shape, cache.log_probs.shape) != (
+        (batch, arch.hidden_dim),
+        (batch, arch.num_classes),
+    ):
+        raise ValueError("cache does not match the batch and the architecture")
+    probs = cache.probs
+
+    loss = float(-cache.log_probs[np.arange(batch), labels].mean())
+    residual = None
+    if distill_weight > 0:
+        residual = probs - knowledge[labels]  # (B, K)
+        loss += distill_weight * float(np.sum(residual**2) / batch)
+    return _Loss(loss, features, labels, cache.hidden, probs, residual)
 
 
 def loss_and_grad(
@@ -222,50 +265,17 @@ def loss_and_grad(
     Returns:
         (loss, gradient) with gradient flat of the parameter dimension.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    arch = params.arch
-    if features.ndim != 2 or features.shape[1] != arch.feature_dim:
-        raise ValueError(f"features must be (B, {arch.feature_dim})")
-    batch = features.shape[0]
-    if labels.shape != (batch,):
-        raise ValueError("labels must be (B,)")
-    if np.any(labels < 0) or np.any(labels >= arch.num_classes):
-        raise ValueError("labels must lie in [0, K)")
-    if distill_weight < 0:
-        raise ValueError("distill_weight must be nonnegative")
-    if distill_weight > 0:
-        knowledge = np.asarray(knowledge, dtype=np.float64)
-        if knowledge.shape != (arch.num_classes, arch.num_classes):
-            raise ValueError(
-                f"knowledge must be ({arch.num_classes}, {arch.num_classes}); "
-                "every label needs a target row"
-            )
-        if not np.all(np.isfinite(knowledge)):
-            raise ValueError("knowledge rows must be finite")
+    loss = _loss(params, features, labels, knowledge, distill_weight, cache)
+    probs, hidden = loss.probs, loss.hidden
+    batch = probs.shape[0]
+    w2 = _unpack(params.theta, params.arch)[2]
 
-    if cache is None:
-        cache = forward_pass(params, features)
-    elif (cache.hidden.shape, cache.log_probs.shape) != (
-        (batch, arch.hidden_dim),
-        (batch, arch.num_classes),
-    ):
-        raise ValueError("cache does not match the batch and the architecture")
-    hidden, log_probs = cache
-    probs = cache.probs
-    w2 = _unpack(params.theta, arch)[2]
-
-    rows = np.arange(batch)
-    loss = float(-log_probs[rows, labels].mean())
     d_logits = probs.copy()
-    d_logits[rows, labels] -= 1.0
-
-    if distill_weight > 0:
-        residual = probs - knowledge[labels]  # (B, K)
-        loss += distill_weight * float(np.sum(residual**2) / batch)
+    d_logits[np.arange(batch), loss.labels] -= 1.0
+    if loss.residual is not None:
         # Jacobian of softmax applied to the residual:
         # (diag(p) - p p^T) r = p*r - p (p.r)
-        weighted = probs * residual
+        weighted = probs * loss.residual
         d_logits += 2.0 * distill_weight * (
             weighted - probs * weighted.sum(axis=1, keepdims=True)
         )
@@ -274,12 +284,12 @@ def loss_and_grad(
     grad_w2 = hidden.T @ d_logits
     grad_b2 = d_logits.sum(axis=0)
     d_hidden = (d_logits @ w2.T) * (1.0 - hidden**2)
-    grad_w1 = features.T @ d_hidden
+    grad_w1 = loss.features.T @ d_hidden
     grad_b1 = d_hidden.sum(axis=0)
     grad = np.concatenate(
         [grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2]
     )
-    return loss, grad
+    return loss.value, grad
 
 
 def lr_schedule(t: int, config: LearnerConfig) -> float:
@@ -319,17 +329,21 @@ def train_round(
     With local_epochs == 1 this is a single full-batch step. With
     local_epochs E > 1 the samples are shuffled once (requires rng) and split
     into E near-equal minibatches, each consuming one step at this round's
-    step size. `cache`, the forward pass of `params` on `features`, serves
-    the full-batch loss and gradient in place of a second forward pass.
+    step size; the full-batch loss then needs no gradient. `cache`, the
+    forward pass of `params` on `features`, serves the full-batch loss (and,
+    for a single step, its gradient) in place of a second forward pass.
     """
     eta = lr_schedule(round_index, config)
-    loss, grad = loss_and_grad(
-        params, features, labels, knowledge, config.distill_weight, cache=cache
-    )
     if config.local_epochs == 1:
+        loss, grad = loss_and_grad(
+            params, features, labels, knowledge, config.distill_weight, cache=cache
+        )
         theta = local_update(params.theta, grad, eta)
         return ModelParams(theta=theta, arch=params.arch), loss
 
+    loss = _loss(
+        params, features, labels, knowledge, config.distill_weight, cache
+    ).value
     if rng is None:
         raise ValueError("minibatch training (local_epochs > 1) requires rng")
     order = rng.permutation(features.shape[0])

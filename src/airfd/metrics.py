@@ -11,13 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelState
-from .knowledge import DatasetPartition, KnowledgeSet
+from .knowledge import DatasetPartition, KnowledgeSet, transmit_active_mask
 from .learner import LearnerConfig, lr_schedule
-from .transceiver import (
-    TransceiverPlan,
-    optimal_postprocessing,
-    transmit_active_mask,
-)
+from .transceiver import TransceiverPlan, optimal_postprocessing
 
 __all__ = [
     "CSV_COLUMNS",
@@ -108,7 +104,7 @@ def misalignment_vectors(
         combined[:, None] * plan.transmit.equalizers / denom,
         0.0 + 0.0j,
     )  # (M, K)
-    weights = partition.counts / partition.class_totals[None, :]  # (M, K)
+    weights = partition.class_weights()  # (M, K)
     signal_term = np.einsum("jk,jkd->kd", gains - weights, knowledge.q)
     offset_coef = np.sum(
         (plan.receive.offsets - gains) * knowledge.means, axis=0

@@ -14,13 +14,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .airagg import EstimatedKnowledge, ReceiverPlan
+from .airagg import ReceiverPlan
 from .channel import ChannelState
 from .knowledge import (
-    Q_HAT_FLOOR,
     DatasetPartition,
     KnowledgeSet,
     TransmitPlan,
+    transmit_active_mask,
 )
 from .sdp_solver import (
     SdpProblem,
@@ -35,7 +35,6 @@ __all__ = [
     "PlanDiagnostics",
     "PostprocessingResult",
     "TransceiverPlan",
-    "transmit_active_mask",
     "build_relaxation",
     "relaxation_objective",
     "optimal_postprocessing",
@@ -155,23 +154,6 @@ class TransceiverPlan:
     @property
     def beamformer(self) -> np.ndarray:
         return self.receive.beamformer
-
-
-def transmit_active_mask(
-    partition: DatasetPartition, knowledge_stds: np.ndarray
-) -> np.ndarray:
-    """(M, K) bool: device i transmits a class-k block iff it holds class-k
-    samples AND its knowledge vector is non-degenerate.
-
-    A degenerate vector (std below the usable floor) equals its own mean to
-    within the floor, so its entire content is carried by the mean-offset term
-    and its normalized signal is omitted; the device still contributes its
-    mean weight a_i^k.
-    """
-    stds = np.asarray(knowledge_stds, dtype=np.float64)
-    if stds.shape != partition.counts.shape:
-        raise ValueError("knowledge_stds must have the partition's (M, K) shape")
-    return partition.active_mask & (stds >= Q_HAT_FLOOR)
 
 
 def _scaled_channels(
@@ -415,10 +397,9 @@ def optimal_postprocessing(
     expr = _bottleneck_expressions(beamformer, channel, stds, partition, peaks)
     denormalizers = expr.min(axis=0)
     tied = expr <= denormalizers * (1.0 + _TIE_MARGIN)
-    offsets = partition.counts / partition.class_totals[None, :]
     return PostprocessingResult(
         denormalizers=denormalizers,
-        offsets=offsets,
+        offsets=partition.class_weights(),
         straggler_indices=np.argmax(tied, axis=0).astype(np.int64),
     )
 
@@ -544,7 +525,7 @@ def uniform_baseline(
     expr = _bottleneck_expressions(w, channel, stds, partition, peaks)
     finite = np.where(active, expr, 0.0)
     denormalizers = finite.sum(axis=0) / active.sum(axis=0)
-    offsets = partition.counts / partition.class_totals[None, :]
+    offsets = partition.class_weights()
 
     problem = build_relaxation(channel, stds, partition, peaks)
     return TransceiverPlan(
@@ -570,7 +551,7 @@ def orthogonal_receive(
     partition: DatasetPartition,
     peak_powers: np.ndarray,
     noise: np.ndarray,
-) -> EstimatedKnowledge:
+) -> np.ndarray:
     """Orthogonal-uplink baseline: each device's normalized blocks pass through
     dedicated channel uses (M*K^2 in total), are matched-filter combined and
     denormalized per device, then digitally weighted into the global estimate.
@@ -589,7 +570,7 @@ def orthogonal_receive(
             class block, and entry slot.
 
     Returns:
-        EstimatedKnowledge over the K classes.
+        (K, K) complex array; row k estimates the global class-k knowledge.
     """
     peaks = np.asarray(peak_powers, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.complex128)
@@ -608,30 +589,17 @@ def orthogonal_receive(
     if np.any(norms == 0.0):
         raise ValueError("a device's channel vector is identically zero")
 
-    active = transmit_active_mask(partition, knowledge.stds)
-    safe_stds = np.where(active, knowledge.stds, 1.0)
-    signals = np.where(
-        active[:, :, None],
-        (knowledge.q - knowledge.means[:, :, None]) / safe_stds[:, :, None],
-        0.0,
-    )  # (M, K, K) normalized blocks, zero where nothing is sent
-
+    blocks = knowledge.normalized_blocks(partition)
     scale = norms * np.sqrt(peaks)  # combined signal amplitude per device
     combined_noise = np.einsum(
         "ikdn,in->ikd", noise, np.conj(channel.coefficients) / norms[:, None]
     )
-    received = scale[:, None, None] * signals + combined_noise
+    received = scale[:, None, None] * blocks + combined_noise
     per_wd = (
         knowledge.stds[:, :, None] * (received / scale[:, None, None])
         + knowledge.means[:, :, None]
     )  # (M, K, K) per-device complex knowledge estimates
-    weights = partition.counts / partition.class_totals[None, :]
-    estimates = np.einsum("ik,ikd->kd", weights, per_wd)
-    return EstimatedKnowledge(
-        complex_estimates=estimates,
-        real_view=estimates.real,
-        round_index=knowledge.round_index,
-    )
+    return np.einsum("ik,ikd->kd", partition.class_weights(), per_wd)
 
 
 def dump_plan(plan: TransceiverPlan) -> str:

@@ -55,12 +55,9 @@ def random_instance(rng, num_wds, num_classes, num_antennas):
     channel = sample_channel(config, distances, rng)
     counts = rng.integers(5, 50, size=(num_wds, num_classes))
     part = DatasetPartition(counts=counts)
-    q = rng.dirichlet(
-        np.full(num_classes, 0.5), size=(num_wds, num_classes)
+    knowledge = KnowledgeSet(
+        q=rng.dirichlet(np.full(num_classes, 0.5), size=(num_wds, num_classes))
     )
-    means = q.mean(axis=2)
-    stds = np.sqrt(np.mean((q - means[:, :, None]) ** 2, axis=2))
-    knowledge = KnowledgeSet(q=q, means=means, stds=stds)
     peaks = np.full(num_wds, 1e-3)
     return channel, knowledge, part, peaks
 
@@ -411,7 +408,7 @@ def test_c10_distillation_weight_sweet_spot(tmp_path):
 def _final_distillation_loss(config, result) -> float:
     """Mean squared distance between final local outputs and the final
     aggregation targets for their labels, averaged over devices and trials."""
-    from airfd.learner import forward_batch
+    from airfd.learner import forward_pass
 
     per_trial = []
     for j, trial in enumerate(result.completed_trials):
@@ -428,21 +425,12 @@ def _final_distillation_loss(config, result) -> float:
         )
         feats = [train.features[idx] for idx in assignment]
         labs = [train.labels[idx] for idx in assignment]
-        knowledge, _ = expcli.generate_knowledge(
-            params, feats, labs, part, config.learner.rounds
-        )
+        knowledge, _ = expcli.generate_knowledge(params, feats, labs, part)
         target = global_target(knowledge, part)
-        per_wd = [
-            float(
-                np.mean(
-                    np.sum(
-                        (forward_batch(model, feats[i]) - target[labs[i]]) ** 2,
-                        axis=1,
-                    )
-                )
-            )
-            for i, model in enumerate(params)
-        ]
+        per_wd = []
+        for i, model in enumerate(params):
+            residual = forward_pass(model, feats[i]).probs - target[labs[i]]
+            per_wd.append(float(np.mean(np.sum(residual**2, axis=1))))
         per_trial.append(float(np.mean(per_wd)))
     return float(np.mean(per_trial))
 

@@ -3,15 +3,11 @@
 import numpy as np
 import pytest
 
-from airfd.airagg import (
-    EstimatedKnowledge,
-    ReceiverPlan,
-    estimate_global,
-    split_class_blocks,
-    superpose_and_combine,
-)
+from airfd.airagg import ReceiverPlan, aggregate_over_air, superpose_and_combine
 from airfd.channel import ChannelState
+from airfd.knowledge import DatasetPartition, KnowledgeSet, TransmitPlan
 from airfd.rng import substream
+from airfd.transceiver import PlanDiagnostics, TransceiverPlan
 
 
 def random_unit_vector(rng, n):
@@ -21,6 +17,24 @@ def random_unit_vector(rng, n):
 
 def random_complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def make_plan(equalizers, beamformer, denormalizers, offsets):
+    """A hand-made transceiver plan (peak powers just cover the equalizers)."""
+    equalizers = np.asarray(equalizers, dtype=complex)
+    m, k = equalizers.shape
+    return TransceiverPlan(
+        transmit=TransmitPlan(
+            equalizers=equalizers,
+            peak_powers=np.maximum(np.max(np.abs(equalizers), axis=1) ** 2, 1.0),
+        ),
+        receive=ReceiverPlan(
+            beamformer=beamformer, denormalizers=denormalizers, offsets=offsets
+        ),
+        tag="custom",
+        straggler_indices=np.full(k, -1),
+        diagnostics=PlanDiagnostics(1.0, 0.0, 0.0, 0, False),
+    )
 
 
 class TestSuperposeAndCombine:
@@ -96,59 +110,119 @@ class TestSuperposeAndCombine:
             )
 
 
-class TestSplitClassBlocks:
-    def test_round_trip(self):
-        combined = np.arange(9, dtype=complex)
-        blocks = split_class_blocks(combined, 3)
-        assert blocks.shape == (3, 3)
-        assert np.array_equal(blocks.ravel(), combined)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            split_class_blocks(np.zeros(8, dtype=complex), 3)
-
-
 class TestEstimateGlobal:
+    """The global-knowledge estimate of aggregate_over_air."""
+
     def test_offset_only_when_blocks_zero(self):
         m, k = 3, 2
         rng = substream(23, "est")
         w = random_unit_vector(rng, 4)
         counts = rng.integers(1, 10, size=(m, k))
         weights = counts / counts.sum(axis=0)
-        means = rng.uniform(0.1, 0.9, size=(m, k))
-        plan = ReceiverPlan(
-            beamformer=w, denormalizers=np.array([2.0, 3.0]), offsets=weights
+        knowledge = KnowledgeSet(q=rng.dirichlet(np.ones(k), size=(m, k)))
+        plan = make_plan(np.zeros((m, k)), w, np.array([2.0, 3.0]), weights)
+        est = aggregate_over_air(
+            knowledge,
+            DatasetPartition(counts=counts),
+            plan,
+            ChannelState(coefficients=random_complex(rng, (m, 4))),
+            np.zeros((k * k, 4), dtype=complex),
         )
-        est = estimate_global(np.zeros((k, k), dtype=complex), plan, means)
-        expected_offsets = (weights * means).sum(axis=0)
+        expected_offsets = (weights * knowledge.means).sum(axis=0)
         for kk in range(k):
-            assert np.allclose(est.complex_estimates[kk], expected_offsets[kk])
+            assert np.allclose(est[kk], expected_offsets[kk])
 
     def test_matches_hand_expansion_two_by_two(self):
-        # M=2, K=2 instance expanded symbolically by hand:
-        # r_hat^k[d] = r^k[d]/lam^k + a_1^k m_1^k + a_2^k m_2^k.
-        blocks = np.array([[1.0 + 1.0j, 2.0], [0.5j, -1.0]])
+        # M=2, K=2, one antenna, expanded by hand:
+        # r_hat^k[d] = (sum_i h_i P_i^k x_i^k[d] + n[kK + d]) / lam^k
+        #              + a_1^k q_bar_1^k + a_2^k q_bar_2^k.
+        # Every knowledge row sums to 1 over K=2 entries, so every mean is
+        # 0.5; the normalized rows are +-[1, -1].
+        q = np.array(
+            [
+                [[0.7, 0.3], [0.1, 0.9]],  # x = [1, -1], [-1, 1]
+                [[0.2, 0.8], [0.6, 0.4]],  # x = [-1, 1], [1, -1]
+            ]
+        )
+        h = np.array([1.0 + 1.0j, 2.0])
+        eq = np.array([[0.5, 1.0j], [0.25, -0.5]])
+        noise = np.array([0.1, -0.2j, 0.3, 0.05 + 0.05j])
         lam = np.array([2.0, 4.0])
         offsets = np.array([[0.25, 0.5], [0.75, 0.5]])
-        means = np.array([[0.2, 0.4], [0.6, 0.8]])
-        plan = ReceiverPlan(
-            beamformer=np.array([1.0 + 0j]), denormalizers=lam, offsets=offsets
+        est = aggregate_over_air(
+            KnowledgeSet(q=q),
+            DatasetPartition(counts=np.array([[1, 2], [3, 2]])),
+            make_plan(eq, np.array([1.0 + 0j]), lam, offsets),
+            ChannelState(coefficients=h[:, None]),
+            noise[:, None],
         )
-        est = estimate_global(blocks, plan, means)
         hand = np.array(
             [
                 [
-                    (1.0 + 1.0j) / 2.0 + 0.25 * 0.2 + 0.75 * 0.6,
-                    2.0 / 2.0 + 0.25 * 0.2 + 0.75 * 0.6,
+                    (h[0] * 0.5 * 1 + h[1] * 0.25 * -1 + 0.1) / 2.0
+                    + 0.25 * 0.5 + 0.75 * 0.5,
+                    (h[0] * 0.5 * -1 + h[1] * 0.25 * 1 - 0.2j) / 2.0
+                    + 0.25 * 0.5 + 0.75 * 0.5,
                 ],
                 [
-                    0.5j / 4.0 + 0.5 * 0.4 + 0.5 * 0.8,
-                    -1.0 / 4.0 + 0.5 * 0.4 + 0.5 * 0.8,
+                    (h[0] * 1.0j * -1 + h[1] * -0.5 * 1 + 0.3) / 4.0
+                    + 0.5 * 0.5 + 0.5 * 0.5,
+                    (h[0] * 1.0j * 1 + h[1] * -0.5 * -1 + 0.05 + 0.05j) / 4.0
+                    + 0.5 * 0.5 + 0.5 * 0.5,
                 ],
             ]
         )
-        assert np.allclose(est.complex_estimates, hand, atol=1e-14)
-        assert np.array_equal(est.real_view, est.complex_estimates.real)
+        assert np.allclose(est, hand, rtol=0.0, atol=1e-12)
+
+    def test_matches_per_device_assembly_bit_for_bit(self):
+        rng = substream(24, "est-loop")
+        m, k, n = 5, 3, 4
+        knowledge = KnowledgeSet(q=rng.dirichlet(np.ones(k), size=(m, k)))
+        counts = rng.integers(0, 6, size=(m, k))
+        counts[:, 0] += 1
+        counts[0] += 1
+        part = DatasetPartition(counts=counts)
+        channel = ChannelState(coefficients=random_complex(rng, (m, n)))
+        plan = make_plan(
+            0.3 * random_complex(rng, (m, k)),
+            random_unit_vector(rng, n),
+            rng.uniform(0.5, 2.0, k),
+            part.class_weights(),
+        )
+        noise = 0.01 * random_complex(rng, (k * k, n))
+        est = aggregate_over_air(knowledge, part, plan, channel, noise)
+        # One device at a time: normalize, equalize, concatenate the blocks.
+        signals = []
+        for i in range(m):
+            blocks = np.zeros((k, k))
+            for kk in range(k):
+                if counts[i, kk] > 0:
+                    blocks[kk] = (
+                        knowledge.q[i, kk] - knowledge.means[i, kk]
+                    ) / knowledge.stds[i, kk]
+            signals.append((plan.transmit.equalizers[i][:, None] * blocks).reshape(-1))
+        combined = superpose_and_combine(
+            np.stack(signals), channel, plan.beamformer, noise
+        )
+        offset = np.sum(plan.receive.offsets * knowledge.means, axis=0)
+        expected = (
+            combined.reshape(k, k) / plan.receive.denormalizers[:, None]
+            + offset[:, None]
+        )
+        assert np.array_equal(est, expected)
+
+    def test_plan_of_other_shape_rejected(self):
+        rng = substream(25, "est-shape")
+        knowledge = KnowledgeSet(q=rng.dirichlet(np.ones(2), size=(2, 2)))
+        plan = make_plan(np.zeros((3, 2)), np.ones(1), np.ones(2), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="disagree"):
+            aggregate_over_air(
+                knowledge,
+                DatasetPartition(counts=np.ones((2, 2), dtype=int)),
+                plan,
+                ChannelState(coefficients=np.ones((2, 1))),
+                np.zeros((4, 1)),
+            )
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -163,8 +237,3 @@ class TestEstimateGlobal:
                 denormalizers=np.array([1.0]),
                 offsets=np.zeros((1, 1)),
             )
-
-    def test_estimated_knowledge_real_view_consistency(self):
-        est = np.array([[1.0 + 1.0j]])
-        with pytest.raises(ValueError):
-            EstimatedKnowledge(complex_estimates=est, real_view=np.array([[2.0]]))

@@ -27,7 +27,7 @@ from airfd.learner import (
     Architecture,
     LearnerConfig,
     evaluate_accuracy,
-    forward_batch,
+    forward_pass,
     init_params,
     train_round,
 )
@@ -181,10 +181,10 @@ def test_generate_knowledge_matches_oracle_and_returns_forward_passes():
     labs = [data.labels[idx] for idx in assignment]
     arch = Architecture(feature_dim=8, hidden_dim=5, num_classes=3)
     params = [init_params(arch, substream(3, "init", 0, i)) for i in range(6)]
-    knowledge, passes = expcli.generate_knowledge(params, feats, labs, part, 4)
-    assert knowledge.round_index == 4 and np.any(part.counts == 0)
+    knowledge, passes = expcli.generate_knowledge(params, feats, labs, part)
+    assert np.any(part.counts == 0)
     for i, model in enumerate(params):
-        probs = forward_batch(model, feats[i])
+        probs = forward_pass(model, feats[i]).probs
         assert np.array_equal(passes[i].probs, probs)
         expected = local_knowledge(
             [probs[labs[i] == k] for k in range(3)], part.counts[i]
@@ -192,7 +192,7 @@ def test_generate_knowledge_matches_oracle_and_returns_forward_passes():
         assert np.array_equal(knowledge.q[i], expected)
     shuffled = [labs[1], labs[0]] + labs[2:]
     with pytest.raises(ValueError, match="partition"):
-        expcli.generate_knowledge(params, feats, shuffled, part, 4)
+        expcli.generate_knowledge(params, feats, shuffled, part)
 
 
 def test_partition_huge_concentration_is_near_uniform():
@@ -344,6 +344,54 @@ def test_run_experiment_rerun_is_byte_identical(tmp_path):
         assert bytes_a.count(b"\n") == 1 + 2 * 3  # header + trials * rounds
 
 
+def test_benchmark_rebinding_points_are_called_by_name(tmp_path, monkeypatch):
+    """The benchmark (perfbench/) times and counts a run by rebinding these
+    names on airfd.expcli while run_experiment runs. Each must stay a module
+    global that the driver calls, the expected number of times, so that a
+    refactor cannot silently detach it."""
+    trials, rounds, wds = 2, 3, 4
+    method_rounds = trials * rounds  # rounds run by one method
+    expected = {
+        "substream": trials * (4 + wds)  # data, test data, partition, distance, init
+        + 2 * 4 * method_rounds  # fading, batch: every method
+        + 2 * 2 * method_rounds  # csi, noise: the two superposed methods
+        + method_rounds,  # orthnoise
+        "sample_distances": trials,
+        "path_loss": trials * wds,
+        "sample_channel": 4 * method_rounds,
+        "scale_coefficients": (4 + 2) * method_rounds,  # true + perceived
+        "perturb_csi": 2 * method_rounds,
+        "sample_noise": 3 * method_rounds,
+        "generate_knowledge": 4 * method_rounds,
+        "global_target": method_rounds,
+        "optimize_round": method_rounds,
+        "uniform_baseline": method_rounds,
+        "orthogonal_receive": method_rounds,
+        "aggregate_over_air": 2 * method_rounds,
+        "train_round": 4 * method_rounds * wds,
+        "evaluate_accuracy": 4 * method_rounds * wds,
+        "a2_coefficient": 1,
+        "phi1": 2 * method_rounds,
+        "phi2_sq_all": 2 * method_rounds,
+        "p2_objective": 2 * method_rounds,
+        "RoundMetrics": 4 * method_rounds,
+    }
+    calls = dict.fromkeys(expected, 0)
+
+    def counting(name, target):
+        def pass_through(*args, **kwargs):
+            calls[name] += 1
+            return target(*args, **kwargs)
+
+        return pass_through
+
+    for name in expected:
+        monkeypatch.setattr(expcli, name, counting(name, getattr(expcli, name)))
+    result = run_experiment(config_from_parser(full_small_parser(str(tmp_path))))
+    assert not result.aborts
+    assert calls == expected
+
+
 def test_error_free_matches_direct_reimplementation(tmp_path):
     parser = small_parser(
         experiment={"methods": "error_free", "output_dir": str(tmp_path)},
@@ -374,7 +422,7 @@ def test_error_free_matches_direct_reimplementation(tmp_path):
         for i in range(config.channel.num_wds)
     ]
     for t in range(lrn.rounds):
-        knowledge, _ = expcli.generate_knowledge(params, feats, labs, part, t)
+        knowledge, _ = expcli.generate_knowledge(params, feats, labs, part)
         target = global_target(knowledge, part)
         batch_rng = substream(seed, "batch", 0, t)
         for i in range(config.channel.num_wds):

@@ -3,20 +3,21 @@
 import numpy as np
 import pytest
 
+from airfd.airagg import ReceiverPlan, aggregate_over_air
+from airfd.channel import ChannelState
 from airfd.knowledge import (
+    Q_HAT_FLOOR,
     DatasetPartition,
-    DegenerateKnowledgeError,
     KnowledgeSet,
     TransmitPlan,
-    assemble_transmit_signal,
     class_gather,
     global_target,
-    knowledge_stats,
     knowledge_vectors,
-    normalize_knowledge,
+    transmit_active_mask,
 )
 from airfd.oracles import local_knowledge
 from airfd.rng import substream
+from airfd.transceiver import PlanDiagnostics, TransceiverPlan
 
 
 def random_probability_vectors(rng, count, k):
@@ -25,10 +26,37 @@ def random_probability_vectors(rng, count, k):
 
 
 def make_knowledge_set(rng, m, k):
-    q = rng.dirichlet(np.ones(k), size=(m, k))
-    means = q.mean(axis=2)
-    stds = np.sqrt(np.mean((q - means[:, :, None]) ** 2, axis=2))
-    return KnowledgeSet(q=q, means=means, stds=stds)
+    return KnowledgeSet(q=rng.dirichlet(np.ones(k), size=(m, k)))
+
+
+def full_partition(m, k):
+    return DatasetPartition(counts=np.ones((m, k), dtype=np.int64))
+
+
+def transmit_signal(q, equalizers):
+    """The transmit signal aggregate_over_air builds for one device, read
+    through a pass-through uplink (one antenna, unit gain and denormalizers,
+    zero offsets and noise) and returned as its (K, K) class blocks."""
+    k = q.shape[0]
+    plan = TransceiverPlan(
+        transmit=TransmitPlan(
+            equalizers=np.asarray(equalizers)[None, :],
+            peak_powers=np.array([max(np.max(np.abs(equalizers)) ** 2, 1.0)]),
+        ),
+        receive=ReceiverPlan(
+            beamformer=np.ones(1), denormalizers=np.ones(k), offsets=np.zeros((1, k))
+        ),
+        tag="custom",
+        straggler_indices=np.full(k, -1),
+        diagnostics=PlanDiagnostics(1.0, 0.0, 0.0, 0, False),
+    )
+    return aggregate_over_air(
+        KnowledgeSet(q=q[None]),
+        full_partition(1, k),
+        plan,
+        ChannelState(coefficients=np.ones((1, 1))),
+        np.zeros((k * k, 1)),
+    )
 
 
 class TestLocalKnowledge:
@@ -138,92 +166,116 @@ class TestKnowledgeVectors:
 
 
 class TestKnowledgeStats:
+    """The statistics KnowledgeSet derives from q."""
+
     def test_uniform_vector(self):
         k = 5
-        mean, std = knowledge_stats(np.full(k, 1.0 / k))
-        assert mean == pytest.approx(1.0 / k, abs=1e-15)
-        assert std == 0.0
+        ks = KnowledgeSet(q=np.full((1, k, k), 1.0 / k))
+        assert np.allclose(ks.means, 1.0 / k, rtol=0.0, atol=1e-15)
+        assert np.all(ks.stds == 0.0)
 
     def test_two_point_vector(self):
-        mean, std = knowledge_stats(np.array([1.0, 0.0]))
-        assert mean == pytest.approx(0.5, abs=1e-15)
-        assert std == pytest.approx(0.5, abs=1e-15)
+        ks = KnowledgeSet(q=np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+        assert np.allclose(ks.means, 0.5, rtol=0.0, atol=1e-15)
+        assert np.allclose(ks.stds, 0.5, rtol=0.0, atol=1e-15)
 
     def test_matches_two_pass_oracle(self):
         rng = substream(3, "stats-oracle")
-        vec = rng.dirichlet(np.ones(10))
-        mean, std = knowledge_stats(vec)
-        # Independent two-pass computation with explicit loops.
-        total = 0.0
-        for value in vec:
-            total += value
-        oracle_mean = total / len(vec)
-        accum = 0.0
-        for value in vec:
-            accum += (value - oracle_mean) ** 2
-        oracle_std = (accum / len(vec)) ** 0.5
-        assert mean == pytest.approx(oracle_mean, rel=1e-14)
-        assert std == pytest.approx(oracle_std, rel=1e-14)
+        ks = make_knowledge_set(rng, 3, 10)
+        for i in range(3):
+            for k in range(10):
+                # Independent two-pass computation with explicit loops.
+                vec = ks.q[i, k]
+                total = 0.0
+                for value in vec:
+                    total += value
+                oracle_mean = total / len(vec)
+                accum = 0.0
+                for value in vec:
+                    accum += (value - oracle_mean) ** 2
+                oracle_std = (accum / len(vec)) ** 0.5
+                assert ks.means[i, k] == pytest.approx(oracle_mean, rel=1e-14)
+                assert ks.stds[i, k] == pytest.approx(oracle_std, rel=1e-14)
+
+    def test_statistics_are_not_inputs(self):
+        q = np.array([[[1.0, 0.0], [0.0, 1.0]]])
+        with pytest.raises(TypeError):
+            KnowledgeSet(q=q, means=np.zeros((1, 2)), stds=np.ones((1, 2)))
+        ks = KnowledgeSet(q=q)
+        assert not ks.means.flags.writeable and not ks.stds.flags.writeable
 
 
 class TestNormalizeKnowledge:
+    """KnowledgeSet.normalized_blocks, the blocks both uplinks send."""
+
     def test_two_entry_forced_values(self):
-        mean, std = knowledge_stats(np.array([1.0, 0.0]))
-        x = normalize_knowledge(np.array([1.0, 0.0]), mean, std)
-        assert np.allclose(x, [1.0, -1.0], atol=1e-12)
+        ks = KnowledgeSet(q=np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+        x = ks.normalized_blocks(full_partition(1, 2))
+        assert np.allclose(x, [[[1.0, -1.0], [-1.0, 1.0]]], atol=1e-12)
 
     def test_zero_mean_unit_second_moment(self):
         rng = substream(4, "norm")
-        for _ in range(20):
-            vec = rng.dirichlet(np.ones(10))
-            mean, std = knowledge_stats(vec)
-            x = normalize_knowledge(vec, mean, std)
-            assert abs(x.mean()) <= 1e-10
-            assert np.mean(x**2) == pytest.approx(1.0, abs=1e-10)
+        ks = make_knowledge_set(rng, 2, 10)
+        x = ks.normalized_blocks(full_partition(2, 10))
+        assert np.max(np.abs(x.mean(axis=2))) <= 1e-10
+        assert np.allclose(np.mean(x**2, axis=2), 1.0, rtol=0.0, atol=1e-10)
 
     def test_matches_elementwise_recomputation(self):
         rng = substream(5, "norm-oracle")
-        vec = rng.dirichlet(np.ones(10))
-        mean, std = knowledge_stats(vec)
-        x = normalize_knowledge(vec, mean, std)
-        expected = np.array([(v - mean) / std for v in vec])
-        assert np.array_equal(x, expected)
+        ks = make_knowledge_set(rng, 2, 10)
+        x = ks.normalized_blocks(full_partition(2, 10))
+        for i in range(2):
+            for k in range(10):
+                mean, std = ks.means[i, k], ks.stds[i, k]
+                expected = np.array([(v - mean) / std for v in ks.q[i, k]])
+                assert np.array_equal(x[i, k], expected)
 
-    def test_degenerate_std_raises(self):
-        with pytest.raises(DegenerateKnowledgeError):
-            normalize_knowledge(np.full(4, 0.25), 0.25, 0.0)
-        # The floor value itself is valid.
-        normalize_knowledge(np.full(4, 0.25), 0.25, 1e-8)
+    def test_floor_transmits_and_blocks_below_it_are_zero(self):
+        # Device 0: class 0 is constant (std 0), class 1 has std ~5e-9, below
+        # the floor. Device 1: class 0 has std ~2e-8, above it; it holds no
+        # class-1 samples.
+        q = np.array(
+            [
+                [[0.5, 0.5], [0.5 + 5e-9, 0.5 - 5e-9]],
+                [[0.5 + 2e-8, 0.5 - 2e-8], [1.0, 0.0]],
+            ]
+        )
+        part = DatasetPartition(counts=np.array([[1, 1], [1, 0]]))
+        x = KnowledgeSet(q=q).normalized_blocks(part)
+        assert np.all(x[0] == 0.0) and np.all(x[1, 1] == 0.0)
+        assert np.allclose(x[1, 0], [1.0, -1.0], atol=1e-6)
+        # The floor value itself transmits.
+        stds = np.array([[Q_HAT_FLOOR, np.nextafter(Q_HAT_FLOOR, 0.0)], [1.0, 1.0]])
+        assert transmit_active_mask(part, stds).tolist() == [
+            [True, False],
+            [True, False],
+        ]
 
 
 class TestAssembleTransmitSignal:
+    """The transmit signal of aggregate_over_air: each class block is the
+    normalized knowledge scaled by that class's equalizer."""
+
     def test_zero_equalizers_give_zero_signal(self):
-        blocks = np.ones((3, 3))
-        signal = assemble_transmit_signal(blocks, np.zeros(3, dtype=complex))
+        rng = substream(6, "assemble-zero")
+        signal = transmit_signal(
+            rng.dirichlet(np.ones(3), size=3), np.zeros(3, dtype=complex)
+        )
         assert np.all(signal == 0)
-        assert signal.shape == (9,)
+        assert signal.shape == (3, 3)
 
     def test_direct_concatenation(self):
-        blocks = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        p = np.array([2.0 + 0j, 3.0 + 0j])
-        signal = assemble_transmit_signal(blocks, p)
-        assert np.allclose(signal, [2.0, -2.0, -3.0, 3.0])
+        q = np.array([[1.0, 0.0], [0.0, 1.0]])  # normalized: [1, -1], [-1, 1]
+        signal = transmit_signal(q, np.array([2.0 + 0j, 3.0 + 0j]))
+        assert np.allclose(signal, [[2.0, -2.0], [-3.0, 3.0]])
 
     def test_per_block_power(self):
         rng = substream(6, "assemble")
         k = 4
-        vectors = rng.dirichlet(np.ones(k), size=k)
-        blocks = np.stack(
-            [
-                normalize_knowledge(v, *knowledge_stats(v))
-                for v in vectors
-            ]
-        )
         eq = rng.normal(size=k) + 1j * rng.normal(size=k)
-        signal = assemble_transmit_signal(blocks, eq)
+        signal = transmit_signal(rng.dirichlet(np.ones(k), size=k), eq)
         for block_index in range(k):
-            block = signal[block_index * k : (block_index + 1) * k]
-            empirical = np.mean(np.abs(block) ** 2)
+            empirical = np.mean(np.abs(signal[block_index]) ** 2)
             assert empirical == pytest.approx(abs(eq[block_index]) ** 2, abs=1e-10)
 
 
@@ -239,9 +291,7 @@ class TestGlobalTarget:
         q = np.zeros((2, 2, 2))
         q[0] = np.array([[1.0, 0.0], [1.0, 0.0]])
         q[1] = np.array([[0.0, 1.0], [0.0, 1.0]])
-        ks = KnowledgeSet(
-            q=q, means=np.full((2, 2), 0.5), stds=np.full((2, 2), 0.5)
-        )
+        ks = KnowledgeSet(q=q)
         partition = DatasetPartition(counts=np.array([[4, 4], [4, 4]]))
         target = global_target(ks, partition)
         assert np.allclose(target, 0.5)
@@ -268,9 +318,7 @@ class TestGlobalTarget:
         ks = make_knowledge_set(rng, m, k)
         counts = rng.integers(1, 10, size=(m, k))
         perm = rng.permutation(m)
-        ks_perm = KnowledgeSet(
-            q=ks.q[perm], means=ks.means[perm], stds=ks.stds[perm]
-        )
+        ks_perm = KnowledgeSet(q=ks.q[perm])
         target = global_target(ks, DatasetPartition(counts=counts))
         target_perm = global_target(ks_perm, DatasetPartition(counts=counts[perm]))
         assert np.allclose(target, target_perm, atol=1e-12)
@@ -306,4 +354,4 @@ class TestPartitionAndPlanTypes:
         q = np.zeros((1, 2, 2))
         q[0] = np.array([[0.9, 0.2], [0.5, 0.5]])  # first row sums to 1.1
         with pytest.raises(ValueError):
-            KnowledgeSet(q=q, means=q.mean(axis=2), stds=np.zeros((1, 2)))
+            KnowledgeSet(q=q)

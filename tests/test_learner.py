@@ -4,14 +4,13 @@ its exact gradient, the step-size schedule, and round-level training."""
 import numpy as np
 import pytest
 
+from airfd import learner
 from airfd.learner import (
     Architecture,
     LearnerConfig,
     ModelParams,
     dump_params,
     evaluate_accuracy,
-    forward,
-    forward_batch,
     forward_pass,
     init_params,
     load_params,
@@ -77,14 +76,14 @@ class TestArchitectureAndParams:
 class TestForward:
     def test_zero_weights_uniform(self):
         params = ModelParams(theta=np.zeros(ARCH.param_count), arch=ARCH)
-        out = forward(params, np.ones(8))
+        out = forward_pass(params, np.ones((1, 8))).probs[0]
         np.testing.assert_allclose(out, np.full(3, 1.0 / 3.0), atol=1e-15)
 
     def test_dominant_logit_saturates(self):
         theta = np.zeros(ARCH.param_count)
         theta[-3] = 50.0  # bias of class 0's logit; hidden activations are 0
         params = ModelParams(theta=theta, arch=ARCH)
-        out = forward(params, np.zeros(8))
+        out = forward_pass(params, np.zeros((1, 8))).probs[0]
         assert abs(out[0] - 1.0) <= 1e-10
         assert out[1] <= 1e-10 and out[2] <= 1e-10
 
@@ -94,20 +93,22 @@ class TestForward:
         for _ in range(3):
             x = rng.standard_normal(8)
             np.testing.assert_allclose(
-                forward(params, x), loop_forward(params, x), rtol=1e-12
+                forward_pass(params, x[None, :]).probs[0],
+                loop_forward(params, x),
+                rtol=1e-12,
             )
 
     def test_valid_probability_rows(self):
         rng = np.random.default_rng(8)
         params = random_model(rng, scale=3.0)
-        out = forward_batch(params, rng.standard_normal((50, 8)))
+        out = forward_pass(params, rng.standard_normal((50, 8))).probs
         assert np.all(out > 0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         params = random_model(np.random.default_rng(9))
         with pytest.raises(ValueError, match="features"):
-            forward_batch(params, np.zeros((4, 5)))
+            forward_pass(params, np.zeros((4, 5)))
         with pytest.raises(ValueError, match="features"):
             evaluate_accuracy(params, np.zeros((4, 5)), np.zeros(4, dtype=int))
 
@@ -118,7 +119,7 @@ class TestLossAndGrad:
         params = random_model(rng)
         features, labels, _ = random_batch(rng)
         loss, grad = loss_and_grad(params, features, labels, None, 0.0)
-        probs = forward_batch(params, features)
+        probs = forward_pass(params, features).probs
         expected = -np.mean(np.log(probs[np.arange(len(labels)), labels]))
         assert loss == pytest.approx(expected, rel=1e-12)
         fd = finite_difference_gradient(
@@ -134,7 +135,7 @@ class TestLossAndGrad:
         params = random_model(rng)
         x = rng.standard_normal((1, 8))
         labels = np.array([1])
-        knowledge = np.tile(forward(params, x[0]), (3, 1))
+        knowledge = np.tile(forward_pass(params, x).probs[0], (3, 1))
         loss_active, grad_active = loss_and_grad(params, x, labels, knowledge, 7.0)
         loss_off, grad_off = loss_and_grad(params, x, labels, knowledge, 0.0)
         assert loss_active == loss_off
@@ -258,6 +259,47 @@ class TestTrainRound:
             manual = local_update(manual, grad, lr_schedule(t, config))
             assert np.array_equal(params.theta, manual)
 
+    @pytest.mark.parametrize("distill_weight", [0.0, 0.3])
+    def test_minibatch_round_skips_the_full_batch_gradient(
+        self, monkeypatch, distill_weight
+    ):
+        rng = np.random.default_rng(35)
+        params = random_model(rng)
+        features, labels, knowledge = random_batch(rng, batch=30)
+        config = LearnerConfig(
+            distill_weight=distill_weight, init_lr=0.01, rounds=5, local_epochs=3
+        )
+        # Reference: the full-batch loss, then one step per minibatch of the
+        # same shuffle.
+        expected_loss, _ = loss_and_grad(
+            params, features, labels, knowledge, distill_weight
+        )
+        theta = params.theta
+        for chunk in np.array_split(np.random.default_rng(5).permutation(30), 3):
+            _, grad = loss_and_grad(
+                ModelParams(theta=theta, arch=ARCH),
+                features[chunk],
+                labels[chunk],
+                knowledge,
+                distill_weight,
+            )
+            theta = local_update(theta, grad, lr_schedule(2, config))
+
+        calls = []
+        plain = learner.loss_and_grad
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "loss_and_grad", counted)
+        trained, loss = train_round(
+            params, features, labels, knowledge, config, 2, np.random.default_rng(5)
+        )
+        assert calls == [10, 10, 10]  # the minibatch steps only
+        assert loss == expected_loss
+        assert np.array_equal(trained.theta, theta)
+
     def test_minibatch_mode_deterministic_and_requires_rng(self):
         rng = np.random.default_rng(32)
         params = random_model(rng)
@@ -318,7 +360,9 @@ class TestTrainRound:
             params = random_model(rng, scale=2.0)
             features, labels, _ = random_batch(rng, batch=60)
             expected = float(
-                np.mean(np.argmax(forward_batch(params, features), axis=1) == labels)
+                np.mean(
+                    np.argmax(forward_pass(params, features).probs, axis=1) == labels
+                )
             )
             assert evaluate_accuracy(params, features, labels) == expected
 

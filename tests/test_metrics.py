@@ -41,10 +41,7 @@ def random_partition(rng, m, k, low=5, high=40):
 
 
 def random_knowledge(rng, m, k):
-    q = rng.dirichlet(np.ones(k), size=(m, k))
-    means = q.mean(axis=2)
-    stds = np.sqrt(np.mean((q - means[:, :, None]) ** 2, axis=2))
-    return KnowledgeSet(q=q, means=means, stds=stds)
+    return KnowledgeSet(q=rng.dirichlet(np.ones(k), size=(m, k)))
 
 
 def random_instance(rng, m=4, k=3, n=2):

@@ -4,20 +4,14 @@ optimized round plan, and the uniform/orthogonal baselines."""
 import numpy as np
 import pytest
 
-from airfd.airagg import (
-    ReceiverPlan,
-    estimate_global,
-    split_class_blocks,
-    superpose_and_combine,
-)
+from airfd.airagg import ReceiverPlan, aggregate_over_air
 from airfd.channel import ChannelState
 from airfd.knowledge import (
     DatasetPartition,
     KnowledgeSet,
     TransmitPlan,
-    assemble_transmit_signal,
     global_target,
-    normalize_knowledge,
+    transmit_active_mask,
 )
 from airfd.sdp_solver import canonical_phase, extract_principal_eigenpair, solve
 from airfd.transceiver import (
@@ -31,7 +25,6 @@ from airfd.transceiver import (
     optimize_round,
     orthogonal_receive,
     relaxation_objective,
-    transmit_active_mask,
     uniform_baseline,
 )
 
@@ -46,10 +39,7 @@ def random_partition(rng, m, k, low=5, high=40):
 
 
 def random_knowledge(rng, m, k):
-    q = rng.dirichlet(np.ones(k), size=(m, k))
-    means = q.mean(axis=2)
-    stds = np.sqrt(np.mean((q - means[:, :, None]) ** 2, axis=2))
-    return KnowledgeSet(q=q, means=means, stds=stds)
+    return KnowledgeSet(q=rng.dirichlet(np.ones(k), size=(m, k)))
 
 
 def random_beamformer(rng, n):
@@ -201,13 +191,7 @@ class TestOptimalPostprocessing:
         channel = ChannelState(coefficients=np.stack([h, h]))
         partition = DatasetPartition(counts=np.array([[6, 4], [6, 4]]))
         q = rng.dirichlet(np.ones(2), size=(1, 2))
-        knowledge = KnowledgeSet(
-            q=np.concatenate([q, q]),
-            means=np.concatenate([q.mean(axis=2)] * 2),
-            stds=np.concatenate(
-                [np.sqrt(np.mean((q - q.mean(axis=2)[:, :, None]) ** 2, axis=2))] * 2
-            ),
-        )
+        knowledge = KnowledgeSet(q=np.concatenate([q, q]))
         peaks = np.array([1.0, 1.0])
         w = random_beamformer(rng, 2)
         post = optimal_postprocessing(w, channel, knowledge.stds, partition, peaks)
@@ -486,13 +470,7 @@ class TestUniformBaseline:
         channel = ChannelState(coefficients=np.stack([h, h]))
         partition = DatasetPartition(counts=np.array([[6, 4], [6, 4]]))
         q = rng.dirichlet(np.ones(2), size=(1, 2))
-        means = q.mean(axis=2)
-        stds = np.sqrt(np.mean((q - means[:, :, None]) ** 2, axis=2))
-        knowledge = KnowledgeSet(
-            q=np.concatenate([q, q]),
-            means=np.concatenate([means] * 2),
-            stds=np.concatenate([stds] * 2),
-        )
+        knowledge = KnowledgeSet(q=np.concatenate([q, q]))
         plan = uniform_baseline(channel, knowledge.stds, partition, np.ones(2))
         combined = channel.coefficients @ np.conj(plan.beamformer)
         gains = (
@@ -542,8 +520,8 @@ class TestOrthogonalBaseline:
             channel, knowledge, partition, peaks, np.zeros((m, k, k, n))
         )
         target = global_target(knowledge, partition)
-        assert np.max(np.abs(est.real_view - target)) <= 1e-12
-        assert np.max(np.abs(est.complex_estimates.imag)) <= 1e-12
+        assert np.max(np.abs(est.real - target)) <= 1e-12
+        assert np.max(np.abs(est.imag)) <= 1e-12
 
     def test_single_wd_matches_superposed_path(self):
         rng = np.random.default_rng(62)
@@ -559,30 +537,21 @@ class TestOrthogonalBaseline:
             w, channel, post.denormalizers, knowledge.stds, partition
         )
         noise = rng.standard_normal((k * k, n)) + 1j * rng.standard_normal((k * k, n))
-        blocks = np.stack(
-            [
-                normalize_knowledge(
-                    knowledge.q[0, kk], knowledge.means[0, kk], knowledge.stds[0, kk]
-                )
-                for kk in range(k)
-            ]
+        plan = TransceiverPlan(
+            transmit=TransmitPlan(equalizers=eq, peak_powers=peaks),
+            receive=ReceiverPlan(
+                beamformer=w, denormalizers=post.denormalizers, offsets=post.offsets
+            ),
+            tag="custom",
+            straggler_indices=post.straggler_indices,
+            diagnostics=PlanDiagnostics(1.0, 0.0, 0.0, 0, False),
         )
-        signal = assemble_transmit_signal(blocks, eq[0])
-        combined = superpose_and_combine(signal[None, :], channel, w, noise)
-        plan = ReceiverPlan(
-            beamformer=w, denormalizers=post.denormalizers, offsets=post.offsets
-        )
-        est_air = estimate_global(
-            split_class_blocks(combined, k), plan, knowledge.means
-        )
+        est_air = aggregate_over_air(knowledge, partition, plan, channel, noise)
         est_orth = orthogonal_receive(
             channel, knowledge, partition, peaks, noise.reshape(m, k, k, n)
         )
-        scale = np.max(np.abs(est_air.complex_estimates))
-        assert (
-            np.max(np.abs(est_air.complex_estimates - est_orth.complex_estimates))
-            <= 1e-9 * scale
-        )
+        scale = np.max(np.abs(est_air))
+        assert np.max(np.abs(est_air - est_orth)) <= 1e-9 * scale
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(63)
@@ -611,7 +580,7 @@ class TestOrthogonalBaseline:
                 expected[kk] += (
                     partition.counts[i, kk] / partition.class_totals[kk]
                 ) * q_tilde
-        np.testing.assert_allclose(est.complex_estimates, expected, rtol=1e-10)
+        np.testing.assert_allclose(est, expected, rtol=1e-10)
 
     def test_degenerate_knowledge_carried_by_mean(self):
         rng = np.random.default_rng(64)
@@ -620,14 +589,13 @@ class TestOrthogonalBaseline:
         partition = DatasetPartition(counts=np.array([[5, 5], [5, 5]]))
         q = rng.dirichlet(np.ones(k), size=(m, k))
         q[0, 0] = np.full(k, 1.0 / k)  # exactly constant -> zero std
-        means = q.mean(axis=2)
-        stds = np.sqrt(np.mean((q - means[:, :, None]) ** 2, axis=2))
-        knowledge = KnowledgeSet(q=q, means=means, stds=stds)
+        knowledge = KnowledgeSet(q=q)
+        assert knowledge.stds[0, 0] == 0.0
         est = orthogonal_receive(
             channel, knowledge, partition, np.ones(m), np.zeros((m, k, k, n))
         )
         target = global_target(knowledge, partition)
-        assert np.max(np.abs(est.real_view - target)) <= 1e-12
+        assert np.max(np.abs(est.real - target)) <= 1e-12
 
 
 class TestPlanTypeAndDump:
