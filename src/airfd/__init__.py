@@ -11,7 +11,7 @@ Modules:
     sdp_solver  — dense primal-dual interior-point semidefinite solver
     transceiver — per-round beamformer, power, and denormalizer optimization
     learner     — two-layer softmax classifier with a distillation term
-    metrics     — error functionals, objectives, bound evaluation, CSV rows
+    metrics     — error functionals, objectives, CSV rows
     oracles     — independent cross-checks (grid search, loops, differences)
     expcli      — datasets, partitions, configuration, experiments, CLI
 

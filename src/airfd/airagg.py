@@ -36,9 +36,10 @@ class ReceiverPlan:
     offsets: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.beamformer, dtype=np.complex128)
-        lam = np.asarray(self.denormalizers, dtype=np.float64)
-        offsets = np.asarray(self.offsets, dtype=np.float64)
+        # Copies, so that freezing them leaves the caller's arrays writeable.
+        w = np.array(self.beamformer, dtype=np.complex128)
+        lam = np.array(self.denormalizers, dtype=np.float64)
+        offsets = np.array(self.offsets, dtype=np.float64)
         if w.ndim != 1:
             raise ValueError("beamformer must be a vector")
         if abs(np.linalg.norm(w) - 1.0) > 1e-10:

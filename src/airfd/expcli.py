@@ -9,9 +9,12 @@ The driver compares four ways of sharing knowledge each round:
 - ``orthogonal`` — per-device uplink slots with matched-filter reception,
 - ``error_free`` — the exact aggregation target, bypassing the channel.
 
-All randomness is drawn from named substreams of one experiment seed, so a
-rerun with the same configuration produces byte-identical CSV files, and all
-methods within a trial see the same data, fading, noise, and initial models.
+Rounds are the outer loop of a trial: each round draws its fading, channel
+estimate and receiver noise once, and every method is judged on them. All
+randomness is drawn from named substreams of one experiment seed, so a rerun
+with the same configuration produces byte-identical CSV files, all methods
+within a trial see the same data, fading, noise, and initial models, and a
+method's rows do not depend on which other methods run beside it.
 """
 
 from __future__ import annotations
@@ -367,8 +370,6 @@ BOUND_DEFAULTS = """\
 [bound]
 l1 = 1.0
 l2 = 1.0
-s_bound = 1.0
-f_max = 1.0
 """
 
 
@@ -412,12 +413,7 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         local_epochs=lrn.getint("local_epochs"),
         lr_cap=lrn.getfloat("lr_cap"),
     )
-    bound = BoundConfig(
-        l1=bnd.getfloat("l1"),
-        l2=bnd.getfloat("l2"),
-        s_bound=bnd.getfloat("s_bound"),
-        f_max=bnd.getfloat("f_max"),
-    )
+    bound = BoundConfig(l1=bnd.getfloat("l1"), l2=bnd.getfloat("l2"))
     dataset = DatasetSpec(
         num_samples=dat.getint("num_samples"),
         feature_dim=dat.getint("feature_dim"),
@@ -480,8 +476,6 @@ def config_to_parser(config: ExperimentConfig) -> configparser.ConfigParser:
     lrn["lr_cap"] = repr(float(config.learner.lr_cap))
     bnd["l1"] = repr(float(config.bound.l1))
     bnd["l2"] = repr(float(config.bound.l2))
-    bnd["s_bound"] = repr(float(config.bound.s_bound))
-    bnd["f_max"] = repr(float(config.bound.f_max))
     return parser
 
 
@@ -594,7 +588,9 @@ def _run_trial(
     a2: float,
     trial: int,
 ):
-    """All configured methods on one trial's data and channel draws."""
+    """All configured methods on one trial's data and channel draws, round
+    by round: every method runs round t on the same fading, estimate and
+    noise before any method starts round t + 1."""
     seed = config.seed
     spec = config.dataset
     cha = config.channel
@@ -628,64 +624,70 @@ def _run_trial(
         for i in range(num_wds)
     ]
 
+    params = {m: list(initial) for m in config.methods}
+    accuracy = dict.fromkeys(config.methods, 0.0)
     rows: dict[str, list[RoundMetrics]] = {m: [] for m in config.methods}
-    accuracy: dict[str, float] = {}
-    finals: dict[str, list[ModelParams]] = {}
-    plan_seconds: dict[str, float] = {m: 0.0 for m in config.methods}
+    plan_seconds = dict.fromkeys(config.methods, 0.0)
+    superposed = any(m in ("proposed", "uniform") for m in config.methods)
 
-    for method in config.methods:
-        params = list(initial)
-        last_acc = 0.0
-        for t in range(rounds):
+    for t in range(rounds):
+        # One fading, channel estimate and receiver noise per round, shared
+        # by every method; the estimate and the noises are drawn only when a
+        # configured method reads them.
+        fading = sample_channel(
+            unit_config, distances, substream(seed, "fading", trial, t)
+        )
+        true_channel = scale_coefficients(fading, amplitudes)
+        if superposed:
+            perceived = scale_coefficients(
+                perturb_csi(fading, zeta, substream(seed, "csi", trial, t)),
+                amplitudes,
+            )
+            noise = sample_noise(
+                cha.num_antennas,
+                num_classes * num_classes,
+                noise_var,
+                substream(seed, "noise", trial, t),
+            )
+        if "orthogonal" in config.methods:
+            orth_noise = sample_noise(
+                cha.num_antennas,
+                num_wds * num_classes * num_classes,
+                noise_var,
+                substream(seed, "orthnoise", trial, t),
+            ).reshape(num_wds, num_classes, num_classes, cha.num_antennas)
+
+        for method in config.methods:
             knowledge, passes = generate_knowledge(
-                params, features_by_wd, labels_by_wd, part, gather
+                params[method], features_by_wd, labels_by_wd, part, gather
             )
-            fading = sample_channel(
-                unit_config, distances, substream(seed, "fading", trial, t)
-            )
-            true_channel = scale_coefficients(fading, amplitudes)
-
             plan = None
             if method == "error_free":
                 target = global_target(knowledge, part)
             elif method == "orthogonal":
-                noise = sample_noise(
-                    cha.num_antennas,
-                    num_wds * num_classes * num_classes,
-                    noise_var,
-                    substream(seed, "orthnoise", trial, t),
-                ).reshape(num_wds, num_classes, num_classes, cha.num_antennas)
                 target = orthogonal_receive(
-                    true_channel, knowledge, part, peaks, noise
+                    true_channel, knowledge, part, peaks, orth_noise
                 ).real
             else:
-                perceived = scale_coefficients(
-                    perturb_csi(fading, zeta, substream(seed, "csi", trial, t)),
-                    amplitudes,
-                )
                 start = time.perf_counter()
                 if method == "proposed":
                     plan = optimize_round(perceived, knowledge.stds, part, peaks)
                 else:
                     plan = uniform_baseline(perceived, knowledge.stds, part, peaks)
                 plan_seconds[method] += time.perf_counter() - start
-                noise = sample_noise(
-                    cha.num_antennas,
-                    num_classes * num_classes,
-                    noise_var,
-                    substream(seed, "noise", trial, t),
-                )
                 target = aggregate_over_air(
                     knowledge, part, plan, true_channel, noise
                 ).real
 
+            # A stateful generator that train_round consumes: one per method.
             batch_rng = (
                 substream(seed, "batch", trial, t) if lrn.local_epochs > 1 else None
             )
+            models = params[method]
             losses = np.empty(num_wds)
             for i in range(num_wds):
-                params[i], losses[i] = train_round(
-                    params[i],
+                models[i], losses[i] = train_round(
+                    models[i],
                     features_by_wd[i],
                     labels_by_wd[i],
                     target,
@@ -696,11 +698,11 @@ def _run_trial(
                 )
             del passes  # stale once the models have moved
             if t % config.eval_every == 0 or t == rounds - 1:
-                last_acc = float(
+                accuracy[method] = float(
                     np.mean(
                         [
                             evaluate_accuracy(p, test.features, test.labels)
-                            for p in params
+                            for p in models
                         ]
                     )
                 )
@@ -731,7 +733,7 @@ def _run_trial(
                 RoundMetrics(
                     trial=trial,
                     round_index=t,
-                    plan_tag=method,
+                    method=method,
                     num_antennas=cha.num_antennas,
                     num_wds=num_wds,
                     num_classes=num_classes,
@@ -744,12 +746,10 @@ def _run_trial(
                     eig1=eig1,
                     eig2=eig2,
                     train_loss_mean=float(losses.mean()),
-                    test_acc_mean=last_acc,
+                    test_acc_mean=accuracy[method],
                 )
             )
-        accuracy[method] = last_acc
-        finals[method] = params
-    return rows, accuracy, finals, plan_seconds
+    return rows, accuracy, params, plan_seconds
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -108,7 +108,8 @@ class KnowledgeSet:
     stds: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=np.float64)
+        # A copy, so that freezing it leaves the caller's array writeable.
+        q = np.array(self.q, dtype=np.float64)
         if q.ndim != 3 or q.shape[1] != q.shape[2]:
             raise ValueError(f"q must be (M, K, K), got shape {q.shape}")
         if np.any(q < -1e-12) or np.any(np.abs(q.sum(axis=2) - 1.0) > 1e-10):
@@ -158,8 +159,9 @@ class TransmitPlan:
     peak_powers: np.ndarray
 
     def __post_init__(self) -> None:
-        eq = np.asarray(self.equalizers, dtype=np.complex128)
-        peak = np.asarray(self.peak_powers, dtype=np.float64)
+        # Copies, so that freezing them leaves the caller's arrays writeable.
+        eq = np.array(self.equalizers, dtype=np.complex128)
+        peak = np.array(self.peak_powers, dtype=np.float64)
         if eq.ndim != 2:
             raise ValueError(f"equalizers must be (M, K), got shape {eq.shape}")
         if peak.shape != (eq.shape[0],):

@@ -23,8 +23,6 @@ __all__ = [
     "local_update",
     "train_round",
     "evaluate_accuracy",
-    "dump_params",
-    "load_params",
 ]
 
 
@@ -372,32 +370,3 @@ def evaluate_accuracy(
     _, logits = _hidden_and_logits(params, features)
     predictions = np.argmax(logits, axis=1)
     return float(np.mean(predictions == np.asarray(labels)))
-
-
-def dump_params(params: ModelParams) -> str:
-    """Self-describing text checkpoint: a header line plus one value per line."""
-    arch = params.arch
-    lines = [
-        f"model dim={params.dim} features={arch.feature_dim} "
-        f"hidden={arch.hidden_dim} classes={arch.num_classes}"
-    ]
-    lines.extend(repr(float(v)) for v in params.theta)
-    return "\n".join(lines) + "\n"
-
-
-def load_params(text: str) -> ModelParams:
-    """Inverse of dump_params; values round-trip exactly via repr."""
-    lines = text.strip().split("\n")
-    header = lines[0].split()
-    if header[0] != "model":
-        raise ValueError("not a model checkpoint")
-    fields = dict(part.split("=") for part in header[1:])
-    arch = Architecture(
-        feature_dim=int(fields["features"]),
-        hidden_dim=int(fields["hidden"]),
-        num_classes=int(fields["classes"]),
-    )
-    theta = np.array([float(v) for v in lines[1:]], dtype=np.float64)
-    if theta.shape[0] != int(fields["dim"]):
-        raise ValueError("checkpoint value count disagrees with its header")
-    return ModelParams(theta=theta, arch=arch)

@@ -1,7 +1,6 @@
 """Per-round error functionals and reporting: the misalignment and noise-error
-measures of the aggregation, the beamformer-selection objectives, the
-gradient-norm bound assembled from them, and the fixed CSV row format every
-experiment emits.
+measures of the aggregation, the beamformer-selection objectives, and the
+fixed CSV row format every experiment emits.
 """
 
 from __future__ import annotations
@@ -12,53 +11,41 @@ import numpy as np
 
 from .channel import ChannelState
 from .knowledge import DatasetPartition, KnowledgeSet, transmit_active_mask
-from .learner import LearnerConfig, lr_schedule
+from .learner import LearnerConfig
 from .transceiver import TransceiverPlan, optimal_postprocessing
 
 __all__ = [
     "CSV_COLUMNS",
     "BoundConfig",
     "RoundMetrics",
-    "a1_coefficient",
     "a2_coefficient",
     "misalignment_vectors",
     "phi1",
     "phi2_sq_all",
     "phi2_sq_monte_carlo",
     "p2_objective",
-    "gradient_norm_bound",
     "csv_header",
 ]
 
 
 @dataclass(frozen=True)
 class BoundConfig:
-    """Constants of the gradient-norm bound; reporting-only inputs.
-
-    The transceiver design never consumes these — they weight the reported
-    bound, not the optimization.
+    """Constants of the convergence bound that weight the reported p2
+    objective; reporting-only inputs, never consumed by the transceiver
+    design.
 
     Attributes:
         l1: Smoothness constant of the per-device loss gradients.
         l2: Lipschitz constant of the model's soft-prediction mapping.
-        s_bound: Uniform bound on gradient norms.
-        f_max: Uniform bound on the per-device loss value.
     """
 
     l1: float = 1.0
     l2: float = 1.0
-    s_bound: float = 1.0
-    f_max: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("l1", "l2", "s_bound", "f_max"):
+        for name in ("l1", "l2"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-
-def a1_coefficient(bound: BoundConfig, config: LearnerConfig) -> float:
-    """Weight of the gradient-times-misalignment term: 6 gamma eta0 L2."""
-    return 6.0 * config.distill_weight * config.init_lr * bound.l2
 
 
 def a2_coefficient(bound: BoundConfig, config: LearnerConfig) -> float:
@@ -219,73 +206,10 @@ def p2_objective(
     )
 
 
-def gradient_norm_bound(
-    grad_norms: np.ndarray,
-    phi1_history: np.ndarray,
-    phi2_sq_history: np.ndarray,
-    bound: BoundConfig,
-    config: LearnerConfig,
-) -> float:
-    """The four-term bound on a device's expected squared gradient norm over
-    its training history:
-
-        3 f_max / (eta0 sqrt(T))
-        + sum_t 6 gamma eta0 L2 (L1 eta_t + 1) / eta_t
-            * ||grad_t|| phi1_t / T^(3/2)
-        + 8 gamma L2 S
-        + sum_t 6 eta0 gamma^2 L2^2 L1 (phi1_t^2 + phi2_sq_t) / T^(3/2).
-
-    Reported, never optimized: with zero error histories it collapses to the
-    first and third terms, and with distill_weight 0 to the first alone.
-    """
-    grad_norms = np.asarray(grad_norms, dtype=np.float64)
-    phi1_history = np.asarray(phi1_history, dtype=np.float64)
-    phi2_sq_history = np.asarray(phi2_sq_history, dtype=np.float64)
-    t_total = config.rounds
-    for name, arr in (
-        ("grad_norms", grad_norms),
-        ("phi1_history", phi1_history),
-        ("phi2_sq_history", phi2_sq_history),
-    ):
-        if arr.shape != (t_total,):
-            raise ValueError(f"{name} must cover all {t_total} rounds")
-    gamma = config.distill_weight
-    eta0 = config.init_lr
-    etas = np.array([lr_schedule(t, config) for t in range(t_total)])
-    t_scale = t_total**1.5
-    term1 = 3.0 * bound.f_max / (eta0 * np.sqrt(t_total))
-    term2 = float(
-        np.sum(
-            6.0
-            * gamma
-            * eta0
-            * bound.l2
-            * (bound.l1 * etas + 1.0)
-            / etas
-            * grad_norms
-            * phi1_history
-        )
-        / t_scale
-    )
-    term3 = 8.0 * gamma * bound.l2 * bound.s_bound if gamma > 0 else 0.0
-    term4 = float(
-        np.sum(
-            6.0
-            * eta0
-            * gamma**2
-            * bound.l2**2
-            * bound.l1
-            * (phi1_history**2 + phi2_sq_history)
-        )
-        / t_scale
-    )
-    return term1 + term2 + term3 + term4
-
-
 CSV_COLUMNS = (
     "trial",
     "round",
-    "plan_tag",
+    "method",
     "N",
     "M",
     "K",
@@ -317,7 +241,7 @@ class RoundMetrics:
 
     trial: int
     round_index: int
-    plan_tag: str
+    method: str
     num_antennas: int
     num_wds: int
     num_classes: int
@@ -345,7 +269,7 @@ class RoundMetrics:
         values = (
             str(int(self.trial)),
             str(int(self.round_index)),
-            self.plan_tag,
+            self.method,
             str(int(self.num_antennas)),
             str(int(self.num_wds)),
             str(int(self.num_classes)),

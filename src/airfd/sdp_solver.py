@@ -70,9 +70,10 @@ class SdpProblem:
     active_mask: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.class_weights, dtype=np.float64)
-        vecs = np.asarray(self.constraint_vectors, dtype=np.complex128)
-        mask = np.asarray(self.active_mask, dtype=bool)
+        # Copies, so that freezing them leaves the caller's arrays writeable.
+        c = np.array(self.class_weights, dtype=np.float64)
+        vecs = np.array(self.constraint_vectors, dtype=np.complex128)
+        mask = np.array(self.active_mask, dtype=bool)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if c.ndim != 1 or np.any(c <= 0):

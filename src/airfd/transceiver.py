@@ -38,14 +38,12 @@ __all__ = [
     "build_relaxation",
     "relaxation_objective",
     "optimal_postprocessing",
-    "optimal_equalizers",
     "optimize_round",
     "uniform_baseline",
     "orthogonal_receive",
-    "dump_plan",
 ]
 
-PLAN_TAGS = ("optimal", "uniform", "custom")
+PLAN_TAGS = ("optimal", "uniform")
 
 # The polish holds a constraint as active when its gain at the principal
 # eigenvector lies within this relative margin of its class minimum. The
@@ -75,7 +73,8 @@ class PlanDegeneracyError(RuntimeError):
 
 
 class PostprocessingResult(NamedTuple):
-    """Server-side scalars completing a beamformer into a full receive plan.
+    """Server-side scalars and transmit equalizers completing a beamformer
+    into a full plan.
 
     Attributes:
         denormalizers: (K,) positive per-class scalars lambda^k.
@@ -83,11 +82,14 @@ class PostprocessingResult(NamedTuple):
         straggler_indices: (K,) index of the device attaining each class's
             bottleneck minimum: the lowest index whose expression lies within
             a relative _TIE_MARGIN of the minimum.
+        equalizers: (M, K) complex channel-inverting transmit equalizers,
+            zero where the device does not transmit.
     """
 
     denormalizers: np.ndarray
     offsets: np.ndarray
     straggler_indices: np.ndarray
+    equalizers: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -349,20 +351,6 @@ def _combined_gains(channel: ChannelState, beamformer: np.ndarray) -> np.ndarray
     return channel.coefficients @ np.conj(w)
 
 
-def _bottleneck_expressions(
-    beamformer: np.ndarray,
-    channel: ChannelState,
-    knowledge_stds: np.ndarray,
-    partition: DatasetPartition,
-    peak_powers: np.ndarray,
-) -> np.ndarray:
-    """Per-(device, class) denormalizer candidates B^k |w^H v_i^k|, shape
-    (M, K); +inf where not transmitting."""
-    active, vecs = _scaled_channels(channel, knowledge_stds, partition, peak_powers)
-    expr = partition.class_totals[:, None] * np.abs(vecs @ np.conj(beamformer))
-    return np.where(active, expr.T, np.inf)
-
-
 def optimal_postprocessing(
     beamformer: np.ndarray,
     channel: ChannelState,
@@ -370,62 +358,34 @@ def optimal_postprocessing(
     partition: DatasetPartition,
     peak_powers: np.ndarray,
 ) -> PostprocessingResult:
-    """Bottleneck-optimal server scalars for a given combining vector.
+    """Bottleneck-optimal completion of a given combining vector: the server
+    scalars and the transmit equalizers.
 
     The class-k denormalizer is the largest value every transmitting device
     can support at its peak power:
 
-        lambda^k = min_i B^k |w^H h_i| sqrt(P_i) / (B_i^k q_hat_i^k),
+        lambda^k = min_i B^k |w^H v_i^k|
+                 = min_i B^k |w^H h_i| sqrt(P_i) / (B_i^k q_hat_i^k),
 
     attained by the class's bottleneck device, and the mean-offset weights
     are the aggregation weights a_i^k = B_i^k / B^k. Devices whose
     expressions agree with the minimum to a relative _TIE_MARGIN count as
     tied, and the lowest index among them is reported as the straggler, so
-    the label does not depend on roundoff.
-
-    Raises:
-        PlanDegeneracyError: some transmitting device has w^H h_i = 0.
-    """
-    stds = np.asarray(knowledge_stds, dtype=np.float64)
-    peaks = np.asarray(peak_powers, dtype=np.float64)
-    active = transmit_active_mask(partition, stds)
-    nulled = (_combined_gains(channel, beamformer) == 0.0) & active.any(axis=1)
-    if np.any(nulled):
-        raise PlanDegeneracyError(
-            f"combining vector nulls transmitting device(s) {np.flatnonzero(nulled).tolist()}"
-        )
-    expr = _bottleneck_expressions(beamformer, channel, stds, partition, peaks)
-    denormalizers = expr.min(axis=0)
-    tied = expr <= denormalizers * (1.0 + _TIE_MARGIN)
-    return PostprocessingResult(
-        denormalizers=denormalizers,
-        offsets=partition.class_weights(),
-        straggler_indices=np.argmax(tied, axis=0).astype(np.int64),
-    )
-
-
-def optimal_equalizers(
-    beamformer: np.ndarray,
-    channel: ChannelState,
-    denormalizers: np.ndarray,
-    knowledge_stds: np.ndarray,
-    partition: DatasetPartition,
-) -> np.ndarray:
-    """Channel-inverting transmit equalizers aligned to the denormalizers.
+    the label does not depend on roundoff. The equalizers invert the
+    combined channel onto those denormalizers,
 
         P_i^k = B_i^k lambda^k q_hat_i^k (w^H h_i)^H / (B^k |w^H h_i|^2),
 
-    zero where the device does not transmit. With denormalizers from
-    optimal_postprocessing on the same inputs, each class's bottleneck device
-    lands exactly on its power budget and every effective gain
+    zero where the device does not transmit: each class's bottleneck device
+    lands exactly on its power budget, and every effective gain
     w^H h_i P_i^k / (lambda^k q_hat_i^k) equals the real weight B_i^k / B^k.
 
     Raises:
         PlanDegeneracyError: some transmitting device has w^H h_i = 0.
     """
     stds = np.asarray(knowledge_stds, dtype=np.float64)
-    lams = np.asarray(denormalizers, dtype=np.float64)
-    active = transmit_active_mask(partition, stds)
+    peaks = np.asarray(peak_powers, dtype=np.float64)
+    active, vecs = _scaled_channels(channel, stds, partition, peaks)
     combined = _combined_gains(channel, beamformer)
     power_gain = combined.real**2 + combined.imag**2
     nulled = (power_gain == 0.0) & active.any(axis=1)
@@ -433,13 +393,24 @@ def optimal_equalizers(
         raise PlanDegeneracyError(
             f"combining vector nulls transmitting device(s) {np.flatnonzero(nulled).tolist()}"
         )
+    expr = partition.class_totals[:, None] * np.abs(vecs @ np.conj(beamformer))
+    expr = np.where(active, expr.T, np.inf)  # (M, K)
+    denormalizers = expr.min(axis=0)
+    tied = expr <= denormalizers * (1.0 + _TIE_MARGIN)
     denom = np.where(
         active,
         partition.class_totals[None, :] * power_gain[:, None],
         1.0,
     )
-    numer = partition.counts * lams[None, :] * stds * np.conj(combined)[:, None]
-    return np.where(active, numer / denom, 0.0 + 0.0j)
+    numer = (
+        partition.counts * denormalizers[None, :] * stds * np.conj(combined)[:, None]
+    )
+    return PostprocessingResult(
+        denormalizers=denormalizers,
+        offsets=partition.class_weights(),
+        straggler_indices=np.argmax(tied, axis=0).astype(np.int64),
+        equalizers=np.where(active, numer / denom, 0.0 + 0.0j),
+    )
 
 
 def optimize_round(
@@ -477,11 +448,8 @@ def optimize_round(
     pair = extract_principal_eigenpair(solution.W)
     w = _polish_beamformer(pair.vector, problem)
     post = optimal_postprocessing(w, channel, knowledge_stds, partition, peaks)
-    equalizers = optimal_equalizers(
-        w, channel, post.denormalizers, knowledge_stds, partition
-    )
     return TransceiverPlan(
-        transmit=TransmitPlan(equalizers=equalizers, peak_powers=peaks),
+        transmit=TransmitPlan(equalizers=post.equalizers, peak_powers=peaks),
         receive=ReceiverPlan(
             beamformer=w,
             denormalizers=post.denormalizers,
@@ -514,6 +482,7 @@ def uniform_baseline(
     peaks = np.asarray(peak_powers, dtype=np.float64)
     n = channel.num_antennas
     w = np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
+    problem = build_relaxation(channel, stds, partition, peaks)
     active = transmit_active_mask(partition, stds)
     combined = _combined_gains(channel, w)
     gains = np.abs(combined)
@@ -522,12 +491,14 @@ def uniform_baseline(
     phases = np.where(gains > 0.0, np.conj(combined) / np.where(gains > 0.0, gains, 1.0), 1.0)
     equalizers = np.where(active, np.sqrt(peaks)[:, None] * phases[:, None], 0.0 + 0.0j)
 
-    expr = _bottleneck_expressions(w, channel, stds, partition, peaks)
-    finite = np.where(active, expr, 0.0)
+    # Bottleneck expressions B^k |w^H v_i^k|, (K, M). `active` is C-ordered:
+    # the order of the sum below depends on the memory order of `finite`.
+    expr = partition.class_totals[:, None] * np.abs(
+        problem.constraint_vectors @ np.conj(w)
+    )
+    finite = np.where(active, expr.T, 0.0)
     denormalizers = finite.sum(axis=0) / active.sum(axis=0)
     offsets = partition.class_weights()
-
-    problem = build_relaxation(channel, stds, partition, peaks)
     return TransceiverPlan(
         transmit=TransmitPlan(equalizers=equalizers, peak_powers=peaks),
         receive=ReceiverPlan(
@@ -600,31 +571,3 @@ def orthogonal_receive(
         + knowledge.means[:, :, None]
     )  # (M, K, K) per-device complex knowledge estimates
     return np.einsum("ik,ikd->kd", partition.class_weights(), per_wd)
-
-
-def dump_plan(plan: TransceiverPlan) -> str:
-    """Deterministic text dump of a plan for golden-file comparison.
-
-    Every number is a plain float repr, so the text parses back bit-exactly.
-    """
-
-    def pairs(values: np.ndarray) -> str:
-        return " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in values)
-
-    lines = [f"plan tag={plan.tag}", "beamformer " + pairs(plan.receive.beamformer)]
-    lines.append(
-        "denormalizers "
-        + " ".join(repr(float(v)) for v in plan.receive.denormalizers)
-    )
-    lines.append(
-        "stragglers " + " ".join(str(int(v)) for v in plan.straggler_indices)
-    )
-    d = plan.diagnostics
-    lines.append(
-        f"diagnostics eig1={float(d.eig1)!r} eig2={float(d.eig2)!r} "
-        f"objective={float(d.relaxation_objective)!r} "
-        f"iterations={d.solver_iterations}"
-    )
-    for i, row in enumerate(plan.transmit.equalizers):
-        lines.append(f"equalizers wd={i} " + pairs(row))
-    return "\n".join(lines) + "\n"

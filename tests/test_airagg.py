@@ -31,7 +31,7 @@ def make_plan(equalizers, beamformer, denormalizers, offsets):
         receive=ReceiverPlan(
             beamformer=beamformer, denormalizers=denormalizers, offsets=offsets
         ),
-        tag="custom",
+        tag="uniform",
         straggler_indices=np.full(k, -1),
         diagnostics=PlanDiagnostics(1.0, 0.0, 0.0, 0, False),
     )

@@ -261,6 +261,15 @@ def test_config_file_overlay(tmp_path):
     assert config.channel.num_wds == 10
 
 
+def test_config_file_unknown_keys_are_ignored(tmp_path):
+    # Configs written for older versions may still set retired [bound] keys.
+    path = tmp_path / "old.ini"
+    path.write_text("[bound]\nl1 = 2.0\nretired = 5.0\n", encoding="utf-8")
+    config = config_from_parser(load_config_file(str(path)))
+    assert config.bound.l1 == 2.0
+    assert "retired" not in dump_config(config)
+
+
 @pytest.mark.parametrize(
     "section,key,value",
     [
@@ -353,15 +362,15 @@ def test_benchmark_rebinding_points_are_called_by_name(tmp_path, monkeypatch):
     method_rounds = trials * rounds  # rounds run by one method
     expected = {
         "substream": trials * (4 + wds)  # data, test data, partition, distance, init
-        + 2 * 4 * method_rounds  # fading, batch: every method
-        + 2 * 2 * method_rounds  # csi, noise: the two superposed methods
-        + method_rounds,  # orthnoise
+        + 4 * method_rounds  # batch: one stateful generator per method
+        + 4 * method_rounds,  # fading, csi, noise, orthnoise: once per round
         "sample_distances": trials,
         "path_loss": trials * wds,
-        "sample_channel": 4 * method_rounds,
-        "scale_coefficients": (4 + 2) * method_rounds,  # true + perceived
-        "perturb_csi": 2 * method_rounds,
-        "sample_noise": 3 * method_rounds,
+        # Every round's channel and noise are drawn once, for all methods.
+        "sample_channel": method_rounds,
+        "scale_coefficients": 2 * method_rounds,  # true + perceived
+        "perturb_csi": method_rounds,
+        "sample_noise": 2 * method_rounds,  # superposed + orthogonal
         "generate_knowledge": 4 * method_rounds,
         "global_target": method_rounds,
         "optimize_round": method_rounds,
@@ -390,6 +399,24 @@ def test_benchmark_rebinding_points_are_called_by_name(tmp_path, monkeypatch):
     result = run_experiment(config_from_parser(full_small_parser(str(tmp_path))))
     assert not result.aborts
     assert calls == expected
+
+
+def test_each_methods_rows_do_not_depend_on_the_other_methods(tmp_path):
+    """All methods share each round's fading, estimate and noise: a method
+    run beside the other three writes the same CSV as that method alone."""
+    together = run_experiment(
+        config_from_parser(full_small_parser(str(tmp_path / "all")))
+    )
+    assert not together.aborts
+    for method in together.csv_paths:
+        parser = full_small_parser(str(tmp_path / method))
+        parser["experiment"]["methods"] = method
+        alone = run_experiment(config_from_parser(parser))
+        assert not alone.aborts
+        with open(together.csv_paths[method], "rb") as handle:
+            expected = handle.read()
+        with open(alone.csv_paths[method], "rb") as handle:
+            assert handle.read() == expected
 
 
 def test_error_free_matches_direct_reimplementation(tmp_path):
@@ -486,6 +513,7 @@ def test_csv_rows_structure_and_eval_cadence(tmp_path):
     assert len(lines) == 7
     header = lines[0].split(",")
     assert len(header) == 17
+    assert header[2] == "method"
     rows = [line.split(",") for line in lines[1:]]
     for row in rows:
         assert len(row) == 17

@@ -17,6 +17,7 @@ from airfd.knowledge import (
 )
 from airfd.oracles import local_knowledge
 from airfd.rng import substream
+from airfd.sdp_solver import SdpProblem
 from airfd.transceiver import PlanDiagnostics, TransceiverPlan
 
 
@@ -46,7 +47,7 @@ def transmit_signal(q, equalizers):
         receive=ReceiverPlan(
             beamformer=np.ones(1), denormalizers=np.ones(k), offsets=np.zeros((1, k))
         ),
-        tag="custom",
+        tag="uniform",
         straggler_indices=np.full(k, -1),
         diagnostics=PlanDiagnostics(1.0, 0.0, 0.0, 0, False),
     )
@@ -349,6 +350,52 @@ class TestPartitionAndPlanTypes:
             TransmitPlan(
                 equalizers=np.array([[1.1 + 0j]]), peak_powers=np.array([1.0])
             )
+
+    # Every array a frozen record stores, with a valid input of the dtype the
+    # record keeps (so that converting it would not copy it).
+    FROZEN_INPUTS = {
+        KnowledgeSet: lambda: dict(q=np.full((2, 3, 3), 1.0 / 3.0)),
+        TransmitPlan: lambda: dict(
+            equalizers=np.full((2, 3), 0.5 + 0.5j), peak_powers=np.ones(2)
+        ),
+        ReceiverPlan: lambda: dict(
+            beamformer=np.array([1.0 + 0.0j, 0.0 + 0.0j]),
+            denormalizers=np.ones(3),
+            offsets=np.full((2, 3), 0.5),
+        ),
+        SdpProblem: lambda: dict(
+            dim=2,
+            class_weights=np.ones(3),
+            constraint_vectors=np.ones((3, 2, 2), dtype=np.complex128),
+            active_mask=np.ones((3, 2), dtype=bool),
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "record, name",
+        [
+            (KnowledgeSet, "q"),
+            (TransmitPlan, "equalizers"),
+            (TransmitPlan, "peak_powers"),
+            (ReceiverPlan, "beamformer"),
+            (ReceiverPlan, "denormalizers"),
+            (ReceiverPlan, "offsets"),
+            (SdpProblem, "class_weights"),
+            (SdpProblem, "constraint_vectors"),
+            (SdpProblem, "active_mask"),
+        ],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_record_leaves_the_callers_array_writeable(self, record, name):
+        inputs = self.FROZEN_INPUTS[record]()
+        given = inputs[name]
+        before = given.copy()
+        stored = getattr(record(**inputs), name)
+        assert given.flags.writeable
+        assert np.array_equal(given, before)
+        assert not stored.flags.writeable
+        given[...] = 0
+        assert np.array_equal(stored, before)
 
     def test_knowledge_set_validates_probability_vectors(self):
         q = np.zeros((1, 2, 2))

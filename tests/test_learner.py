@@ -9,11 +9,9 @@ from airfd.learner import (
     Architecture,
     LearnerConfig,
     ModelParams,
-    dump_params,
     evaluate_accuracy,
     forward_pass,
     init_params,
-    load_params,
     local_update,
     loss_and_grad,
     lr_schedule,
@@ -373,16 +371,3 @@ class TestTrainRound:
         features = np.zeros((5, 8))
         assert evaluate_accuracy(params, features, np.zeros(5, dtype=int)) == 1.0
         assert evaluate_accuracy(params, features, np.ones(5, dtype=int)) == 0.0
-
-
-class TestCheckpoint:
-    def test_roundtrip_bitwise(self):
-        rng = np.random.default_rng(40)
-        params = random_model(rng)
-        restored = load_params(dump_params(params))
-        assert np.array_equal(restored.theta, params.theta)
-        assert restored.arch == params.arch
-
-    def test_corrupt_header_rejected(self):
-        with pytest.raises(ValueError, match="checkpoint"):
-            load_params("nonsense dim=3\n1.0\n2.0\n3.0\n")

@@ -1,5 +1,5 @@
-"""Tests for the per-round error functionals, objectives, the gradient-norm
-bound, and the CSV row format."""
+"""Tests for the per-round error functionals, objectives, and the CSV row
+format."""
 
 import numpy as np
 import pytest
@@ -7,15 +7,13 @@ import pytest
 from airfd.airagg import ReceiverPlan
 from airfd.channel import ChannelState, perturb_csi
 from airfd.knowledge import DatasetPartition, KnowledgeSet, TransmitPlan
-from airfd.learner import LearnerConfig, lr_schedule
+from airfd.learner import LearnerConfig
 from airfd.metrics import (
     CSV_COLUMNS,
     BoundConfig,
     RoundMetrics,
-    a1_coefficient,
     a2_coefficient,
     csv_header,
-    gradient_norm_bound,
     misalignment_vectors,
     p2_objective,
     phi1,
@@ -65,7 +63,7 @@ def custom_plan(rng, channel, knowledge, partition, peaks):
     return TransceiverPlan(
         transmit=TransmitPlan(equalizers=eq, peak_powers=peaks),
         receive=ReceiverPlan(beamformer=w, denormalizers=lams, offsets=offsets),
-        tag="custom",
+        tag="uniform",
         straggler_indices=np.full(k, -1, dtype=np.int64),
         diagnostics=PlanDiagnostics(
             eig1=1.0,
@@ -110,11 +108,8 @@ class TestBoundCoefficients:
             BoundConfig(l1=0.0)
 
     def test_formulas(self):
-        bound = BoundConfig(l1=3.0, l2=2.0, s_bound=1.5, f_max=4.0)
+        bound = BoundConfig(l1=3.0, l2=2.0)
         config = LearnerConfig(distill_weight=0.5, init_lr=0.01, rounds=10)
-        assert a1_coefficient(bound, config) == pytest.approx(
-            6.0 * 0.5 * 0.01 * 2.0, rel=1e-15
-        )
         assert a2_coefficient(bound, config) == pytest.approx(
             6.0 * 0.01 * 0.25 * 4.0 * 3.0, rel=1e-15
         )
@@ -271,65 +266,12 @@ class TestP2Objective:
             assert own <= p2_objective(w, *args) * (1.0 + 1e-9)
 
 
-class TestGradientNormBound:
-    BOUND = BoundConfig(l1=2.0, l2=1.5, s_bound=0.8, f_max=3.0)
-    CONFIG = LearnerConfig(distill_weight=0.4, init_lr=0.05, rounds=6)
-
-    def test_zero_errors_collapse(self):
-        zeros = np.zeros(6)
-        grads = np.linspace(1.0, 0.5, 6)
-        value = gradient_norm_bound(grads, zeros, zeros, self.BOUND, self.CONFIG)
-        expected = 3.0 * 3.0 / (0.05 * np.sqrt(6)) + 8.0 * 0.4 * 1.5 * 0.8
-        assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_zero_distillation_collapse(self):
-        config = LearnerConfig(distill_weight=0.0, init_lr=0.05, rounds=6)
-        ones = np.ones(6)
-        value = gradient_norm_bound(ones, ones, ones, self.BOUND, config)
-        assert value == pytest.approx(3.0 * 3.0 / (0.05 * np.sqrt(6)), rel=1e-12)
-
-    def test_matches_summation_oracle(self):
-        rng = np.random.default_rng(130)
-        grads = rng.uniform(0.1, 2.0, 6)
-        p1 = rng.uniform(0.0, 0.5, 6)
-        p2 = rng.uniform(0.0, 0.2, 6)
-        value = gradient_norm_bound(grads, p1, p2, self.BOUND, self.CONFIG)
-        gamma, eta0 = 0.4, 0.05
-        l1, l2, s, fmax = 2.0, 1.5, 0.8, 3.0
-        total = 3 * fmax / (eta0 * np.sqrt(6)) + 8 * gamma * l2 * s
-        for t in range(6):
-            eta = lr_schedule(t, self.CONFIG)
-            total += (
-                6 * gamma * eta0 * l2 * (l1 * eta + 1) / eta * grads[t] * p1[t]
-            ) / 6**1.5
-            total += (6 * eta0 * gamma**2 * l2**2 * l1 * (p1[t] ** 2 + p2[t])) / 6**1.5
-        assert value == pytest.approx(total, rel=1e-12)
-
-    def test_monotone_in_error_inputs(self):
-        grads = np.ones(6)
-        p1 = np.full(6, 0.2)
-        p2 = np.full(6, 0.1)
-        base = gradient_norm_bound(grads, p1, p2, self.BOUND, self.CONFIG)
-        p1_up = p1.copy()
-        p1_up[3] += 0.3
-        p2_up = p2.copy()
-        p2_up[5] += 0.2
-        assert gradient_norm_bound(grads, p1_up, p2, self.BOUND, self.CONFIG) > base
-        assert gradient_norm_bound(grads, p1, p2_up, self.BOUND, self.CONFIG) > base
-
-    def test_history_length_checked(self):
-        with pytest.raises(ValueError, match="rounds"):
-            gradient_norm_bound(
-                np.ones(5), np.ones(6), np.ones(6), self.BOUND, self.CONFIG
-            )
-
-
 class TestCsvFormat:
     def make_metrics(self, **overrides):
         base = dict(
             trial=2,
             round_index=17,
-            plan_tag="optimal",
+            method="proposed",
             num_antennas=5,
             num_wds=10,
             num_classes=3,
@@ -349,7 +291,7 @@ class TestCsvFormat:
 
     def test_header_is_pinned(self):
         assert csv_header() == (
-            "trial,round,plan_tag,N,M,K,zeta,phi1_max,phi1_mean,phi2_sq_mean,"
+            "trial,round,method,N,M,K,zeta,phi1_max,phi1_mean,phi2_sq_mean,"
             "p2_obj,p4_obj,eig1,eig2,train_loss_mean,test_acc_mean,wall_ms"
         )
 
@@ -357,7 +299,7 @@ class TestCsvFormat:
         row = self.make_metrics().to_csv_row()
         fields = row.split(",")
         assert len(fields) == len(CSV_COLUMNS)
-        assert fields[0] == "2" and fields[1] == "17" and fields[2] == "optimal"
+        assert fields[0] == "2" and fields[1] == "17" and fields[2] == "proposed"
         assert float(fields[6]) == 0.8
         assert float(fields[10]) == 0.125
         assert fields[-1] == "0.0"
