@@ -60,7 +60,6 @@ from .learner import (
     train_round,
 )
 from .metrics import (
-    BoundConfig,
     RoundMetrics,
     a2_coefficient,
     csv_header,
@@ -207,9 +206,11 @@ def partition(
                       Dir(concentration * 1_M) and realized by largest-
                       remainder rounding, producing label skew.
 
-    A device that ends up with zero samples is repaired by taking one sample
-    of the most-held class from the currently largest device, so every device
-    can participate in training.
+    A device that ends up with zero samples is repaired by moving it the last
+    sample, the highest dataset index, of the currently largest device (ties:
+    lowest device index), so every device can take part in training. On a
+    class-sorted dataset such as synthesize_dataset draws, that sample has
+    the highest label the donor holds, whichever class it holds most.
 
     Returns:
         (DatasetPartition, assignment) where assignment[i] holds the sorted
@@ -254,11 +255,7 @@ def partition(
     counts = np.zeros((num_wds, num_classes), dtype=np.int64)
     for i, idx in enumerate(assignment):
         counts[i] = np.bincount(labels[idx], minlength=num_classes)
-    part = DatasetPartition(
-        counts=counts,
-        dirichlet_param=concentration if mode == "dirichlet" else None,
-    )
-    return part, assignment
+    return DatasetPartition(counts=counts), assignment
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +270,6 @@ class ExperimentConfig:
     Attributes:
         channel: Uplink parameters (device count M lives here).
         learner: Per-device training hyperparameters (round count T included).
-        bound: Smoothness/variance constants used only for reported bounds.
         dataset: Synthetic dataset parameters.
         partition_mode: "iid" or "dirichlet".
         dirichlet_param: Concentration of the label-skew draw.
@@ -289,7 +285,6 @@ class ExperimentConfig:
 
     channel: ChannelConfig
     learner: LearnerConfig
-    bound: BoundConfig
     dataset: DatasetSpec
     partition_mode: str
     dirichlet_param: float
@@ -366,18 +361,10 @@ local_epochs = 1
 lr_cap = inf
 """
 
-BOUND_DEFAULTS = """\
-[bound]
-l1 = 1.0
-l2 = 1.0
-"""
-
-
 def default_parser() -> configparser.ConfigParser:
     """The built-in defaults as a mutable key-value structure."""
     parser = configparser.ConfigParser()
     parser.read_string(DEFAULT_CONFIG)
-    parser.read_string(BOUND_DEFAULTS)
     return parser
 
 
@@ -394,7 +381,6 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     """Build the typed configuration from flat key-value sections."""
     exp, dat = parser["experiment"], parser["dataset"]
     par, cha, lrn = parser["partition"], parser["channel"], parser["learner"]
-    bnd = parser["bound"]
     channel = ChannelConfig(
         num_wds=cha.getint("num_wds"),
         num_antennas=cha.getint("num_antennas"),
@@ -413,7 +399,6 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         local_epochs=lrn.getint("local_epochs"),
         lr_cap=lrn.getfloat("lr_cap"),
     )
-    bound = BoundConfig(l1=bnd.getfloat("l1"), l2=bnd.getfloat("l2"))
     dataset = DatasetSpec(
         num_samples=dat.getint("num_samples"),
         feature_dim=dat.getint("feature_dim"),
@@ -425,7 +410,6 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     return ExperimentConfig(
         channel=channel,
         learner=learner,
-        bound=bound,
         dataset=dataset,
         partition_mode=par["mode"].strip(),
         dirichlet_param=par.getfloat("dirichlet_param"),
@@ -444,7 +428,6 @@ def config_to_parser(config: ExperimentConfig) -> configparser.ConfigParser:
     parser = default_parser()
     exp, dat = parser["experiment"], parser["dataset"]
     par, cha, lrn = parser["partition"], parser["channel"], parser["learner"]
-    bnd = parser["bound"]
     exp["seed"] = str(config.seed)
     exp["trials"] = str(config.trials)
     exp["methods"] = ",".join(config.methods)
@@ -474,8 +457,6 @@ def config_to_parser(config: ExperimentConfig) -> configparser.ConfigParser:
     lrn["rounds"] = str(config.learner.rounds)
     lrn["local_epochs"] = str(config.learner.local_epochs)
     lrn["lr_cap"] = repr(float(config.learner.lr_cap))
-    bnd["l1"] = repr(float(config.bound.l1))
-    bnd["l2"] = repr(float(config.bound.l2))
     return parser
 
 
@@ -715,7 +696,7 @@ def _run_trial(
                 phi1_max = float(phi1_values.max())
                 phi1_mean = float(phi1_values.mean())
                 phi2_mean = float(
-                    phi2_sq_all(plan.receive.denormalizers, part, noise_var).mean()
+                    phi2_sq_all(plan.denormalizers, part, noise_var).mean()
                 )
                 p2_val = p2_objective(
                     plan.beamformer,
@@ -766,7 +747,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         num_classes=config.dataset.num_classes,
     )
     peaks = np.full(config.channel.num_wds, config.peak_power)
-    a2 = a2_coefficient(config.bound, config.learner)
+    a2 = a2_coefficient(config.learner)
 
     rows: dict[str, list[RoundMetrics]] = {m: [] for m in config.methods}
     final_accuracies: dict[str, list[float]] = {m: [] for m in config.methods}
@@ -978,10 +959,10 @@ def _verify_instance(seed: int, index: int) -> list[tuple[str, bool, str]]:
     checks.append(("gradient_matches_numeric", rel <= 1e-4, f"rel err {rel:.2e}"))
 
     # Closed-form noise error vs simulation through the receiver.
-    analytic = phi2_sq_all(plan.receive.denormalizers, part, 0.05)[0]
+    analytic = phi2_sq_all(plan.denormalizers, part, 0.05)[0]
     simulated = phi2_sq_monte_carlo(
         plan.beamformer,
-        plan.receive.denormalizers,
+        plan.denormalizers,
         part.counts[0],
         0.05,
         substream(seed, "verify-noise", index),

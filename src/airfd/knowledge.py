@@ -1,6 +1,7 @@
-"""Per-device soft-prediction knowledge: per-class averages, their
-normalization statistics and normalized transmit blocks, and the ideal
-error-free global target.
+"""Per-device soft-prediction knowledge: the devices' sample counts, per-class
+averages, their normalization statistics and normalized transmit blocks, and
+the ideal error-free global target. The transmit equalizers that scale the
+blocks are part of the uplink plan (see transceiver).
 
 Every "knowledge vector" is a length-K probability vector: the average of
 softmax outputs over one device's samples of one class. Before transmission it
@@ -18,7 +19,6 @@ __all__ = [
     "Q_HAT_FLOOR",
     "DatasetPartition",
     "KnowledgeSet",
-    "TransmitPlan",
     "ClassGather",
     "transmit_active_mask",
     "class_gather",
@@ -39,11 +39,9 @@ class DatasetPartition:
 
     Attributes:
         counts: (M, K) nonnegative ints; counts[i, k] = B_i^k.
-        dirichlet_param: Concentration used to draw the split, or None for IID.
     """
 
     counts: np.ndarray
-    dirichlet_param: float | None = None
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts)
@@ -58,8 +56,6 @@ class DatasetPartition:
             raise ValueError("every class must have at least one sample overall")
         if np.any(counts.sum(axis=1) <= 0):
             raise ValueError("every device must hold at least one sample")
-        if self.dirichlet_param is not None and self.dirichlet_param <= 0:
-            raise ValueError("dirichlet_param must be positive when present")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
@@ -89,6 +85,10 @@ class DatasetPartition:
     def class_weights(self) -> np.ndarray:
         """(M, K) aggregation weights B_i^k / B^k (rows of zero where inactive)."""
         return self.counts / self.class_totals[None, :]
+
+    def class_mix(self) -> np.ndarray:
+        """(M, K) class mix B_i^k / B_i of each device (rows sum to one)."""
+        return self.counts / self.per_wd_totals[:, None]
 
 
 @dataclass(frozen=True)
@@ -143,39 +143,6 @@ class KnowledgeSet:
             where=mask[:, :, None],
         )
         return blocks
-
-
-@dataclass(frozen=True)
-class TransmitPlan:
-    """Per-device, per-class complex equalizers under peak-power limits.
-
-    Attributes:
-        equalizers: (M, K) complex; equalizers[i, k] scales device i's
-            normalized class-k block. Squared magnitude = transmit power.
-        peak_powers: (M,) positive per-device power budgets (watts).
-    """
-
-    equalizers: np.ndarray
-    peak_powers: np.ndarray
-
-    def __post_init__(self) -> None:
-        # Copies, so that freezing them leaves the caller's arrays writeable.
-        eq = np.array(self.equalizers, dtype=np.complex128)
-        peak = np.array(self.peak_powers, dtype=np.float64)
-        if eq.ndim != 2:
-            raise ValueError(f"equalizers must be (M, K), got shape {eq.shape}")
-        if peak.shape != (eq.shape[0],):
-            raise ValueError("peak_powers must have shape (M,)")
-        if np.any(peak <= 0):
-            raise ValueError("peak powers must be positive")
-        # Tiny headroom absorbs the round-trip rounding of a peak-power design.
-        power = eq.real**2 + eq.imag**2
-        if np.any(power > peak[:, None] * (1.0 + 1e-9)):
-            raise ValueError("equalizer power exceeds the peak-power budget")
-        eq.setflags(write=False)
-        peak.setflags(write=False)
-        object.__setattr__(self, "equalizers", eq)
-        object.__setattr__(self, "peak_powers", peak)
 
 
 def transmit_active_mask(

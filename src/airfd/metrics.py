@@ -16,7 +16,6 @@ from .transceiver import TransceiverPlan, optimal_postprocessing
 
 __all__ = [
     "CSV_COLUMNS",
-    "BoundConfig",
     "RoundMetrics",
     "a2_coefficient",
     "misalignment_vectors",
@@ -28,35 +27,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundConfig:
-    """Constants of the convergence bound that weight the reported p2
-    objective; reporting-only inputs, never consumed by the transceiver
-    design.
-
-    Attributes:
-        l1: Smoothness constant of the per-device loss gradients.
-        l2: Lipschitz constant of the model's soft-prediction mapping.
-    """
-
-    l1: float = 1.0
-    l2: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("l1", "l2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-def a2_coefficient(bound: BoundConfig, config: LearnerConfig) -> float:
-    """Weight of the squared-error terms: 6 eta0 gamma^2 L2^2 L1."""
-    return (
-        6.0
-        * config.init_lr
-        * config.distill_weight**2
-        * bound.l2**2
-        * bound.l1
-    )
+def a2_coefficient(config: LearnerConfig) -> float:
+    """Weight of the squared-error terms: 6 eta0 gamma^2."""
+    return 6.0 * config.init_lr * config.distill_weight**2
 
 
 def misalignment_vectors(
@@ -73,7 +46,8 @@ def misalignment_vectors(
         sum_j (g_j^k - B_j^k/B^k) q_j^k + sum_j (a_j^k - g_j^k) q_bar_j^k 1,
 
     with effective gains g_j^k = w^H h_j P_j^k / (lambda^k q_hat_j^k) for
-    transmitting devices and 0 for silent ones. Evaluated on the channel given
+    transmitting devices and 0 for silent ones, and the estimator's
+    mean-offset weights a_j^k = B_j^k / B^k. Evaluated on the channel given
     here — pass the true channel to measure what the aggregation actually
     commits, regardless of which estimate the plan was optimized on.
     """
@@ -81,11 +55,9 @@ def misalignment_vectors(
         raise ValueError("knowledge and partition disagree on the device count")
     if channel.num_wds != partition.num_wds:
         raise ValueError("channel and partition disagree on the device count")
-    combined = channel.coefficients @ np.conj(plan.receive.beamformer)  # (M,)
+    combined = channel.coefficients @ np.conj(plan.beamformer)  # (M,)
     active = transmit_active_mask(partition, knowledge.stds)
-    denom = np.where(
-        active, plan.receive.denormalizers[None, :] * knowledge.stds, 1.0
-    )
+    denom = np.where(active, plan.denormalizers[None, :] * knowledge.stds, 1.0)
     gains = np.where(
         active,
         combined[:, None] * plan.transmit.equalizers / denom,
@@ -93,9 +65,7 @@ def misalignment_vectors(
     )  # (M, K)
     weights = partition.class_weights()  # (M, K)
     signal_term = np.einsum("jk,jkd->kd", gains - weights, knowledge.q)
-    offset_coef = np.sum(
-        (plan.receive.offsets - gains) * knowledge.means, axis=0
-    )  # (K,)
+    offset_coef = np.sum((weights - gains) * knowledge.means, axis=0)  # (K,)
     return signal_term + offset_coef[:, None]
 
 
@@ -109,8 +79,7 @@ def phi1(
     norms weighted by each device's class mix B_i^k / B_i."""
     vectors = misalignment_vectors(plan, channel, knowledge, partition)
     norms = np.linalg.norm(vectors, axis=1)  # (K,)
-    mix = partition.counts / partition.per_wd_totals[:, None]  # (M, K)
-    return mix @ norms
+    return partition.class_mix() @ norms
 
 
 def phi2_sq_all(
@@ -127,7 +96,7 @@ def phi2_sq_all(
     beamformer (each of the K slots of a class block contributes sigma_n^2).
     """
     lams = np.asarray(denormalizers, dtype=np.float64)
-    mix = partition.counts / partition.per_wd_totals[:, None]
+    mix = partition.class_mix()
     return (mix * partition.num_classes * noise_variance / lams[None, :] ** 2).sum(
         axis=1
     )
@@ -195,7 +164,7 @@ def p2_objective(
     post = optimal_postprocessing(
         beamformer, channel, knowledge_stds, partition, peak_powers
     )
-    mix = partition.counts / partition.per_wd_totals[:, None]  # (M, K)
+    mix = partition.class_mix()
     k = partition.num_classes
     return float(
         a2

@@ -30,7 +30,8 @@ def substream(seed: int, *tags: str | int) -> np.random.Generator:
     Args:
         seed: Root experiment seed (any Python int ≥ 0).
         tags: Mixed string/int path, e.g. ``("fading", trial, round_index)``.
-            Strings are hashed; ints are used directly (reduced mod 2**32).
+            Strings are hashed; ints in [0, 2**64) are used directly, as
+            two 32-bit words.
 
     Returns:
         A ``numpy.random.Generator`` (PCG64) unique to the (seed, tags) pair
@@ -42,9 +43,9 @@ def substream(seed: int, *tags: str | int) -> np.random.Generator:
             words.extend(_tag_words(tag))
         else:
             value = int(tag)
-            if value < 0:
-                raise ValueError(f"integer tags must be nonnegative, got {value}")
-            # Split into 32-bit words so arbitrarily large indices stay exact.
+            if not 0 <= value < 2**64:
+                raise ValueError(f"integer tags must lie in [0, 2**64), got {value}")
+            # Two 32-bit words hold every such tag exactly.
             words.append(value & 0xFFFFFFFF)
             words.append((value >> 32) & 0xFFFFFFFF)
     sequence = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(words))

@@ -137,7 +137,6 @@ class SdpConvergenceError(RuntimeError):
 class PrincipalEigenpair(NamedTuple):
     value: float
     vector: np.ndarray
-    degenerate: bool
     runner_up: float
 
 
@@ -165,10 +164,9 @@ def extract_principal_eigenpair(w: np.ndarray) -> PrincipalEigenpair:
     with the second-largest eigenvalue as `runner_up` (0.0 for a 1 x 1 input).
 
     The eigenvector's global phase is fixed deterministically: the first entry
-    of largest magnitude is made real and nonnegative. The degenerate flag is
-    set when the top two eigenvalues are numerically indistinguishable (an
-    isotropic or near-isotropic matrix), in which case the returned vector is
-    an arbitrary member of the top eigenspace.
+    of largest magnitude is made real and nonnegative. When the top two
+    eigenvalues coincide (an isotropic or near-isotropic matrix), the
+    returned vector is an arbitrary member of the top eigenspace.
     """
     w = np.asarray(w, dtype=np.complex128)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -182,10 +180,7 @@ def extract_principal_eigenpair(w: np.ndarray) -> PrincipalEigenpair:
     value = float(values[-1])
     vector = canonical_phase(vectors[:, -1])
     runner_up = float(values[-2]) if w.shape[0] > 1 else 0.0
-    degenerate = w.shape[0] > 1 and runner_up >= value * (1.0 - 1e-6)
-    return PrincipalEigenpair(
-        value=value, vector=vector, degenerate=degenerate, runner_up=runner_up
-    )
+    return PrincipalEigenpair(value=value, vector=vector, runner_up=runner_up)
 
 
 def _psd_step_limit(v: np.ndarray, dv: np.ndarray) -> float:

@@ -1,7 +1,9 @@
-"""Per-round uplink planning: the relaxed receive-beamformer design, its
-closed-form completion (transmit equalizers, denormalizers, and mean-offset
-weights), and two baselines — uniform combining with peak-power uploads, and a
-fully orthogonal per-device uplink combined digitally at the server.
+"""Per-round uplink planning: the plan record (transmit equalizers, receive
+beamformer and denormalizers), the relaxed receive-beamformer design, its
+closed-form completion, and two baselines — uniform combining with peak-power
+uploads, and a fully orthogonal per-device uplink combined digitally at the
+server. The estimator's mean-offset weights are the partition's aggregation
+weights, so a plan does not store them.
 
 The planning channel may be an imperfect estimate; the resulting plan is
 applied to whatever true channel the aggregation step actually sees.
@@ -14,14 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .airagg import ReceiverPlan
 from .channel import ChannelState
-from .knowledge import (
-    DatasetPartition,
-    KnowledgeSet,
-    TransmitPlan,
-    transmit_active_mask,
-)
+from .knowledge import DatasetPartition, KnowledgeSet, transmit_active_mask
 from .sdp_solver import (
     SdpProblem,
     canonical_phase,
@@ -30,11 +26,11 @@ from .sdp_solver import (
 )
 
 __all__ = [
-    "PLAN_TAGS",
     "PlanDegeneracyError",
     "PlanDiagnostics",
     "PostprocessingResult",
     "TransceiverPlan",
+    "TransmitPlan",
     "build_relaxation",
     "relaxation_objective",
     "optimal_postprocessing",
@@ -42,8 +38,6 @@ __all__ = [
     "uniform_baseline",
     "orthogonal_receive",
 ]
-
-PLAN_TAGS = ("optimal", "uniform")
 
 # The polish holds a constraint as active when its gain at the principal
 # eigenvector lies within this relative margin of its class minimum. The
@@ -78,7 +72,6 @@ class PostprocessingResult(NamedTuple):
 
     Attributes:
         denormalizers: (K,) positive per-class scalars lambda^k.
-        offsets: (M, K) mean-offset weights a_i^k = B_i^k / B^k.
         straggler_indices: (K,) index of the device attaining each class's
             bottleneck minimum: the lowest index whose expression lies within
             a relative _TIE_MARGIN of the minimum.
@@ -87,7 +80,6 @@ class PostprocessingResult(NamedTuple):
     """
 
     denormalizers: np.ndarray
-    offsets: np.ndarray
     straggler_indices: np.ndarray
     equalizers: np.ndarray
 
@@ -105,57 +97,91 @@ class PlanDiagnostics:
             relaxation (a lower bound on what any unit beamformer achieves);
             for a fixed beamformer, the value that beamformer achieves.
         solver_iterations: Interior-point iterations spent (0 when fixed).
-        degenerate_rank: True when the top two eigenvalues were too close for
-            a well-separated principal direction.
     """
 
     eig1: float
     eig2: float
     relaxation_objective: float
     solver_iterations: int
-    degenerate_rank: bool
+
+
+@dataclass(frozen=True)
+class TransmitPlan:
+    """Per-device, per-class complex equalizers under peak-power limits.
+
+    Attributes:
+        equalizers: (M, K) complex; equalizers[i, k] scales device i's
+            normalized class-k block. Squared magnitude = transmit power.
+        peak_powers: (M,) positive per-device power budgets (watts).
+    """
+
+    equalizers: np.ndarray
+    peak_powers: np.ndarray
+
+    def __post_init__(self) -> None:
+        # Copies, so that freezing them leaves the caller's arrays writeable.
+        eq = np.array(self.equalizers, dtype=np.complex128)
+        peak = np.array(self.peak_powers, dtype=np.float64)
+        if eq.ndim != 2:
+            raise ValueError(f"equalizers must be (M, K), got shape {eq.shape}")
+        if peak.shape != (eq.shape[0],):
+            raise ValueError("peak_powers must have shape (M,)")
+        if np.any(peak <= 0):
+            raise ValueError("peak powers must be positive")
+        # Tiny headroom absorbs the round-trip rounding of a peak-power design.
+        power = eq.real**2 + eq.imag**2
+        if np.any(power > peak[:, None] * (1.0 + 1e-9)):
+            raise ValueError("equalizer power exceeds the peak-power budget")
+        eq.setflags(write=False)
+        peak.setflags(write=False)
+        object.__setattr__(self, "equalizers", eq)
+        object.__setattr__(self, "peak_powers", peak)
 
 
 @dataclass(frozen=True)
 class TransceiverPlan:
-    """A complete uplink plan: device-side equalizers plus server-side
-    combining and estimation scalars.
+    """A complete uplink plan: the devices' transmit equalizers, the server's
+    combining vector, and the denormalizers of its estimator.
 
     Attributes:
         transmit: Per-device, per-class complex equalizers under peak power.
-        receive: Beamformer, denormalizers, and mean-offset weights.
-        tag: One of PLAN_TAGS recording which policy produced the plan.
+        beamformer: Length-N complex combining vector w, unit 2-norm.
+        denormalizers: (K,) positive scalars lambda^k; combined block k is
+            divided by denormalizers[k] before the mean offsets are added back.
         straggler_indices: (K,) bottleneck device per class; -1 where the
             policy has no bottleneck structure.
         diagnostics: Solver-side facts (eigenvalues, objective, iterations).
     """
 
     transmit: TransmitPlan
-    receive: ReceiverPlan
-    tag: str
+    beamformer: np.ndarray
+    denormalizers: np.ndarray
     straggler_indices: np.ndarray
     diagnostics: PlanDiagnostics
 
     def __post_init__(self) -> None:
-        if self.tag not in PLAN_TAGS:
-            raise ValueError(f"tag must be one of {PLAN_TAGS}, got {self.tag!r}")
+        # Copies, so that freezing them leaves the caller's arrays writeable.
+        w = np.array(self.beamformer, dtype=np.complex128)
+        lam = np.array(self.denormalizers, dtype=np.float64)
+        idx = np.array(self.straggler_indices, dtype=np.int64)
         m, k = self.transmit.equalizers.shape
-        if self.receive.offsets.shape != (m, k):
-            raise ValueError(
-                "transmit equalizers and receive offsets disagree on (M, K)"
-            )
-        idx = np.asarray(self.straggler_indices, dtype=np.int64)
+        if w.ndim != 1:
+            raise ValueError("beamformer must be a vector")
+        if abs(np.linalg.norm(w) - 1.0) > 1e-10:
+            raise ValueError("beamformer must have unit 2-norm")
+        if lam.shape != (k,) or np.any(lam <= 0):
+            raise ValueError(f"denormalizers must be ({k},) positive scalars")
         if idx.shape != (k,):
             raise ValueError(f"straggler_indices must have shape ({k},)")
         if np.any(idx < -1) or np.any(idx >= m):
             raise ValueError("straggler_indices must lie in [-1, M)")
-        idx = idx.copy()
-        idx.setflags(write=False)
-        object.__setattr__(self, "straggler_indices", idx)
-
-    @property
-    def beamformer(self) -> np.ndarray:
-        return self.receive.beamformer
+        for name, arr in (
+            ("beamformer", w),
+            ("denormalizers", lam),
+            ("straggler_indices", idx),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def _scaled_channels(
@@ -204,9 +230,7 @@ def build_relaxation(
         raise ValueError("peak_powers must be (M,) positive")
 
     active, vecs = _scaled_channels(channel, stds, partition, peaks)
-    class_weights = (
-        partition.counts / partition.per_wd_totals[:, None]
-    ).sum(axis=0) / partition.class_totals
+    class_weights = partition.class_mix().sum(axis=0) / partition.class_totals
     return SdpProblem(
         dim=channel.num_antennas,
         class_weights=class_weights,
@@ -367,8 +391,7 @@ def optimal_postprocessing(
         lambda^k = min_i B^k |w^H v_i^k|
                  = min_i B^k |w^H h_i| sqrt(P_i) / (B_i^k q_hat_i^k),
 
-    attained by the class's bottleneck device, and the mean-offset weights
-    are the aggregation weights a_i^k = B_i^k / B^k. Devices whose
+    attained by the class's bottleneck device. Devices whose
     expressions agree with the minimum to a relative _TIE_MARGIN count as
     tied, and the lowest index among them is reported as the straggler, so
     the label does not depend on roundoff. The equalizers invert the
@@ -407,7 +430,6 @@ def optimal_postprocessing(
     )
     return PostprocessingResult(
         denormalizers=denormalizers,
-        offsets=partition.class_weights(),
         straggler_indices=np.argmax(tied, axis=0).astype(np.int64),
         equalizers=np.where(active, numer / denom, 0.0 + 0.0j),
     )
@@ -418,17 +440,15 @@ def optimize_round(
     knowledge_stds: np.ndarray,
     partition: DatasetPartition,
     peak_powers: np.ndarray,
-    tol: float = 1e-8,
-    max_iterations: int = 200,
 ) -> TransceiverPlan:
     """Full per-round plan: solve the relaxed beamformer problem, recover the
     combining vector from the principal eigenvector, polish it on the active
     bottleneck set, and complete it with the closed-form scalars and
     equalizers.
 
-    Accuracy of the beamformer: the interior-point method stops at a relative
-    gap of `tol`, where its principal eigenvector lies about sqrt(tol) from
-    the optimum. When the relaxation is tight (rank-one solution), the polish
+    Accuracy of the beamformer: the interior-point method stops at its
+    default relative gap tol = 1e-8, where its principal eigenvector lies
+    about sqrt(tol) from the optimum. When the relaxation is tight (rank-one solution), the polish
     moves it to the exact max-min optimum, to roundoff (~1e-15 in w), so the
     plan does not depend on how the solver happened to stop. When the
     relaxation is not tight, the polish is accepted only where it reaches a
@@ -438,31 +458,26 @@ def optimize_round(
     The diagnostics (eigenvalues, objective, iterations) describe the
     relaxation's solution, not the polish.
 
-    Deterministic given inputs and tolerance. Solver non-convergence
-    propagates; a near-degenerate principal direction is flagged in the
-    diagnostics rather than raised.
+    Deterministic given its inputs. Solver non-convergence propagates; how
+    well the principal direction is separated shows in the diagnostics'
+    eig1 and eig2.
     """
     peaks = np.asarray(peak_powers, dtype=np.float64)
     problem = build_relaxation(channel, knowledge_stds, partition, peaks)
-    solution = solve(problem, tol=tol, max_iterations=max_iterations)
+    solution = solve(problem)
     pair = extract_principal_eigenpair(solution.W)
     w = _polish_beamformer(pair.vector, problem)
     post = optimal_postprocessing(w, channel, knowledge_stds, partition, peaks)
     return TransceiverPlan(
         transmit=TransmitPlan(equalizers=post.equalizers, peak_powers=peaks),
-        receive=ReceiverPlan(
-            beamformer=w,
-            denormalizers=post.denormalizers,
-            offsets=post.offsets,
-        ),
-        tag="optimal",
+        beamformer=w,
+        denormalizers=post.denormalizers,
         straggler_indices=post.straggler_indices,
         diagnostics=PlanDiagnostics(
             eig1=pair.value,
             eig2=pair.runner_up,
             relaxation_objective=float(solution.objective),
             solver_iterations=solution.iterations,
-            degenerate_rank=pair.degenerate,
         ),
     )
 
@@ -498,20 +513,16 @@ def uniform_baseline(
     )
     finite = np.where(active, expr.T, 0.0)
     denormalizers = finite.sum(axis=0) / active.sum(axis=0)
-    offsets = partition.class_weights()
     return TransceiverPlan(
         transmit=TransmitPlan(equalizers=equalizers, peak_powers=peaks),
-        receive=ReceiverPlan(
-            beamformer=w, denormalizers=denormalizers, offsets=offsets
-        ),
-        tag="uniform",
+        beamformer=w,
+        denormalizers=denormalizers,
         straggler_indices=np.full(partition.num_classes, -1, dtype=np.int64),
         diagnostics=PlanDiagnostics(
             eig1=1.0,
             eig2=0.0,
             relaxation_objective=relaxation_objective(w, problem),
             solver_iterations=0,
-            degenerate_rank=False,
         ),
     )
 

@@ -204,10 +204,10 @@ def test_c05_noise_error_formula_matches_monte_carlo():
             num_antennas=int(rng.integers(2, 5)),
         )
         plan = optimize_round(channel, knowledge.stds, part, peaks)
-        analytic = phi2_sq_all(plan.receive.denormalizers, part, noise_variance)[0]
+        analytic = phi2_sq_all(plan.denormalizers, part, noise_variance)[0]
         simulated = phi2_sq_monte_carlo(
             plan.beamformer,
-            plan.receive.denormalizers,
+            plan.denormalizers,
             part.counts[0],
             noise_variance,
             substream(0, "noise-check-draws", index),

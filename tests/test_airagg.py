@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from airfd.airagg import ReceiverPlan, aggregate_over_air, superpose_and_combine
+from airfd.airagg import aggregate_over_air, superpose_and_combine
 from airfd.channel import ChannelState
-from airfd.knowledge import DatasetPartition, KnowledgeSet, TransmitPlan
+from airfd.knowledge import DatasetPartition, KnowledgeSet
 from airfd.rng import substream
-from airfd.transceiver import PlanDiagnostics, TransceiverPlan
+from airfd.transceiver import PlanDiagnostics, TransceiverPlan, TransmitPlan
 
 
 def random_unit_vector(rng, n):
@@ -19,7 +19,7 @@ def random_complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def make_plan(equalizers, beamformer, denormalizers, offsets):
+def make_plan(equalizers, beamformer, denormalizers):
     """A hand-made transceiver plan (peak powers just cover the equalizers)."""
     equalizers = np.asarray(equalizers, dtype=complex)
     m, k = equalizers.shape
@@ -28,12 +28,10 @@ def make_plan(equalizers, beamformer, denormalizers, offsets):
             equalizers=equalizers,
             peak_powers=np.maximum(np.max(np.abs(equalizers), axis=1) ** 2, 1.0),
         ),
-        receive=ReceiverPlan(
-            beamformer=beamformer, denormalizers=denormalizers, offsets=offsets
-        ),
-        tag="uniform",
+        beamformer=beamformer,
+        denormalizers=denormalizers,
         straggler_indices=np.full(k, -1),
-        diagnostics=PlanDiagnostics(1.0, 0.0, 0.0, 0, False),
+        diagnostics=PlanDiagnostics(1.0, 0.0, 0.0, 0),
     )
 
 
@@ -120,7 +118,7 @@ class TestEstimateGlobal:
         counts = rng.integers(1, 10, size=(m, k))
         weights = counts / counts.sum(axis=0)
         knowledge = KnowledgeSet(q=rng.dirichlet(np.ones(k), size=(m, k)))
-        plan = make_plan(np.zeros((m, k)), w, np.array([2.0, 3.0]), weights)
+        plan = make_plan(np.zeros((m, k)), w, np.array([2.0, 3.0]))
         est = aggregate_over_air(
             knowledge,
             DatasetPartition(counts=counts),
@@ -148,11 +146,11 @@ class TestEstimateGlobal:
         eq = np.array([[0.5, 1.0j], [0.25, -0.5]])
         noise = np.array([0.1, -0.2j, 0.3, 0.05 + 0.05j])
         lam = np.array([2.0, 4.0])
-        offsets = np.array([[0.25, 0.5], [0.75, 0.5]])
+        # Offset weights a_i^k = B_i^k / B^k: [[0.25, 0.5], [0.75, 0.5]].
         est = aggregate_over_air(
             KnowledgeSet(q=q),
             DatasetPartition(counts=np.array([[1, 2], [3, 2]])),
-            make_plan(eq, np.array([1.0 + 0j]), lam, offsets),
+            make_plan(eq, np.array([1.0 + 0j]), lam),
             ChannelState(coefficients=h[:, None]),
             noise[:, None],
         )
@@ -187,7 +185,6 @@ class TestEstimateGlobal:
             0.3 * random_complex(rng, (m, k)),
             random_unit_vector(rng, n),
             rng.uniform(0.5, 2.0, k),
-            part.class_weights(),
         )
         noise = 0.01 * random_complex(rng, (k * k, n))
         est = aggregate_over_air(knowledge, part, plan, channel, noise)
@@ -204,9 +201,9 @@ class TestEstimateGlobal:
         combined = superpose_and_combine(
             np.stack(signals), channel, plan.beamformer, noise
         )
-        offset = np.sum(plan.receive.offsets * knowledge.means, axis=0)
+        offset = np.sum(part.class_weights() * knowledge.means, axis=0)
         expected = (
-            combined.reshape(k, k) / plan.receive.denormalizers[:, None]
+            combined.reshape(k, k) / plan.denormalizers[:, None]
             + offset[:, None]
         )
         assert np.array_equal(est, expected)
@@ -214,7 +211,7 @@ class TestEstimateGlobal:
     def test_plan_of_other_shape_rejected(self):
         rng = substream(25, "est-shape")
         knowledge = KnowledgeSet(q=rng.dirichlet(np.ones(2), size=(2, 2)))
-        plan = make_plan(np.zeros((3, 2)), np.ones(1), np.ones(2), np.zeros((3, 2)))
+        plan = make_plan(np.zeros((3, 2)), np.ones(1), np.ones(2))
         with pytest.raises(ValueError, match="disagree"):
             aggregate_over_air(
                 knowledge,
@@ -222,18 +219,4 @@ class TestEstimateGlobal:
                 plan,
                 ChannelState(coefficients=np.ones((2, 1))),
                 np.zeros((4, 1)),
-            )
-
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            ReceiverPlan(
-                beamformer=np.array([1.0 + 0j]),
-                denormalizers=np.array([0.0]),
-                offsets=np.zeros((1, 1)),
-            )
-        with pytest.raises(ValueError):
-            ReceiverPlan(
-                beamformer=np.array([0.7 + 0j]),
-                denormalizers=np.array([1.0]),
-                offsets=np.zeros((1, 1)),
             )

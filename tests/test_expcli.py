@@ -22,7 +22,8 @@ from airfd.expcli import (
     run_experiment,
     synthesize_dataset,
 )
-from airfd.knowledge import global_target
+from airfd.channel import ChannelState
+from airfd.knowledge import DatasetPartition, global_target
 from airfd.learner import (
     Architecture,
     LearnerConfig,
@@ -266,8 +267,9 @@ def test_config_file_unknown_keys_are_ignored(tmp_path):
     path = tmp_path / "old.ini"
     path.write_text("[bound]\nl1 = 2.0\nretired = 5.0\n", encoding="utf-8")
     config = config_from_parser(load_config_file(str(path)))
-    assert config.bound.l1 == 2.0
-    assert "retired" not in dump_config(config)
+    assert config == config_from_parser(default_parser())
+    dumped = dump_config(config)
+    assert "l1" not in dumped and "retired" not in dumped
 
 
 @pytest.mark.parametrize(
@@ -399,6 +401,28 @@ def test_benchmark_rebinding_points_are_called_by_name(tmp_path, monkeypatch):
     result = run_experiment(config_from_parser(full_small_parser(str(tmp_path))))
     assert not result.aborts
     assert calls == expected
+
+
+@pytest.mark.parametrize("planner", ["optimize_round", "uniform_baseline"])
+def test_benchmark_reads_of_a_plan_resolve(planner):
+    """The benchmark reads these fields of the plans the driver makes: the
+    equalizers and the beamformer (plan digests, the peak-power gate) and
+    the top two eigenvalues (the rank-one share)."""
+    rng = substream(3, "plan-fields")
+    m, k, n = 4, 3, 2
+    parts = rng.standard_normal((m, n, 2))
+    plan = getattr(expcli, planner)(
+        ChannelState(coefficients=parts[..., 0] + 1j * parts[..., 1]),
+        rng.uniform(0.05, 0.3, size=(m, k)),
+        DatasetPartition(counts=rng.integers(5, 40, size=(m, k))),
+        np.ones(m),
+    )
+    assert plan.transmit.equalizers.shape == (m, k)
+    assert plan.transmit.equalizers.dtype == np.complex128
+    assert plan.beamformer.shape == (n,)
+    assert plan.beamformer.dtype == np.complex128
+    assert isinstance(plan.diagnostics.eig1, float)
+    assert isinstance(plan.diagnostics.eig2, float)
 
 
 def test_each_methods_rows_do_not_depend_on_the_other_methods(tmp_path):

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from airfd.airagg import ReceiverPlan, aggregate_over_air
+from airfd.airagg import aggregate_over_air
 from airfd.channel import ChannelState
 from airfd.knowledge import (
     Q_HAT_FLOOR,
     DatasetPartition,
     KnowledgeSet,
-    TransmitPlan,
     class_gather,
     global_target,
     knowledge_vectors,
@@ -18,7 +17,7 @@ from airfd.knowledge import (
 from airfd.oracles import local_knowledge
 from airfd.rng import substream
 from airfd.sdp_solver import SdpProblem
-from airfd.transceiver import PlanDiagnostics, TransceiverPlan
+from airfd.transceiver import PlanDiagnostics, TransceiverPlan, TransmitPlan
 
 
 def random_probability_vectors(rng, count, k):
@@ -37,27 +36,28 @@ def full_partition(m, k):
 def transmit_signal(q, equalizers):
     """The transmit signal aggregate_over_air builds for one device, read
     through a pass-through uplink (one antenna, unit gain and denormalizers,
-    zero offsets and noise) and returned as its (K, K) class blocks."""
+    zero noise) and returned as its (K, K) class blocks: the mean offsets the
+    estimate adds back, the device's own means, are subtracted."""
     k = q.shape[0]
+    knowledge = KnowledgeSet(q=q[None])
     plan = TransceiverPlan(
         transmit=TransmitPlan(
             equalizers=np.asarray(equalizers)[None, :],
             peak_powers=np.array([max(np.max(np.abs(equalizers)) ** 2, 1.0)]),
         ),
-        receive=ReceiverPlan(
-            beamformer=np.ones(1), denormalizers=np.ones(k), offsets=np.zeros((1, k))
-        ),
-        tag="uniform",
+        beamformer=np.ones(1),
+        denormalizers=np.ones(k),
         straggler_indices=np.full(k, -1),
-        diagnostics=PlanDiagnostics(1.0, 0.0, 0.0, 0, False),
+        diagnostics=PlanDiagnostics(1.0, 0.0, 0.0, 0),
     )
-    return aggregate_over_air(
-        KnowledgeSet(q=q[None]),
+    estimate = aggregate_over_air(
+        knowledge,
         full_partition(1, k),
         plan,
         ChannelState(coefficients=np.ones((1, 1))),
         np.zeros((k * k, 1)),
     )
+    return estimate - knowledge.means[0][:, None]
 
 
 class TestLocalKnowledge:
@@ -334,6 +334,7 @@ class TestPartitionAndPlanTypes:
         assert np.array_equal(partition.active_mask, counts > 0)
         weights = partition.class_weights()
         assert np.allclose(weights.sum(axis=0), 1.0)
+        assert np.array_equal(partition.class_mix(), counts / [[5], [5]])
 
     def test_partition_rejects_empty_class_or_device(self):
         with pytest.raises(ValueError):
@@ -358,10 +359,14 @@ class TestPartitionAndPlanTypes:
         TransmitPlan: lambda: dict(
             equalizers=np.full((2, 3), 0.5 + 0.5j), peak_powers=np.ones(2)
         ),
-        ReceiverPlan: lambda: dict(
+        TransceiverPlan: lambda: dict(
+            transmit=TransmitPlan(
+                equalizers=np.full((2, 3), 0.5 + 0.5j), peak_powers=np.ones(2)
+            ),
             beamformer=np.array([1.0 + 0.0j, 0.0 + 0.0j]),
             denormalizers=np.ones(3),
-            offsets=np.full((2, 3), 0.5),
+            straggler_indices=np.array([0, 1, -1], dtype=np.int64),
+            diagnostics=PlanDiagnostics(1.0, 0.0, 0.0, 0),
         ),
         SdpProblem: lambda: dict(
             dim=2,
@@ -377,9 +382,9 @@ class TestPartitionAndPlanTypes:
             (KnowledgeSet, "q"),
             (TransmitPlan, "equalizers"),
             (TransmitPlan, "peak_powers"),
-            (ReceiverPlan, "beamformer"),
-            (ReceiverPlan, "denormalizers"),
-            (ReceiverPlan, "offsets"),
+            (TransceiverPlan, "beamformer"),
+            (TransceiverPlan, "denormalizers"),
+            (TransceiverPlan, "straggler_indices"),
             (SdpProblem, "class_weights"),
             (SdpProblem, "constraint_vectors"),
             (SdpProblem, "active_mask"),

@@ -4,13 +4,11 @@ format."""
 import numpy as np
 import pytest
 
-from airfd.airagg import ReceiverPlan
 from airfd.channel import ChannelState, perturb_csi
-from airfd.knowledge import DatasetPartition, KnowledgeSet, TransmitPlan
+from airfd.knowledge import DatasetPartition, KnowledgeSet
 from airfd.learner import LearnerConfig
 from airfd.metrics import (
     CSV_COLUMNS,
-    BoundConfig,
     RoundMetrics,
     a2_coefficient,
     csv_header,
@@ -23,6 +21,7 @@ from airfd.metrics import (
 from airfd.transceiver import (
     PlanDiagnostics,
     TransceiverPlan,
+    TransmitPlan,
     optimal_postprocessing,
     optimize_round,
     uniform_baseline,
@@ -59,18 +58,16 @@ def custom_plan(rng, channel, knowledge, partition, peaks):
     m, k = partition.counts.shape
     eq = 0.1 * (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)))
     lams = rng.uniform(0.5, 2.0, k)
-    offsets = partition.counts / partition.class_totals[None, :]
     return TransceiverPlan(
         transmit=TransmitPlan(equalizers=eq, peak_powers=peaks),
-        receive=ReceiverPlan(beamformer=w, denormalizers=lams, offsets=offsets),
-        tag="uniform",
+        beamformer=w,
+        denormalizers=lams,
         straggler_indices=np.full(k, -1, dtype=np.int64),
         diagnostics=PlanDiagnostics(
             eig1=1.0,
             eig2=0.0,
             relaxation_objective=0.0,
             solver_iterations=0,
-            degenerate_rank=False,
         ),
     )
 
@@ -78,7 +75,7 @@ def custom_plan(rng, channel, knowledge, partition, peaks):
 def phi1_loop_oracle(plan, channel, knowledge, partition):
     """Scalar-by-scalar evaluation of the misalignment error."""
     m, k = partition.counts.shape
-    w = plan.receive.beamformer
+    w = plan.beamformer
     result = np.zeros(m)
     for kk in range(k):
         vec = np.zeros(k, dtype=np.complex128)
@@ -88,14 +85,12 @@ def phi1_loop_oracle(plan, channel, knowledge, partition):
                 g = (
                     (np.conj(w) @ channel.coefficients[j])
                     * plan.transmit.equalizers[j, kk]
-                    / (plan.receive.denormalizers[kk] * knowledge.stds[j, kk])
+                    / (plan.denormalizers[kk] * knowledge.stds[j, kk])
                 )
             else:
                 g = 0.0
             vec += (g - weight) * knowledge.q[j, kk]
-            vec += (plan.receive.offsets[j, kk] - g) * knowledge.means[
-                j, kk
-            ] * np.ones(k)
+            vec += (weight - g) * knowledge.means[j, kk] * np.ones(k)
         norm = np.linalg.norm(vec)
         for i in range(m):
             result[i] += partition.counts[i, kk] / partition.per_wd_totals[i] * norm
@@ -103,16 +98,9 @@ def phi1_loop_oracle(plan, channel, knowledge, partition):
 
 
 class TestBoundCoefficients:
-    def test_positive_required(self):
-        with pytest.raises(ValueError, match="l1"):
-            BoundConfig(l1=0.0)
-
     def test_formulas(self):
-        bound = BoundConfig(l1=3.0, l2=2.0)
         config = LearnerConfig(distill_weight=0.5, init_lr=0.01, rounds=10)
-        assert a2_coefficient(bound, config) == pytest.approx(
-            6.0 * 0.01 * 0.25 * 4.0 * 3.0, rel=1e-15
-        )
+        assert a2_coefficient(config) == pytest.approx(6.0 * 0.01 * 0.25, rel=1e-15)
 
 
 class TestPhi1:

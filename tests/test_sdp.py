@@ -61,7 +61,7 @@ class TestPrincipalEigenpair:
         assert isinstance(pair, PrincipalEigenpair)
         assert abs(pair.value - 1.0) < 1e-10
         assert abs(abs(np.vdot(pair.vector, v)) - 1.0) < 1e-10
-        assert not pair.degenerate
+        assert abs(pair.runner_up) < 1e-10
 
     def test_phase_convention(self):
         rng = np.random.default_rng(12)
@@ -82,7 +82,7 @@ class TestPrincipalEigenpair:
 
     def test_isotropic_flags_degenerate(self):
         pair = extract_principal_eigenpair(np.eye(4) / 4.0)
-        assert pair.degenerate
+        assert pair.runner_up == pair.value
 
     def test_rejects_non_psd(self):
         with pytest.raises(ValueError):

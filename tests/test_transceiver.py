@@ -4,12 +4,11 @@ optimized round plan, and the uniform/orthogonal baselines."""
 import numpy as np
 import pytest
 
-from airfd.airagg import ReceiverPlan, aggregate_over_air
+from airfd.airagg import aggregate_over_air
 from airfd.channel import ChannelState
 from airfd.knowledge import (
     DatasetPartition,
     KnowledgeSet,
-    TransmitPlan,
     global_target,
     transmit_active_mask,
 )
@@ -18,6 +17,7 @@ from airfd.transceiver import (
     PlanDegeneracyError,
     PlanDiagnostics,
     TransceiverPlan,
+    TransmitPlan,
     build_relaxation,
     optimal_postprocessing,
     optimize_round,
@@ -180,7 +180,6 @@ class TestOptimalPostprocessing:
         gain = abs(np.conj(w) @ channel.coefficients[0])
         expected = gain * np.sqrt(peaks[0]) / knowledge.stds[0]
         np.testing.assert_allclose(post.denormalizers, expected, rtol=1e-12)
-        np.testing.assert_allclose(post.offsets, np.ones((1, 2)))
         assert post.straggler_indices.tolist() == [0, 0]
 
     def test_two_identical_wds(self):
@@ -201,7 +200,6 @@ class TestOptimalPostprocessing:
             / (partition.counts[0] * knowledge.stds[0])
         )
         np.testing.assert_allclose(post.denormalizers, expected, rtol=1e-12)
-        np.testing.assert_allclose(post.offsets, np.full((2, 2), 0.5))
         assert post.straggler_indices.tolist() == [0, 0]  # tie -> lowest index
 
     def test_matches_linear_scan(self):
@@ -304,7 +302,6 @@ class TestOptimizeRound:
         h = channel.coefficients[0]
         alignment = abs(np.conj(plan.beamformer) @ h) / np.linalg.norm(h)
         assert alignment >= 1.0 - 1e-6
-        assert plan.tag == "optimal"
         assert plan.diagnostics.eig1 >= 0.999
 
     def test_single_antenna_trivial_combining(self):
@@ -320,7 +317,7 @@ class TestOptimizeRound:
             np.array([1.0 + 0.0j]), channel, knowledge.stds, partition, peaks
         )
         np.testing.assert_allclose(
-            plan.receive.denormalizers, post.denormalizers, rtol=1e-8
+            plan.denormalizers, post.denormalizers, rtol=1e-8
         )
 
     def test_dominates_random_search(self):
@@ -364,7 +361,7 @@ class TestOptimizeRound:
         assert np.array_equal(plan_a.beamformer, plan_b.beamformer)
         assert np.array_equal(plan_a.transmit.equalizers, plan_b.transmit.equalizers)
         assert np.array_equal(
-            plan_a.receive.denormalizers, plan_b.receive.denormalizers
+            plan_a.denormalizers, plan_b.denormalizers
         )
         assert np.array_equal(plan_a.straggler_indices, plan_b.straggler_indices)
         assert plan_a.diagnostics == plan_b.diagnostics
@@ -380,8 +377,8 @@ class TestOptimizeRound:
         rotated = ChannelState(coefficients=channel.coefficients * phases[:, None])
         plan_rot = optimize_round(rotated, knowledge.stds, partition, peaks)
         np.testing.assert_allclose(
-            plan_rot.receive.denormalizers,
-            plan.receive.denormalizers,
+            plan_rot.denormalizers,
+            plan.denormalizers,
             rtol=1e-8,
         )
         np.testing.assert_allclose(
@@ -443,7 +440,6 @@ class TestOptimizeRound:
         plan = optimize_round(channel, knowledge.stds, partition, peaks)
         assert plan.diagnostics.eig1 >= 0.99
         assert plan.diagnostics.eig2 <= 1e-3
-        assert not plan.diagnostics.degenerate_rank
         assert plan.diagnostics.solver_iterations < 200
 
 
@@ -457,7 +453,6 @@ class TestUniformBaseline:
         uni = uniform_baseline(channel, knowledge.stds, partition, peaks)
         opt = optimize_round(channel, knowledge.stds, partition, peaks)
         np.testing.assert_allclose(uni.beamformer, opt.beamformer, atol=1e-9)
-        assert uni.tag == "uniform"
         assert np.all(uni.straggler_indices == -1)
 
     def test_symmetric_instance_effective_gains_are_weights(self):
@@ -472,7 +467,7 @@ class TestUniformBaseline:
         gains = (
             combined[:, None]
             * plan.transmit.equalizers
-            / (plan.receive.denormalizers[None, :] * knowledge.stds)
+            / (plan.denormalizers[None, :] * knowledge.stds)
         )
         np.testing.assert_allclose(gains, np.full((2, 2), 0.5), rtol=1e-12)
 
@@ -532,12 +527,10 @@ class TestOrthogonalBaseline:
         noise = rng.standard_normal((k * k, n)) + 1j * rng.standard_normal((k * k, n))
         plan = TransceiverPlan(
             transmit=TransmitPlan(equalizers=post.equalizers, peak_powers=peaks),
-            receive=ReceiverPlan(
-                beamformer=w, denormalizers=post.denormalizers, offsets=post.offsets
-            ),
-            tag="uniform",
+            beamformer=w,
+            denormalizers=post.denormalizers,
             straggler_indices=post.straggler_indices,
-            diagnostics=PlanDiagnostics(1.0, 0.0, 0.0, 0, False),
+            diagnostics=PlanDiagnostics(1.0, 0.0, 0.0, 0),
         )
         est_air = aggregate_over_air(knowledge, partition, plan, channel, noise)
         est_orth = orthogonal_receive(
@@ -599,24 +592,27 @@ class TestPlanTypeAndDump:
         knowledge = random_knowledge(rng, 3, 2)
         return optimize_round(channel, knowledge.stds, partition, np.ones(3))
 
-    def test_bad_tag_rejected(self):
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("denormalizers", np.array([0.0, 1.0]), "denormalizers"),
+            ("denormalizers", np.ones(3), "denormalizers"),
+            ("beamformer", np.array([0.7 + 0j, 0.0]), "unit"),
+            ("beamformer", np.eye(2, dtype=complex), "vector"),
+            ("straggler_indices", np.array([0]), "straggler"),
+            ("straggler_indices", np.array([3, 0]), "straggler"),
+            ("straggler_indices", np.array([-2, 0]), "straggler"),
+        ],
+    )
+    def test_bad_fields_rejected(self, field, value, match):
         plan = self.build_plan()
-        with pytest.raises(ValueError, match="tag"):
-            TransceiverPlan(
-                transmit=plan.transmit,
-                receive=plan.receive,
-                tag="bogus",
-                straggler_indices=plan.straggler_indices,
-                diagnostics=plan.diagnostics,
-            )
-
-    def test_bad_straggler_shape_rejected(self):
-        plan = self.build_plan()
-        with pytest.raises(ValueError, match="straggler"):
-            TransceiverPlan(
-                transmit=plan.transmit,
-                receive=plan.receive,
-                tag="optimal",
-                straggler_indices=np.array([0]),
-                diagnostics=plan.diagnostics,
-            )
+        fields = dict(
+            transmit=plan.transmit,
+            beamformer=plan.beamformer,
+            denormalizers=plan.denormalizers,
+            straggler_indices=plan.straggler_indices,
+            diagnostics=plan.diagnostics,
+        )
+        fields[field] = value
+        with pytest.raises(ValueError, match=match):
+            TransceiverPlan(**fields)
