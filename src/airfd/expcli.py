@@ -24,7 +24,7 @@ import configparser
 import io
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -110,7 +110,7 @@ class DatasetSpec:
     feature_dim: int
     num_classes: int
     separation: float
-    test_samples: int = 500
+    test_samples: int
 
     def __post_init__(self) -> None:
         if self.num_classes < 2:
@@ -292,9 +292,9 @@ class ExperimentConfig:
     trials: int
     seed: int
     output_dir: str
-    hidden_dim: int = 32
-    peak_power: float = 1e-3
-    eval_every: int = 1
+    hidden_dim: int
+    peak_power: float
+    eval_every: int
 
     def __post_init__(self) -> None:
         if self.partition_mode not in ("iid", "dirichlet"):
@@ -320,6 +320,8 @@ class ExperimentConfig:
             raise ValueError("eval_every must be >= 1")
 
 
+# The defaults of a run. config_from_parser reads every field of a run's
+# records from these keys, so no default of a record applies to a run.
 DEFAULT_CONFIG = """\
 [experiment]
 seed = 7
@@ -377,43 +379,40 @@ def load_config_file(path: str | None) -> configparser.ConfigParser:
     return parser
 
 
+def _read_fields(cls, section: configparser.SectionProxy, **given):
+    """The record `cls` with each field not in `given` read from the key of
+    the same name, as the field's annotated type (float, else int)."""
+    values = dict(given)
+    for f in fields(cls):
+        if f.name not in given:
+            read = section.getfloat if f.type == "float" else section.getint
+            values[f.name] = read(f.name)
+    return cls(**values)
+
+
+def _write_fields(section: configparser.SectionProxy, record) -> None:
+    """Inverse of _read_fields: writes each field of `record` that `section`
+    has a key for; floats use repr so dumps round-trip."""
+    for f in fields(record):
+        if f.name in section:
+            value = getattr(record, f.name)
+            section[f.name] = repr(float(value)) if f.type == "float" else str(value)
+
+
 def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
-    """Build the typed configuration from flat key-value sections."""
-    exp, dat = parser["experiment"], parser["dataset"]
-    par, cha, lrn = parser["partition"], parser["channel"], parser["learner"]
-    channel = ChannelConfig(
-        num_wds=cha.getint("num_wds"),
-        num_antennas=cha.getint("num_antennas"),
-        noise_variance=cha.getfloat("noise_variance"),
-        carrier_freq=cha.getfloat("carrier_freq"),
-        pathloss_exponent=cha.getfloat("pathloss_exponent"),
-        antenna_gain_ps=cha.getfloat("antenna_gain_ps"),
-        antenna_gain_wd=cha.getfloat("antenna_gain_wd"),
-        distance_range=(cha.getfloat("distance_min"), cha.getfloat("distance_max")),
-        csi_quality=cha.getfloat("csi_quality"),
-    )
-    learner = LearnerConfig(
-        distill_weight=lrn.getfloat("distill_weight"),
-        init_lr=lrn.getfloat("init_lr"),
-        rounds=lrn.getint("rounds"),
-        local_epochs=lrn.getint("local_epochs"),
-        lr_cap=lrn.getfloat("lr_cap"),
-    )
-    dataset = DatasetSpec(
-        num_samples=dat.getint("num_samples"),
-        feature_dim=dat.getint("feature_dim"),
-        num_classes=dat.getint("num_classes"),
-        separation=dat.getfloat("separation"),
-        test_samples=dat.getint("test_samples"),
-    )
-    methods = tuple(m.strip() for m in exp["methods"].split(",") if m.strip())
+    """Build the typed configuration from flat key-value sections: each key of
+    [channel], [learner] and [dataset] is the field of the same name on its
+    record; the keys below are the ones that are not."""
+    exp, par = parser["experiment"], parser["partition"]
+    cha, lrn = parser["channel"], parser["learner"]
+    distances = (cha.getfloat("distance_min"), cha.getfloat("distance_max"))
     return ExperimentConfig(
-        channel=channel,
-        learner=learner,
-        dataset=dataset,
+        channel=_read_fields(ChannelConfig, cha, distance_range=distances),
+        learner=_read_fields(LearnerConfig, lrn),
+        dataset=_read_fields(DatasetSpec, parser["dataset"]),
         partition_mode=par["mode"].strip(),
         dirichlet_param=par.getfloat("dirichlet_param"),
-        methods=methods,
+        methods=tuple(m.strip() for m in exp["methods"].split(",") if m.strip()),
         trials=exp.getint("trials"),
         seed=exp.getint("seed"),
         output_dir=exp["output_dir"].strip(),
@@ -426,37 +425,22 @@ def config_from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
 def config_to_parser(config: ExperimentConfig) -> configparser.ConfigParser:
     """Inverse of config_from_parser; floats use repr so dumps round-trip."""
     parser = default_parser()
-    exp, dat = parser["experiment"], parser["dataset"]
-    par, cha, lrn = parser["partition"], parser["channel"], parser["learner"]
+    exp, par = parser["experiment"], parser["partition"]
+    cha, lrn = parser["channel"], parser["learner"]
     exp["seed"] = str(config.seed)
     exp["trials"] = str(config.trials)
     exp["methods"] = ",".join(config.methods)
     exp["output_dir"] = config.output_dir
     exp["eval_every"] = str(config.eval_every)
-    dat["num_samples"] = str(config.dataset.num_samples)
-    dat["feature_dim"] = str(config.dataset.feature_dim)
-    dat["num_classes"] = str(config.dataset.num_classes)
-    dat["separation"] = repr(float(config.dataset.separation))
-    dat["test_samples"] = str(config.dataset.test_samples)
+    _write_fields(parser["dataset"], config.dataset)
     par["mode"] = config.partition_mode
     par["dirichlet_param"] = repr(float(config.dirichlet_param))
-    cha["num_wds"] = str(config.channel.num_wds)
-    cha["num_antennas"] = str(config.channel.num_antennas)
-    cha["noise_variance"] = repr(float(config.channel.noise_variance))
-    cha["carrier_freq"] = repr(float(config.channel.carrier_freq))
-    cha["pathloss_exponent"] = repr(float(config.channel.pathloss_exponent))
-    cha["antenna_gain_ps"] = repr(float(config.channel.antenna_gain_ps))
-    cha["antenna_gain_wd"] = repr(float(config.channel.antenna_gain_wd))
+    _write_fields(cha, config.channel)
     cha["distance_min"] = repr(float(config.channel.distance_range[0]))
     cha["distance_max"] = repr(float(config.channel.distance_range[1]))
-    cha["csi_quality"] = repr(float(config.channel.csi_quality))
     cha["peak_power"] = repr(float(config.peak_power))
+    _write_fields(lrn, config.learner)
     lrn["hidden_dim"] = str(config.hidden_dim)
-    lrn["distill_weight"] = repr(float(config.learner.distill_weight))
-    lrn["init_lr"] = repr(float(config.learner.init_lr))
-    lrn["rounds"] = str(config.learner.rounds)
-    lrn["local_epochs"] = str(config.learner.local_epochs)
-    lrn["lr_cap"] = repr(float(config.learner.lr_cap))
     return parser
 
 
@@ -713,17 +697,17 @@ def _run_trial(
             rows[method].append(
                 RoundMetrics(
                     trial=trial,
-                    round_index=t,
+                    round=t,
                     method=method,
-                    num_antennas=cha.num_antennas,
-                    num_wds=num_wds,
-                    num_classes=num_classes,
+                    N=cha.num_antennas,
+                    M=num_wds,
+                    K=num_classes,
                     zeta=zeta,
                     phi1_max=phi1_max,
                     phi1_mean=phi1_mean,
                     phi2_sq_mean=phi2_mean,
-                    p2_objective=p2_val,
-                    p4_objective=p4_val,
+                    p2_obj=p2_val,
+                    p4_obj=p4_val,
                     eig1=eig1,
                     eig2=eig2,
                     train_loss_mean=float(losses.mean()),

@@ -1,11 +1,11 @@
 """Per-round error functionals and reporting: the misalignment and noise-error
 measures of the aggregation, the beamformer-selection objectives, and the
-fixed CSV row format every experiment emits.
+CSV row format every experiment emits: one column per RoundMetrics field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -175,31 +175,6 @@ def p2_objective(
     )
 
 
-CSV_COLUMNS = (
-    "trial",
-    "round",
-    "method",
-    "N",
-    "M",
-    "K",
-    "zeta",
-    "phi1_max",
-    "phi1_mean",
-    "phi2_sq_mean",
-    "p2_obj",
-    "p4_obj",
-    "eig1",
-    "eig2",
-    "train_loss_mean",
-    "test_acc_mean",
-    "wall_ms",
-)
-
-
-def csv_header() -> str:
-    return ",".join(CSV_COLUMNS)
-
-
 @dataclass(frozen=True)
 class RoundMetrics:
     """Everything one (trial, round, method) row reports.
@@ -209,17 +184,17 @@ class RoundMetrics:
     """
 
     trial: int
-    round_index: int
+    round: int
     method: str
-    num_antennas: int
-    num_wds: int
-    num_classes: int
+    N: int
+    M: int
+    K: int
     zeta: float
     phi1_max: float
     phi1_mean: float
     phi2_sq_mean: float
-    p2_objective: float
-    p4_objective: float
+    p2_obj: float
+    p4_obj: float
     eig1: float
     eig2: float
     train_loss_mean: float
@@ -233,25 +208,17 @@ class RoundMetrics:
             raise ValueError("eig1 must be the larger eigenvalue")
 
     def to_csv_row(self) -> str:
-        """One comma-separated line in the fixed column order; floats are
-        rendered with repr so rows round-trip exactly."""
-        values = (
-            str(int(self.trial)),
-            str(int(self.round_index)),
-            self.method,
-            str(int(self.num_antennas)),
-            str(int(self.num_wds)),
-            str(int(self.num_classes)),
-            repr(float(self.zeta)),
-            repr(float(self.phi1_max)),
-            repr(float(self.phi1_mean)),
-            repr(float(self.phi2_sq_mean)),
-            repr(float(self.p2_objective)),
-            repr(float(self.p4_objective)),
-            repr(float(self.eig1)),
-            repr(float(self.eig2)),
-            repr(float(self.train_loss_mean)),
-            repr(float(self.test_acc_mean)),
-            repr(float(self.wall_ms)),
+        """One comma-separated line, a column per field; float fields are
+        rendered with repr so rows round-trip exactly, the others with str."""
+        return ",".join(
+            repr(float(getattr(self, f.name))) if f.type == "float"
+            else str(getattr(self, f.name))
+            for f in fields(self)
         )
-        return ",".join(values)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(RoundMetrics))
+
+
+def csv_header() -> str:
+    return ",".join(CSV_COLUMNS)

@@ -47,6 +47,10 @@ __all__ = [
     "dump_instance",
 ]
 
+# Bound on the normalized primal and dual residuals and on the relative
+# duality gap at which the interior-point method stops.
+TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SdpProblem:
@@ -127,7 +131,8 @@ class SdpSolution:
 
 
 class SdpConvergenceError(RuntimeError):
-    """Iteration limit reached; carries the best iterate found."""
+    """The interior-point method stopped short of the tolerance, at its
+    iteration cap or on a numerical breakdown; carries the best iterate."""
 
     def __init__(self, message: str, best: SdpSolution):
         super().__init__(message)
@@ -255,7 +260,7 @@ class _Core:
 
     def residual_report(self) -> dict:
         half_tr = 0.5 * (self.h_flat @ self.x.ravel())
-        primal_eq = abs(2.0 - np.trace(self.x))
+        primal_eq = abs(2.0 - float(np.trace(self.x)))
         primal_ineq = float(
             np.abs(self.e[self.class_of] + half_tr - self.s).max()
         )
@@ -305,24 +310,26 @@ class _Core:
         ds = (rc_vec - self.s * dz) / self.z
         return dy, dz, de, dx, ds_mat, ds
 
-    def iterate(self, tol: float, max_iterations: int) -> tuple[int, bool]:
+    def iterate(self, max_iterations: int) -> tuple[int, str | None]:
+        """Steps until every residual is within TOL. Returns the iterations
+        run and why the run stopped short (None when it converged)."""
         total = self.two_n + self.m
         for iteration in range(max_iterations):
             report = self.residual_report()
             if (
-                max(report["primal_eq"], report["primal_ineq"]) <= tol
-                and max(report["dual_eq"], report["dual_matrix"]) <= tol
-                and report["rel_gap"] <= tol
+                max(report["primal_eq"], report["primal_ineq"]) <= TOL
+                and max(report["dual_eq"], report["dual_matrix"]) <= TOL
+                and report["rel_gap"] <= TOL
             ):
-                return iteration, True
+                return iteration, None
 
             try:
                 self._step(total)
             except (_NumericalBreakdown, np.linalg.LinAlgError):
                 # The iterate is too close to the boundary for further
                 # progress; report the best point reached so far.
-                return iteration, False
-        return max_iterations, False
+                return iteration, "a numerical breakdown"
+        return max_iterations, "the iteration cap"
 
     def _step(self, total: int) -> None:
         mu = self.duality_gap() / total
@@ -415,20 +422,20 @@ class _Core:
         self.y = self.y + alpha_d * dy
 
 
-def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> SdpSolution:
-    """Solve the relaxed beamforming SDP to the requested tolerance.
+def solve(problem: SdpProblem, max_iterations: int = 200) -> SdpSolution:
+    """Solve the relaxed beamforming SDP to the tolerance TOL.
 
     Args:
         problem: Validated instance.
-        tol: Bound on the normalized primal/dual residuals and relative gap.
         max_iterations: Interior-point iteration cap.
 
     Returns:
         SdpSolution with a unit-trace Hermitian PSD W and slacks e.
 
     Raises:
-        SdpConvergenceError: if the iteration cap is hit; carries the best
-            iterate in its ``best`` attribute.
+        SdpConvergenceError: if the iteration cap is hit or a step breaks
+            down numerically first; carries the best iterate in its ``best``
+            attribute.
     """
     mask = problem.active_mask
     all_pairs = np.argwhere(mask)  # rows of (k, j)
@@ -464,7 +471,7 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
     h_embedded *= kappa[class_of, None, None]
 
     core = _Core(h_embedded, class_of, c_scaled)
-    iterations, converged = core.iterate(tol, max_iterations)
+    iterations, stop = core.iterate(max_iterations)
 
     w = _complex_from_embedding(core.x)
     trace_w = float(np.trace(w).real)
@@ -478,12 +485,12 @@ def solve(problem: SdpProblem, tol: float = 1e-8, max_iterations: int = 200) -> 
         objective=objective,
         iterations=iterations,
         residuals=core.residual_report(),
-        converged=converged,
+        converged=stop is None,
     )
-    if not converged:
+    if stop is not None:
         raise SdpConvergenceError(
-            f"no convergence within {max_iterations} iterations "
-            f"(residuals: {solution.residuals})",
+            f"no convergence: {stop} stopped the run after {iterations} of at "
+            f"most {max_iterations} iterations (residuals: {solution.residuals})",
             best=solution,
         )
     return solution

@@ -11,7 +11,7 @@ applied to whatever true channel the aggregation step actually sees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,9 +41,10 @@ __all__ = [
 
 # The polish holds a constraint as active when its gain at the principal
 # eigenvector lies within this relative margin of its class minimum. The
-# eigenvector sits about sqrt(tol) from the optimum; on the instances
-# measured (tol 1e-8), gains tied at the optimum lay a median 3e-9 apart
-# there, and gains inactive at the optimum at least 2.7e-3 above the minimum.
+# eigenvector sits about sqrt(sdp_solver.TOL) from the optimum; on the
+# instances measured (TOL 1e-8), gains tied at the optimum lay a median 3e-9
+# apart there, and gains inactive at the optimum at least 2.7e-3 above the
+# minimum.
 # A tied constraint left outside the margin either stays above its class
 # level or fails the acceptance checks, which then keep the eigenvector.
 _ACTIVE_MARGIN = 1e-4
@@ -112,16 +113,17 @@ class TransmitPlan:
     Attributes:
         equalizers: (M, K) complex; equalizers[i, k] scales device i's
             normalized class-k block. Squared magnitude = transmit power.
-        peak_powers: (M,) positive per-device power budgets (watts).
+        peak_powers: (M,) positive per-device power budgets (watts) that the
+            equalizers are checked against; not stored.
     """
 
     equalizers: np.ndarray
-    peak_powers: np.ndarray
+    peak_powers: InitVar[np.ndarray]
 
-    def __post_init__(self) -> None:
-        # Copies, so that freezing them leaves the caller's arrays writeable.
+    def __post_init__(self, peak_powers: np.ndarray) -> None:
+        # A copy, so that freezing it leaves the caller's array writeable.
         eq = np.array(self.equalizers, dtype=np.complex128)
-        peak = np.array(self.peak_powers, dtype=np.float64)
+        peak = np.asarray(peak_powers, dtype=np.float64)
         if eq.ndim != 2:
             raise ValueError(f"equalizers must be (M, K), got shape {eq.shape}")
         if peak.shape != (eq.shape[0],):
@@ -133,9 +135,7 @@ class TransmitPlan:
         if np.any(power > peak[:, None] * (1.0 + 1e-9)):
             raise ValueError("equalizer power exceeds the peak-power budget")
         eq.setflags(write=False)
-        peak.setflags(write=False)
         object.__setattr__(self, "equalizers", eq)
-        object.__setattr__(self, "peak_powers", peak)
 
 
 @dataclass(frozen=True)
@@ -447,14 +447,15 @@ def optimize_round(
     equalizers.
 
     Accuracy of the beamformer: the interior-point method stops at its
-    default relative gap tol = 1e-8, where its principal eigenvector lies
-    about sqrt(tol) from the optimum. When the relaxation is tight (rank-one solution), the polish
-    moves it to the exact max-min optimum, to roundoff (~1e-15 in w), so the
-    plan does not depend on how the solver happened to stop. When the
-    relaxation is not tight, the polish is accepted only where it reaches a
-    KKT point that is no worse; otherwise the principal eigenvector is kept,
-    whose achieved objective can lie well short of the relaxation bound. In
-    both cases the achieved objective is never worse than the eigenvector's.
+    relative gap sdp_solver.TOL = 1e-8, where its principal eigenvector lies
+    about sqrt(TOL) from the optimum. When the relaxation is tight (rank-one
+    solution), the polish moves it to the exact max-min optimum, to roundoff
+    (~1e-15 in w), so the plan does not depend on how the solver happened to
+    stop. When the relaxation is not tight, the polish is accepted only where
+    it reaches a KKT point that is no worse; otherwise the principal
+    eigenvector is kept, whose achieved objective can lie well short of the
+    relaxation bound. In both cases the achieved objective is never worse
+    than the eigenvector's.
     The diagnostics (eigenvalues, objective, iterations) describe the
     relaxation's solution, not the polish.
 

@@ -253,6 +253,65 @@ def test_dump_config_roundtrip():
     assert config_from_parser(parser) == config
 
 
+# A valid value other than the default for every key, written the way a dump
+# writes it (floats by repr).
+NON_DEFAULT_CONFIG = {
+    "experiment": {
+        "seed": "11",
+        "trials": "2",
+        "methods": "orthogonal,proposed",
+        "output_dir": "elsewhere",
+        "eval_every": "4",
+    },
+    "dataset": {
+        "num_samples": "1200",
+        "feature_dim": "6",
+        "num_classes": "4",
+        "separation": "1.75",
+        "test_samples": "250",
+    },
+    "partition": {"mode": "iid", "dirichlet_param": "0.25"},
+    "channel": {
+        "num_wds": "7",
+        "num_antennas": "3",
+        "noise_variance": "3e-15",
+        "carrier_freq": "2400000000.0",
+        "pathloss_exponent": "3.5",
+        "antenna_gain_ps": "2.0",
+        "antenna_gain_wd": "0.5",
+        "distance_min": "50.0",
+        "distance_max": "150.0",
+        "csi_quality": "0.9",
+        "peak_power": "0.002",
+    },
+    "learner": {
+        "hidden_dim": "16",
+        "distill_weight": "1.5",
+        "init_lr": "0.05",
+        "rounds": "20",
+        "local_epochs": "2",
+        "lr_cap": "0.25",
+    },
+}
+
+
+def test_every_config_key_round_trips_at_a_non_default_value():
+    parser = default_parser()
+    assert {name: set(parser[name]) for name in parser.sections()} == {
+        name: set(values) for name, values in NON_DEFAULT_CONFIG.items()
+    }
+    for section, values in NON_DEFAULT_CONFIG.items():
+        for key, value in values.items():
+            assert parser[section][key] != value, (section, key)
+            parser[section][key] = value
+    config = config_from_parser(parser)
+    dumped = configparser.ConfigParser()
+    dumped.read_string(dump_config(config))
+    for section, values in NON_DEFAULT_CONFIG.items():
+        assert dict(dumped[section]) == values, section
+    assert config_from_parser(dumped) == config
+
+
 def test_config_file_overlay(tmp_path):
     path = tmp_path / "overlay.ini"
     path.write_text("[learner]\nrounds = 7\n", encoding="utf-8")

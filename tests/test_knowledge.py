@@ -346,11 +346,16 @@ class TestPartitionAndPlanTypes:
 
     def test_transmit_plan_power_validation(self):
         eq = np.array([[0.5 + 0.5j, 0.1], [0.0, 1.0]])
-        TransmitPlan(equalizers=eq, peak_powers=np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            TransmitPlan(
-                equalizers=np.array([[1.1 + 0j]]), peak_powers=np.array([1.0])
-            )
+        plan = TransmitPlan(equalizers=eq, peak_powers=np.array([1.0, 1.0]))
+        # The budgets are checked, not stored.
+        assert not hasattr(plan, "peak_powers")
+        for equalizers, peaks in [
+            (np.array([[1.1 + 0j]]), np.array([1.0])),  # over budget
+            (eq, np.array([1.0])),  # wrong shape
+            (eq, np.array([1.0, 0.0])),  # not positive
+        ]:
+            with pytest.raises(ValueError):
+                TransmitPlan(equalizers=equalizers, peak_powers=peaks)
 
     # Every array a frozen record stores, with a valid input of the dtype the
     # record keeps (so that converting it would not copy it).
@@ -381,7 +386,6 @@ class TestPartitionAndPlanTypes:
         [
             (KnowledgeSet, "q"),
             (TransmitPlan, "equalizers"),
-            (TransmitPlan, "peak_powers"),
             (TransceiverPlan, "beamformer"),
             (TransceiverPlan, "denormalizers"),
             (TransceiverPlan, "straggler_indices"),

@@ -258,17 +258,17 @@ class TestCsvFormat:
     def make_metrics(self, **overrides):
         base = dict(
             trial=2,
-            round_index=17,
+            round=17,
             method="proposed",
-            num_antennas=5,
-            num_wds=10,
-            num_classes=3,
+            N=5,
+            M=10,
+            K=3,
             zeta=0.8,
             phi1_max=1.5e-9,
             phi1_mean=0.5e-9,
             phi2_sq_mean=2.25e-4,
-            p2_objective=0.125,
-            p4_objective=-3.5e-7,
+            p2_obj=0.125,
+            p4_obj=-3.5e-7,
             eig1=0.9999,
             eig2=1e-6,
             train_loss_mean=0.42,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from airfd import sdp_solver
 from airfd.oracles import beamformer_grid_search
 from airfd.sdp_solver import (
     PrincipalEigenpair,
@@ -286,6 +287,29 @@ class TestSolveProperties:
         assert isinstance(best, SdpSolution)
         assert not best.converged
         assert best.iterations == 1
+        assert "the iteration cap" in str(info.value)
+
+    def test_breakdown_raises_with_the_iterations_run(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        vectors = [[random_unit_complex(rng, 3) for _ in range(3)]]
+        problem = rank_one_problem(vectors, [1.0])
+        step = sdp_solver._Core._step
+        steps = []
+
+        def breaks_after_three(core, total):
+            if len(steps) == 3:
+                raise np.linalg.LinAlgError("forced breakdown")
+            steps.append(total)
+            step(core, total)
+
+        monkeypatch.setattr(sdp_solver._Core, "_step", breaks_after_three)
+        with pytest.raises(SdpConvergenceError) as info:
+            solve(problem)
+        message = str(info.value)
+        assert info.value.best.iterations == 3
+        assert "a numerical breakdown" in message and "after 3 of" in message
+        assert "np.float64" not in message
+        assert all(type(v) is float for v in info.value.best.residuals.values())
 
 
 class TestDump:
