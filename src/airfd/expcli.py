@@ -593,6 +593,7 @@ def _run_trial(
     accuracy = dict.fromkeys(config.methods, 0.0)
     rows: dict[str, list[RoundMetrics]] = {m: [] for m in config.methods}
     plan_seconds = dict.fromkeys(config.methods, 0.0)
+    plan_iterations = dict.fromkeys(config.methods, 0)
     superposed = any(m in ("proposed", "uniform") for m in config.methods)
 
     for t in range(rounds):
@@ -640,6 +641,7 @@ def _run_trial(
                 else:
                     plan = uniform_baseline(perceived, knowledge.stds, part, peaks)
                 plan_seconds[method] += time.perf_counter() - start
+                plan_iterations[method] += plan.diagnostics.solver_iterations
                 target = aggregate_over_air(
                     knowledge, part, plan, true_channel, noise
                 ).real
@@ -714,7 +716,7 @@ def _run_trial(
                     test_acc_mean=accuracy[method],
                 )
             )
-    return rows, accuracy, params, plan_seconds
+    return rows, accuracy, params, plan_seconds, plan_iterations
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -739,15 +741,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         m: [] for m in config.methods
     }
     plan_seconds: dict[str, float] = {m: 0.0 for m in config.methods}
+    plan_iterations: dict[str, int] = {m: 0 for m in config.methods}
     completed: list[int] = []
     aborts: list[TrialAbort] = []
 
     wall_start = time.perf_counter()
     for trial in range(config.trials):
         try:
-            trial_rows, trial_acc, trial_finals, trial_times = _run_trial(
-                config, arch, peaks, a2, trial
-            )
+            (
+                trial_rows,
+                trial_acc,
+                trial_finals,
+                trial_times,
+                trial_iterations,
+            ) = _run_trial(config, arch, peaks, a2, trial)
         except Exception as exc:  # deliberate: record and move to next trial
             aborts.append(TrialAbort(trial, f"{type(exc).__name__}: {exc}"))
             continue
@@ -756,6 +763,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             final_accuracies[method].append(trial_acc[method])
             final_params[method].append(trial_finals[method])
             plan_seconds[method] += trial_times[method]
+            plan_iterations[method] += trial_iterations[method]
         completed.append(trial)
     total_wall = time.perf_counter() - wall_start
 
@@ -771,7 +779,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     summary_path = os.path.join(config.output_dir, "summary.txt")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(_summarize(config, arch, final_accuracies, plan_seconds,
-                                completed, aborts, total_wall))
+                                plan_iterations, completed, aborts, total_wall))
 
     return ExperimentResult(
         csv_paths=csv_paths,
@@ -789,6 +797,7 @@ def _summarize(
     arch: Architecture,
     final_accuracies: dict[str, list[float]],
     plan_seconds: dict[str, float],
+    plan_iterations: dict[str, int],
     completed: list[int],
     aborts: list[TrialAbort],
     total_wall: float,
@@ -827,6 +836,11 @@ def _summarize(
             lines.append(
                 f"  mean plan construction time: "
                 f"{1e3 * plan_seconds[method] / plan_rounds:.3f} ms/round"
+            )
+        if method == "proposed" and plan_rounds:
+            lines.append(
+                f"  mean IPM iterations per solve: "
+                f"{plan_iterations[method] / plan_rounds:.2f}"
             )
     reference = communication_accounting(
         "fl", cha.num_wds, config.dataset.num_classes,

@@ -10,31 +10,45 @@ its factor v. The rank-one constraint of the original beamforming problem is
 dropped; on generic instances the optimum is rank-one anyway and the
 beamformer is recovered from the principal eigenvector.
 
-Algorithm: a primal-dual path-following interior-point method with a Mehrotra
-predictor-corrector step, run in real arithmetic on the standard symmetric
-embedding of the complex problem ([[Re, -Im], [Im, Re]], under which the
-embedded matrix has trace 2*Tr(W) and Tr(W H) = (1/2) Tr(embed(W) embed(H))).
-The start is strictly feasible for both the primal and the dual, so the
-equality residuals stay at roundoff level and only the complementarity gap has
-to be driven to the tolerance. Problem sizes are tiny (N <= 16, a few hundred
-inequality rows), so everything is dense.
+Algorithm: a primal-dual path-following interior-point method with the
+HKM search direction and a Mehrotra predictor-corrector step, run in complex
+N x N arithmetic directly on the constraint factors u_l = sqrt(kappa_k) v
+(each class scaled for conditioning). A constraint matrix is never formed:
+the constraint values are the quadratic forms u_l^H X u_l, the dual matrix
+is S = -y I - (1/2) sum_l z_l u_l u_l^H, and the Schur block of the Newton
+system is
+
+    G = (1/2) Re[(V^H X V) o conj(V^H S^-1 V)],   V = [u_1 ... u_m],
+
+built as R R^T from the m real rows R_l = vec(conj(L_X^H u_l) (L_S^-1 u_l)^T)
+/ sqrt(2) (real and imaginary parts side by side), so it costs O(m^2 N^2)
+and holds no complex m x m matrix. The Newton system (trace dual, the m constraint duals
+and the K slacks: size 1 + m + K) is LU-factored once per iteration and
+solved for the predictor and the corrector. X and S do not change between
+the two, so each is Cholesky-factored once per iteration (X = L_X L_X^H,
+S = L_S L_S^H), and those factors give S^-1, the Schur rows and all four
+step lengths, alpha = 1 / -lambda_min(L^-1 dX L^-H).
+
+The method is the one on the real symmetric embedding [[Re, -Im], [Im, Re]]
+of the complex problem, written in complex form: its inner product is
+<A, B> = 2 Re Tr(A B), so the trace row reads 2 Tr(X) = 2, the dual
+objective is 2y, and the barrier parameter counts the PSD block as 2N. The
+iterates, residuals and stopping test are those of the embedded method, up
+to roundoff. The start is strictly feasible for both the primal and the
+dual, so the equality residuals stay at roundoff level and only the
+complementarity gap has to be driven to the tolerance. Problem sizes are
+tiny (N <= 16, a few hundred inequality rows), so everything is dense. An
+iterate that is no longer numerically positive definite ends the run as a
+numerical breakdown.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import (
-    LinAlgWarning,
-    cho_factor,
-    cho_solve,
-    lu_factor,
-    lu_solve,
-    solve_triangular,
-)
+from scipy.linalg.lapack import dgetrf, dgetrs, zpotrf, ztrtri
 
 __all__ = [
     "SdpProblem",
@@ -145,15 +159,6 @@ class PrincipalEigenpair(NamedTuple):
     runner_up: float
 
 
-def _complex_from_embedding(x: np.ndarray) -> np.ndarray:
-    """Inverse of the symmetric embedding (averaging out roundoff asymmetry)."""
-    n = x.shape[0] // 2
-    re = 0.5 * (x[:n, :n] + x[n:, n:])
-    im = 0.5 * (x[n:, :n] - x[:n, n:])
-    w = re + 1j * im
-    return 0.5 * (w + w.conj().T)
-
-
 def canonical_phase(vector: np.ndarray) -> np.ndarray:
     """Unit-norm copy of a nonzero vector with its global phase fixed: the
     first entry of largest magnitude is made real and nonnegative."""
@@ -188,87 +193,119 @@ def extract_principal_eigenpair(w: np.ndarray) -> PrincipalEigenpair:
     return PrincipalEigenpair(value=value, vector=vector, runner_up=runner_up)
 
 
-def _psd_step_limit(v: np.ndarray, dv: np.ndarray) -> float:
-    """Largest alpha with v + alpha * dv still PSD (v symmetric PD)."""
-    try:
-        low = np.linalg.cholesky(v)
-        a = solve_triangular(low, dv, lower=True)
-        b = solve_triangular(low, a.T, lower=True)
-    except np.linalg.LinAlgError:
-        # v has drifted to the PSD boundary; fall back to a scaled eigenproblem.
-        vals_v = np.linalg.eigvalsh(v)
-        floor = max(vals_v[0], 1e-300)
-        b = dv / floor
-    b = 0.5 * (b + b.T)
-    lam_min = float(np.linalg.eigvalsh(b)[0])
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.conj().T)
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """<A, B> = 2 Re Tr(A B) of Hermitian A and B, the inner product of their
+    real embeddings."""
+    return 2.0 * float(np.vdot(a, b).real)
+
+
+def _cholesky_and_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factor L of a Hermitian positive definite matrix,
+    a = L L^H, and its inverse. Raises LinAlgError when `a` is not
+    numerically positive definite."""
+    low, info = zpotrf(a, lower=1)
+    if info == 0:
+        inverse, info = ztrtri(low, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("iterate is not positive definite")
+    return low, inverse
+
+
+def _psd_step_limit(inverse_factor: np.ndarray, direction: np.ndarray) -> float:
+    """Largest alpha with A + alpha * dA still PSD, where A = L L^H is
+    positive definite and inverse_factor = L^-1: alpha is
+    1 / -lambda_min(L^-1 dA L^-H), or inf when that eigenvalue is >= 0."""
+    scaled = inverse_factor @ direction @ inverse_factor.conj().T
+    lam_min = float(np.linalg.eigvalsh(scaled)[0])
     if lam_min >= 0.0:
         return np.inf
     return 1.0 / (-lam_min)
 
 
 def _scalar_step_limit(v: np.ndarray, dv: np.ndarray) -> float:
-    negative = dv < 0
-    if not np.any(negative):
+    """Largest alpha with v + alpha * dv still nonnegative (v > 0): the PSD
+    rule on a diagonal matrix, 1 / -min(dv / v), or inf."""
+    lam_min = float((dv / v).min())
+    if lam_min >= 0.0:
         return np.inf
-    return float(np.min(-v[negative] / dv[negative]))
+    return 1.0 / (-lam_min)
 
 
 class _NumericalBreakdown(Exception):
-    """Internal: the linear solve produced non-finite directions."""
+    """Internal: the Newton system is singular or gave non-finite directions."""
 
 
-def _sym_inverse(s: np.ndarray) -> np.ndarray:
-    factor = cho_factor(s, lower=True)
-    inv = cho_solve(factor, np.eye(s.shape[0]))
-    return 0.5 * (inv + inv.T)
+class _Residuals(NamedTuple):
+    """Residuals of one iterate, shared by its report and its step."""
+
+    trace: float  # 2 - 2 Tr(X)
+    rows: np.ndarray  # (m,) e^k(l) + u_l^H X u_l - s_l
+    classes: np.ndarray  # (K,) c_k - sum of the class's z_l
+    dual: np.ndarray  # S + y I + (1/2) sum_l z_l u_l u_l^H
+    gap: float  # <X, S> + z^T s
 
 
 class _Core:
-    """State of one interior-point run on the embedded (real) problem."""
+    """State of one interior-point run on the scaled constraint factors.
 
-    def __init__(self, h_embedded: np.ndarray, class_of: np.ndarray, c: np.ndarray):
-        self.h_all = h_embedded  # (m, 2N, 2N)
-        self.h_flat = h_embedded.reshape(h_embedded.shape[0], -1)
+    The variables are those of the problem (X = W, slacks e and s, duals y, z
+    and S = -y I - (1/2) sum_l z_l u_l u_l^H), with the real embedding's
+    doubled inner product <A, B> = 2 Re Tr(A B) (see the module docstring).
+    """
+
+    def __init__(self, factors: np.ndarray, class_of: np.ndarray, c: np.ndarray):
+        self.u = factors  # (m, N) rows u_l
+        self.u_conj = factors.conj()
+        self.u_real = factors.view(np.float64)  # (m, 2N) rows (Re, Im) interleaved
         self.class_of = class_of
         self.c = c
-        self.m = h_embedded.shape[0]
-        self.two_n = h_embedded.shape[1]
+        self.m, n = factors.shape
         self.num_classes = c.shape[0]
-        self.eye = np.eye(self.two_n)
+        # Barrier parameter: the PSD block counts with its embedded size 2N.
+        self.degree = 2 * n + self.m
+        self.eye = np.eye(n)
         # Membership matrix of constraints in classes (m, K).
         self.members = np.zeros((self.m, self.num_classes))
         self.members[np.arange(self.m), class_of] = 1.0
 
         # Strictly feasible start for primal and dual.
-        self.x = self.eye * (2.0 / self.two_n)
-        half_tr = 0.5 * (self.h_flat @ self.x.ravel())
+        self.x = np.eye(n, dtype=np.complex128) / n
+        forms = self.forms(self.x)
         self.e = np.array(
-            [
-                -half_tr[class_of == k].min() + 1.0
-                for k in range(self.num_classes)
-            ]
+            [-forms[class_of == k].min() + 1.0 for k in range(self.num_classes)]
         )
-        self.s = self.e[class_of] + half_tr
+        self.s = self.e[class_of] + forms
         counts = np.bincount(class_of, minlength=self.num_classes)
         self.z = (c / counts)[class_of]
-        z_weighted = 0.5 * np.tensordot(self.z, self.h_all, axes=1)
+        z_weighted = 0.5 * self.outer_sum(self.z)
         self.y = -(float(np.linalg.eigvalsh(z_weighted)[-1]) + 1.0)
         self.big_s = -self.y * self.eye - z_weighted
 
-    def duality_gap(self) -> float:
-        return float(np.sum(self.x * self.big_s) + self.z @ self.s)
+    def forms(self, a: np.ndarray) -> np.ndarray:
+        """(m,) quadratic forms Re(u_l^H A u_l)."""
+        return np.einsum("ij,ij->i", self.u_real, (self.u @ a.T).view(np.float64))
 
-    def residual_report(self) -> dict:
-        half_tr = 0.5 * (self.h_flat @ self.x.ravel())
-        primal_eq = abs(2.0 - float(np.trace(self.x)))
-        primal_ineq = float(
-            np.abs(self.e[self.class_of] + half_tr - self.s).max()
+    def outer_sum(self, weights: np.ndarray) -> np.ndarray:
+        """N x N matrix sum_l weights_l u_l u_l^H, exactly Hermitian: an
+        anti-Hermitian roundoff part would sit in the dual residual, which
+        the Hermitian direction dS cannot remove, and near the optimum
+        S^-1 amplifies it into the primal direction."""
+        return _hermitian((self.u.T * weights) @ self.u_conj)
+
+    def residuals(self) -> _Residuals:
+        return _Residuals(
+            trace=2.0 - 2.0 * float(self.x.trace().real),
+            rows=self.e[self.class_of] + self.forms(self.x) - self.s,
+            classes=self.c - self.members.T @ self.z,
+            dual=self.big_s + self.y * self.eye + 0.5 * self.outer_sum(self.z),
+            gap=_inner(self.x, self.big_s) + float(self.z @ self.s),
         )
-        dual_matrix = self.big_s + self.y * self.eye + 0.5 * np.tensordot(
-            self.z, self.h_all, axes=1
-        )
-        dual_matrix_norm = float(np.linalg.norm(dual_matrix, "fro"))
-        dual_eq = float(np.abs(self.c - self.members.T @ self.z).max())
+
+    def residual_report(self, residuals: _Residuals) -> dict:
         obj_p = float(self.c @ self.e)
         obj_d = 2.0 * self.y
         # Normalize the gap by the objective magnitude itself: instances with a
@@ -276,46 +313,21 @@ class _Core:
         # below the constraint scale, and an absolute gap test would stop while
         # the iterate still carries visible centering residue in its spectrum.
         gap_scale = max(abs(obj_p), abs(obj_d), 1e-300)
-        rel_gap = self.duality_gap() / gap_scale
         return {
-            "primal_eq": primal_eq,
-            "primal_ineq": primal_ineq,
-            "dual_eq": dual_eq,
-            "dual_matrix": dual_matrix_norm,
-            "rel_gap": rel_gap,
+            "primal_eq": abs(residuals.trace),
+            "primal_ineq": float(np.abs(residuals.rows).max()),
+            "dual_eq": float(np.abs(residuals.classes).max()),
+            # The embedded Frobenius norm is sqrt(2) times the complex one.
+            "dual_matrix": float(np.sqrt(2.0) * np.linalg.norm(residuals.dual)),
+            "rel_gap": residuals.gap / gap_scale,
         }
-
-    def _directions(self, lu, rc_mat, rc_vec, d_mat, s_inv, x_s_inv, a_all):
-        """Solve the reduced system for one right-hand side."""
-        y0 = (rc_mat + self.x @ d_mat) @ s_inv
-        rhs = np.empty(1 + self.m + self.num_classes)
-        half_tr = 0.5 * (self.h_flat @ self.x.ravel())
-        rp0 = 2.0 - np.trace(self.x)
-        rp = self.e[self.class_of] + half_tr - self.s
-        rdz = self.c - self.members.T @ self.z
-        rhs[0] = rp0 - np.trace(y0)
-        rhs[1 : 1 + self.m] = (
-            -rp + rc_vec / self.z - 0.5 * (self.h_flat @ y0.ravel())
-        )
-        rhs[1 + self.m :] = rdz
-        sol = lu_solve(lu, rhs)
-        if not np.all(np.isfinite(sol)):
-            raise _NumericalBreakdown
-        dy = float(sol[0])
-        dz = sol[1 : 1 + self.m]
-        de = sol[1 + self.m :]
-        ds_mat = -d_mat - dy * self.eye - 0.5 * np.tensordot(dz, self.h_all, axes=1)
-        dx_raw = y0 + dy * x_s_inv + 0.5 * np.tensordot(dz, a_all, axes=1)
-        dx = 0.5 * (dx_raw + dx_raw.T)
-        ds = (rc_vec - self.s * dz) / self.z
-        return dy, dz, de, dx, ds_mat, ds
 
     def iterate(self, max_iterations: int) -> tuple[int, str | None]:
         """Steps until every residual is within TOL. Returns the iterations
         run and why the run stopped short (None when it converged)."""
-        total = self.two_n + self.m
         for iteration in range(max_iterations):
-            report = self.residual_report()
+            residuals = self.residuals()
+            report = self.residual_report(residuals)
             if (
                 max(report["primal_eq"], report["primal_ineq"]) <= TOL
                 and max(report["dual_eq"], report["dual_matrix"]) <= TOL
@@ -324,79 +336,105 @@ class _Core:
                 return iteration, None
 
             try:
-                self._step(total)
+                self._step(residuals)
             except (_NumericalBreakdown, np.linalg.LinAlgError):
                 # The iterate is too close to the boundary for further
                 # progress; report the best point reached so far.
                 return iteration, "a numerical breakdown"
         return max_iterations, "the iteration cap"
 
-    def _step(self, total: int) -> None:
-        mu = self.duality_gap() / total
-        s_inv = _sym_inverse(self.big_s)
+    def _step(self, residuals: _Residuals) -> None:
+        m = self.m
+        mu = residuals.gap / self.degree
+        # X and S stay fixed through the predictor and the corrector: factor
+        # each once, for S^-1, the Schur rows and all four step lengths.
+        low_x, inv_x = _cholesky_and_inverse(self.x)
+        _, inv_s = _cholesky_and_inverse(self.big_s)
+        s_inv = inv_s.conj().T @ inv_s
         x_s_inv = self.x @ s_inv
-        d_mat = self.big_s + self.y * self.eye + 0.5 * np.tensordot(
-            self.z, self.h_all, axes=1
-        )
-        # Schur pieces: b_l = (1/2) Tr(X S^-1 H_l); G = (1/4) Tr(X H_l' S^-1 H_l).
-        b = 0.5 * (self.h_flat @ x_s_inv.ravel())
-        a_all = np.matmul(np.matmul(self.x[None], self.h_all), s_inv[None])
-        g = 0.25 * (self.h_flat @ a_all.reshape(self.m, -1).T)
-        g = 0.5 * (g + g.T)
-        size = 1 + self.m + self.num_classes
+        # Schur block G = (1/2) Re[(V^H X V) o conj(V^H S^-1 V)] = R R^T, with
+        # row l of R the real and imaginary parts of
+        # vec(conj(L_X^H u_l / sqrt(2)) (L_S^-1 u_l)^T).
+        fx = self.u @ (np.sqrt(0.5) * low_x.conj())
+        fs = self.u @ inv_s.T
+        schur_rows = (fx.conj()[:, :, None] * fs[:, None, :]).reshape(m, -1)
+        schur_rows = schur_rows.view(np.float64)
+        size = 1 + m + self.num_classes
+        block = slice(1, 1 + m)
+        diag = np.arange(size)
         kkt = np.zeros((size, size))
-        kkt[0, 0] = np.trace(x_s_inv)
-        kkt[0, 1 : 1 + self.m] = b
-        kkt[1 : 1 + self.m, 0] = b
-        kkt[1 : 1 + self.m, 1 : 1 + self.m] = g + np.diag(self.s / self.z)
-        kkt[1 : 1 + self.m, 1 + self.m :] = self.members
-        kkt[1 + self.m :, 1 : 1 + self.m] = self.members.T
+        kkt[0, 0] = 2.0 * float(x_s_inv.trace().real)
+        b = self.forms(x_s_inv)
+        kkt[0, block] = b
+        kkt[block, 0] = b
+        kkt[block, block] = schur_rows @ schur_rows.T
+        # G is PSD, so its largest entry lies on its diagonal.
+        g_max = float(kkt.diagonal()[block].max())
+        kkt[diag[block], diag[block]] += self.s / self.z
+        kkt[block, 1 + m :] = self.members
+        kkt[1 + m :, block] = self.members.T
+
+        def directions(lu, piv, rc_mat, rc_vec):
+            """Solve the reduced system for one right-hand side."""
+            y0 = (rc_mat + self.x @ residuals.dual) @ s_inv
+            rhs = np.empty(size)
+            rhs[0] = residuals.trace - 2.0 * float(y0.trace().real)
+            rhs[block] = -residuals.rows + rc_vec / self.z - self.forms(y0)
+            rhs[1 + m :] = residuals.classes
+            sol, info = dgetrs(lu, piv, rhs)
+            if info != 0 or not np.isfinite(sol).all():
+                raise _NumericalBreakdown
+            dy = float(sol[0])
+            dz = sol[block]
+            de = sol[1 + m :]
+            dz_mat = 0.5 * self.outer_sum(dz)
+            ds_mat = -residuals.dual - dy * self.eye - dz_mat
+            dx = _hermitian(y0 + dy * x_s_inv + self.x @ dz_mat @ s_inv)
+            ds = (rc_vec - self.s * dz) / self.z
+            return dy, dz, de, dx, ds_mat, ds
 
         def attempt(matrix):
-            lu = lu_factor(matrix)
+            lu, piv, info = dgetrf(matrix)
+            if info != 0:
+                raise _NumericalBreakdown
             # Predictor (affine-scaling) direction.
             rc_mat = -self.x @ self.big_s
             rc_vec = -(self.z * self.s)
-            aff = self._directions(lu, rc_mat, rc_vec, d_mat, s_inv, x_s_inv, a_all)
-            dy_a, dz_a, de_a, dx_a, ds_mat_a, ds_a = aff
+            _, dz_a, _, dx_a, ds_mat_a, ds_a = directions(lu, piv, rc_mat, rc_vec)
             alpha_p = min(
-                1.0, _psd_step_limit(self.x, dx_a), _scalar_step_limit(self.s, ds_a)
+                1.0, _psd_step_limit(inv_x, dx_a), _scalar_step_limit(self.s, ds_a)
             )
             alpha_d = min(
                 1.0,
-                _psd_step_limit(self.big_s, ds_mat_a),
+                _psd_step_limit(inv_s, ds_mat_a),
                 _scalar_step_limit(self.z, dz_a),
             )
-            gap_aff = float(
-                np.sum((self.x + alpha_p * dx_a) * (self.big_s + alpha_d * ds_mat_a))
-                + (self.z + alpha_d * dz_a) @ (self.s + alpha_p * ds_a)
-            )
-            mu_aff = max(gap_aff, 0.0) / total
+            gap_aff = _inner(
+                self.x + alpha_p * dx_a, self.big_s + alpha_d * ds_mat_a
+            ) + float((self.z + alpha_d * dz_a) @ (self.s + alpha_p * ds_a))
+            mu_aff = max(gap_aff, 0.0) / self.degree
             sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-12))
             # Corrector: recenter and compensate the second-order term.
             rc_mat = sigma * mu * self.eye - self.x @ self.big_s - dx_a @ ds_mat_a
             rc_vec = sigma * mu - self.z * self.s - dz_a * ds_a
-            return self._directions(lu, rc_mat, rc_vec, d_mat, s_inv, x_s_inv, a_all)
+            return directions(lu, piv, rc_mat, rc_vec)
 
         # Factor the exact system first; if the solve breaks down (freak
         # alignments can make it numerically singular), retry with escalating
         # quasi-definite regularization scaled to the Schur block.
-        base = max(1.0, float(np.abs(g).max()), abs(kkt[0, 0]))
-        diag = np.arange(size)
+        base = max(1.0, g_max, kkt[0, 0])
         direction = None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            for reg in (0.0, 1e-12 * base, 1e-9 * base, 1e-6 * base):
-                matrix = kkt
-                if reg > 0.0:
-                    matrix = kkt.copy()
-                    matrix[diag[: 1 + self.m], diag[: 1 + self.m]] += reg
-                    matrix[diag[1 + self.m :], diag[1 + self.m :]] -= reg
-                try:
-                    direction = attempt(matrix)
-                    break
-                except _NumericalBreakdown:
-                    continue
+        for reg in (0.0, 1e-12 * base, 1e-9 * base, 1e-6 * base):
+            matrix = kkt
+            if reg > 0.0:
+                matrix = kkt.copy()
+                matrix[diag[: 1 + m], diag[: 1 + m]] += reg
+                matrix[diag[1 + m :], diag[1 + m :]] -= reg
+            try:
+                direction = attempt(matrix)
+                break
+            except _NumericalBreakdown:
+                continue
         if direction is None:
             raise _NumericalBreakdown
         dy, dz, de, dx, ds_mat, ds = direction
@@ -404,20 +442,19 @@ class _Core:
         tau = 0.98
         alpha_p = min(
             1.0,
-            tau * _psd_step_limit(self.x, dx),
+            tau * _psd_step_limit(inv_x, dx),
             tau * _scalar_step_limit(self.s, ds),
         )
         alpha_d = min(
             1.0,
-            tau * _psd_step_limit(self.big_s, ds_mat),
+            tau * _psd_step_limit(inv_s, ds_mat),
             tau * _scalar_step_limit(self.z, dz),
         )
-        self.x = 0.5 * ((self.x + alpha_p * dx) + (self.x + alpha_p * dx).T)
+        # Both directions are exactly Hermitian, and so stay the iterates.
+        self.x = self.x + alpha_p * dx
         self.s = self.s + alpha_p * ds
         self.e = self.e + alpha_p * de
-        self.big_s = 0.5 * (
-            (self.big_s + alpha_d * ds_mat) + (self.big_s + alpha_d * ds_mat).T
-        )
+        self.big_s = self.big_s + alpha_d * ds_mat
         self.z = self.z + alpha_d * dz
         self.y = self.y + alpha_d * dy
 
@@ -434,8 +471,9 @@ def solve(problem: SdpProblem, max_iterations: int = 200) -> SdpSolution:
 
     Raises:
         SdpConvergenceError: if the iteration cap is hit or a step breaks
-            down numerically first; carries the best iterate in its ``best``
-            attribute.
+            down numerically first (an iterate that is no longer numerically
+            positive definite included); carries the best iterate in its
+            ``best`` attribute.
     """
     mask = problem.active_mask
     all_pairs = np.argwhere(mask)  # rows of (k, j)
@@ -452,11 +490,10 @@ def solve(problem: SdpProblem, max_iterations: int = 200) -> SdpSolution:
     class_of = pairs[:, 0].astype(np.int64)
     num_classes = problem.num_classes
     vecs = problem.constraint_vectors[pairs[:, 0], pairs[:, 1]]
-    h = vecs[:, :, None] * np.conj(vecs[:, None, :])  # (m, N, N) v v^H
 
     # Per-class scaling for conditioning: H'_l = kappa_k H_l, c'_k = c_k / kappa_k
     # leaves the problem invariant with e^k -> kappa_k e^k.
-    traces = np.trace(h, axis1=1, axis2=2).real
+    traces = (vecs.real**2 + vecs.imag**2).sum(axis=1)  # Tr(v v^H)
     kappa = np.ones(num_classes)
     for k in range(num_classes):
         top = traces[class_of == k].max()
@@ -466,14 +503,10 @@ def solve(problem: SdpProblem, max_iterations: int = 200) -> SdpSolution:
     gamma = float(np.mean(c_scaled))
     c_scaled = c_scaled / gamma
 
-    # Symmetric real embedding [[Re, -Im], [Im, Re]] of every row at once.
-    h_embedded = np.block([[h.real, -h.imag], [h.imag, h.real]])
-    h_embedded *= kappa[class_of, None, None]
-
-    core = _Core(h_embedded, class_of, c_scaled)
+    core = _Core(vecs * np.sqrt(kappa)[class_of, None], class_of, c_scaled)
     iterations, stop = core.iterate(max_iterations)
 
-    w = _complex_from_embedding(core.x)
+    w = core.x
     trace_w = float(np.trace(w).real)
     if trace_w > 0:
         w = w / trace_w
@@ -484,7 +517,7 @@ def solve(problem: SdpProblem, max_iterations: int = 200) -> SdpSolution:
         slacks=slacks,
         objective=objective,
         iterations=iterations,
-        residuals=core.residual_report(),
+        residuals=core.residual_report(core.residuals()),
         converged=stop is None,
     )
     if stop is not None:

@@ -409,19 +409,32 @@ def optimal_postprocessing(
     stds = np.asarray(knowledge_stds, dtype=np.float64)
     peaks = np.asarray(peak_powers, dtype=np.float64)
     active, vecs = _scaled_channels(channel, stds, partition, peaks)
+    return _complete(beamformer, channel, stds, partition, active.T, vecs)
+
+
+def _complete(
+    beamformer: np.ndarray,
+    channel: ChannelState,
+    stds: np.ndarray,
+    partition: DatasetPartition,
+    active: np.ndarray,
+    vecs: np.ndarray,
+) -> PostprocessingResult:
+    """optimal_postprocessing given the relaxation's (K, M) transmit mask and
+    (K, M, N) scaled channel vectors, as build_relaxation stores them."""
     combined = _combined_gains(channel, beamformer)
     power_gain = combined.real**2 + combined.imag**2
-    nulled = (power_gain == 0.0) & active.any(axis=1)
+    nulled = (power_gain == 0.0) & active.any(axis=0)
     if np.any(nulled):
         raise PlanDegeneracyError(
             f"combining vector nulls transmitting device(s) {np.flatnonzero(nulled).tolist()}"
         )
     expr = partition.class_totals[:, None] * np.abs(vecs @ np.conj(beamformer))
-    expr = np.where(active, expr.T, np.inf)  # (M, K)
-    denormalizers = expr.min(axis=0)
-    tied = expr <= denormalizers * (1.0 + _TIE_MARGIN)
+    expr = np.where(active, expr, np.inf)  # (K, M)
+    denormalizers = expr.min(axis=1)
+    tied = expr <= denormalizers[:, None] * (1.0 + _TIE_MARGIN)
     denom = np.where(
-        active,
+        active.T,
         partition.class_totals[None, :] * power_gain[:, None],
         1.0,
     )
@@ -430,8 +443,8 @@ def optimal_postprocessing(
     )
     return PostprocessingResult(
         denormalizers=denormalizers,
-        straggler_indices=np.argmax(tied, axis=0).astype(np.int64),
-        equalizers=np.where(active, numer / denom, 0.0 + 0.0j),
+        straggler_indices=np.argmax(tied, axis=1).astype(np.int64),
+        equalizers=np.where(active.T, numer / denom, 0.0 + 0.0j),
     )
 
 
@@ -463,12 +476,20 @@ def optimize_round(
     well the principal direction is separated shows in the diagnostics'
     eig1 and eig2.
     """
+    stds = np.asarray(knowledge_stds, dtype=np.float64)
     peaks = np.asarray(peak_powers, dtype=np.float64)
-    problem = build_relaxation(channel, knowledge_stds, partition, peaks)
+    problem = build_relaxation(channel, stds, partition, peaks)
     solution = solve(problem)
     pair = extract_principal_eigenpair(solution.W)
     w = _polish_beamformer(pair.vector, problem)
-    post = optimal_postprocessing(w, channel, knowledge_stds, partition, peaks)
+    post = _complete(
+        w,
+        channel,
+        stds,
+        partition,
+        problem.active_mask,
+        problem.constraint_vectors,
+    )
     return TransceiverPlan(
         transmit=TransmitPlan(equalizers=post.equalizers, peak_powers=peaks),
         beamformer=w,

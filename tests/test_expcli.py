@@ -581,6 +581,36 @@ def test_aborted_trials_are_recorded_and_skipped(tmp_path):
     assert os.path.exists(result.summary_path)
 
 
+def test_summary_reports_the_plans_mean_solver_iterations(tmp_path, monkeypatch):
+    iterations = []
+    plan_round = expcli.optimize_round
+
+    def recording(*args, **kwargs):
+        plan = plan_round(*args, **kwargs)
+        iterations.append(plan.diagnostics.solver_iterations)
+        return plan
+
+    monkeypatch.setattr(expcli, "optimize_round", recording)
+    parser = small_parser(
+        experiment={"methods": "proposed,uniform", "output_dir": str(tmp_path)}
+    )
+    parser["experiment"]["trials"] = "2"
+    result = run_experiment(config_from_parser(parser))
+    assert not result.aborts
+    assert len(iterations) == 2 * 3 and min(iterations) > 0
+    with open(result.summary_path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    proposed = next(
+        i for i, line in enumerate(lines) if line.startswith("method=proposed")
+    )
+    assert lines[proposed + 2].startswith("  mean plan construction time: ")
+    assert lines[proposed + 3] == (
+        f"  mean IPM iterations per solve: {np.mean(iterations):.2f}"
+    )
+    # Only the optimized plans solve the relaxation.
+    assert sum("IPM iterations" in line for line in lines) == 1
+
+
 def test_csv_rows_structure_and_eval_cadence(tmp_path):
     parser = small_parser(
         experiment={

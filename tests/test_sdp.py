@@ -296,11 +296,11 @@ class TestSolveProperties:
         step = sdp_solver._Core._step
         steps = []
 
-        def breaks_after_three(core, total):
+        def breaks_after_three(core, residuals):
             if len(steps) == 3:
                 raise np.linalg.LinAlgError("forced breakdown")
-            steps.append(total)
-            step(core, total)
+            steps.append(residuals)
+            step(core, residuals)
 
         monkeypatch.setattr(sdp_solver._Core, "_step", breaks_after_three)
         with pytest.raises(SdpConvergenceError) as info:
@@ -310,6 +310,63 @@ class TestSolveProperties:
         assert "a numerical breakdown" in message and "after 3 of" in message
         assert "np.float64" not in message
         assert all(type(v) is float for v in info.value.best.residuals.values())
+
+
+class TestStepLimits:
+    def test_psd_step_limit_reaches_the_boundary(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            x = a @ a.conj().T + 0.1 * np.eye(n)
+            d = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            d = d + d.conj().T
+            d -= (np.linalg.eigvalsh(d)[0] + 1.0) * np.eye(n)  # lambda_min = -1
+            _, inverse = sdp_solver._cholesky_and_inverse(x)
+            alpha = sdp_solver._psd_step_limit(inverse, d)
+            scale = np.linalg.norm(x, 2) + alpha * np.linalg.norm(d, 2)
+            assert 0.0 < alpha < np.inf
+            assert abs(np.linalg.eigvalsh(x + alpha * d)[0]) <= 1e-12 * scale
+            assert np.linalg.eigvalsh(x + 0.99 * alpha * d)[0] > 0.0
+
+    def test_psd_direction_has_no_step_limit(self):
+        rng = np.random.default_rng(62)
+        x = np.diag([1.0, 2.0, 0.5]) + 0j
+        _, inverse = sdp_solver._cholesky_and_inverse(x)
+        v = random_unit_complex(rng, 3)
+        # Full-rank PSD directions and the zero direction; a singular one
+        # reads lambda_min at roundoff level, which may fall either side of 0.
+        for d in (np.outer(v, v.conj()) + 1e-3 * np.eye(3), np.zeros((3, 3))):
+            assert sdp_solver._psd_step_limit(inverse, d) == np.inf
+
+    def test_scalar_step_limit(self):
+        v = np.array([1.0, 2.0, 4.0])
+        assert sdp_solver._scalar_step_limit(v, np.array([-0.5, -4.0, 1.0])) == 0.5
+        assert sdp_solver._scalar_step_limit(v, np.array([0.0, 1.0, 3.0])) == np.inf
+
+    def test_indefinite_iterate_is_a_numerical_breakdown(self, monkeypatch):
+        # Nothing falls back to an eigenproblem: an iterate X that is not
+        # numerically positive definite ends the run at its next step.
+        rng = np.random.default_rng(48)
+        vectors = [[random_unit_complex(rng, 3) for _ in range(3)]]
+        problem = rank_one_problem(vectors, [1.0])
+        step = sdp_solver._Core._step
+        steps = []
+
+        def indefinite_after_two(core, residuals):
+            step(core, residuals)
+            steps.append(residuals)
+            if len(steps) == 2:
+                core.x[0, 0] = -1e-3
+
+        monkeypatch.setattr(sdp_solver._Core, "_step", indefinite_after_two)
+        with pytest.raises(SdpConvergenceError) as info:
+            solve(problem)
+        best = info.value.best
+        assert "a numerical breakdown" in str(info.value)
+        assert "after 2 of" in str(info.value)
+        assert best.iterations == 2 and not best.converged
+        assert np.linalg.eigvalsh(best.W)[0] < 0.0
 
 
 class TestDump:
