@@ -117,8 +117,12 @@ class DatasetSpec:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.num_samples < self.num_classes:
             raise ValueError("need at least one sample per class")
-        if self.test_samples < 1:
-            raise ValueError("test_samples must be >= 1")
+        # The test set is drawn like the training set, balanced over classes.
+        if self.test_samples < self.num_classes:
+            raise ValueError(
+                f"test_samples must be >= num_classes = {self.num_classes}, "
+                f"got {self.test_samples}"
+            )
         if self.separation < 0:
             raise ValueError("separation must be nonnegative")
         if self.feature_dim < self.num_classes - 1:

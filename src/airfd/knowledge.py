@@ -112,7 +112,10 @@ class KnowledgeSet:
         q = np.array(self.q, dtype=np.float64)
         if q.ndim != 3 or q.shape[1] != q.shape[2]:
             raise ValueError(f"q must be (M, K, K), got shape {q.shape}")
-        if np.any(q < -1e-12) or np.any(np.abs(q.sum(axis=2) - 1.0) > 1e-10):
+        # Written so that a NaN entry fails the test.
+        if not (
+            np.all(q >= -1e-12) and np.all(np.abs(q.sum(axis=2) - 1.0) <= 1e-10)
+        ):
             raise ValueError("each knowledge vector must be a probability vector")
         means = q.mean(axis=2)
         stds = np.sqrt(np.mean((q - means[:, :, None]) ** 2, axis=2))

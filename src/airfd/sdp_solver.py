@@ -38,13 +38,13 @@ to roundoff. The start is strictly feasible for both the primal and the
 dual, so the equality residuals stay at roundoff level and only the
 complementarity gap has to be driven to the tolerance. Problem sizes are
 tiny (N <= 16, a few hundred inequality rows), so everything is dense. An
-iterate that is no longer numerically positive definite ends the run as a
-numerical breakdown.
+iterate that is no longer numerically positive definite, a singular Newton
+system or a non-finite direction ends the run as a numerical breakdown.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +64,8 @@ __all__ = [
 # Bound on the normalized primal and dual residuals and on the relative
 # duality gap at which the interior-point method stops.
 TOL = 1e-8
+# Interior-point iterations after which the method gives up.
+MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -133,15 +135,13 @@ class SdpSolution:
         iterations: Interior-point iterations used.
         residuals: Final normalized residuals: primal_eq, primal_ineq,
             dual_eq, dual_matrix, rel_gap.
-        converged: True iff all residuals met the tolerance.
     """
 
     W: np.ndarray
     slacks: np.ndarray
     objective: float
     iterations: int
-    residuals: dict = field(default_factory=dict)
-    converged: bool = True
+    residuals: dict
 
 
 class SdpConvergenceError(RuntimeError):
@@ -235,10 +235,6 @@ def _scalar_step_limit(v: np.ndarray, dv: np.ndarray) -> float:
     return 1.0 / (-lam_min)
 
 
-class _NumericalBreakdown(Exception):
-    """Internal: the Newton system is singular or gave non-finite directions."""
-
-
 class _Residuals(NamedTuple):
     """Residuals of one iterate, shared by its report and its step."""
 
@@ -322,10 +318,10 @@ class _Core:
             "rel_gap": residuals.gap / gap_scale,
         }
 
-    def iterate(self, max_iterations: int) -> tuple[int, str | None]:
-        """Steps until every residual is within TOL. Returns the iterations
-        run and why the run stopped short (None when it converged)."""
-        for iteration in range(max_iterations):
+    def iterate(self) -> tuple[int, str | None]:
+        """Steps until every residual is within TOL, at most MAX_ITERATIONS
+        times. Returns the steps run and why the run stopped short (or None)."""
+        for iteration in range(MAX_ITERATIONS):
             residuals = self.residuals()
             report = self.residual_report(residuals)
             if (
@@ -337,11 +333,10 @@ class _Core:
 
             try:
                 self._step(residuals)
-            except (_NumericalBreakdown, np.linalg.LinAlgError):
-                # The iterate is too close to the boundary for further
-                # progress; report the best point reached so far.
+            except np.linalg.LinAlgError:
+                # Report the best point reached before the breakdown.
                 return iteration, "a numerical breakdown"
-        return max_iterations, "the iteration cap"
+        return MAX_ITERATIONS, "the iteration cap"
 
     def _step(self, residuals: _Residuals) -> None:
         m = self.m
@@ -364,12 +359,8 @@ class _Core:
         diag = np.arange(size)
         kkt = np.zeros((size, size))
         kkt[0, 0] = 2.0 * float(x_s_inv.trace().real)
-        b = self.forms(x_s_inv)
-        kkt[0, block] = b
-        kkt[block, 0] = b
+        kkt[0, block] = kkt[block, 0] = self.forms(x_s_inv)
         kkt[block, block] = schur_rows @ schur_rows.T
-        # G is PSD, so its largest entry lies on its diagonal.
-        g_max = float(kkt.diagonal()[block].max())
         kkt[diag[block], diag[block]] += self.s / self.z
         kkt[block, 1 + m :] = self.members
         kkt[1 + m :, block] = self.members.T
@@ -383,7 +374,7 @@ class _Core:
             rhs[1 + m :] = residuals.classes
             sol, info = dgetrs(lu, piv, rhs)
             if info != 0 or not np.isfinite(sol).all():
-                raise _NumericalBreakdown
+                raise np.linalg.LinAlgError("no finite Newton direction")
             dy = float(sol[0])
             dz = sol[block]
             de = sol[1 + m :]
@@ -393,22 +384,31 @@ class _Core:
             ds = (rc_vec - self.s * dz) / self.z
             return dy, dz, de, dx, ds_mat, ds
 
-        def attempt(matrix):
-            lu, piv, info = dgetrf(matrix)
-            if info != 0:
-                raise _NumericalBreakdown
-            # Predictor (affine-scaling) direction.
-            rc_mat = -self.x @ self.big_s
-            rc_vec = -(self.z * self.s)
-            _, dz_a, _, dx_a, ds_mat_a, ds_a = directions(lu, piv, rc_mat, rc_vec)
+        def step_lengths(tau, dz, dx, ds_mat, ds):
+            """Primal and dual steps: tau of the way to the boundary, at most 1."""
             alpha_p = min(
-                1.0, _psd_step_limit(inv_x, dx_a), _scalar_step_limit(self.s, ds_a)
+                1.0,
+                tau * _psd_step_limit(inv_x, dx),
+                tau * _scalar_step_limit(self.s, ds),
             )
             alpha_d = min(
                 1.0,
-                _psd_step_limit(inv_s, ds_mat_a),
-                _scalar_step_limit(self.z, dz_a),
+                tau * _psd_step_limit(inv_s, ds_mat),
+                tau * _scalar_step_limit(self.z, dz),
             )
+            return alpha_p, alpha_d
+
+        def newton_direction():
+            """Corrector direction, after the predictor (affine-scaling) step up
+            to the boundary. Returning frees the LU factors and predictor arrays
+            before the step: kept longer, they fragment the heap (+1.3 MB RSS)."""
+            lu, piv, info = dgetrf(kkt)
+            if info != 0:
+                raise np.linalg.LinAlgError("the Newton system is singular")
+            rc_mat = -self.x @ self.big_s
+            rc_vec = -(self.z * self.s)
+            _, dz_a, _, dx_a, ds_mat_a, ds_a = directions(lu, piv, rc_mat, rc_vec)
+            alpha_p, alpha_d = step_lengths(1.0, dz_a, dx_a, ds_mat_a, ds_a)
             gap_aff = _inner(
                 self.x + alpha_p * dx_a, self.big_s + alpha_d * ds_mat_a
             ) + float((self.z + alpha_d * dz_a) @ (self.s + alpha_p * ds_a))
@@ -419,37 +419,8 @@ class _Core:
             rc_vec = sigma * mu - self.z * self.s - dz_a * ds_a
             return directions(lu, piv, rc_mat, rc_vec)
 
-        # Factor the exact system first; if the solve breaks down (freak
-        # alignments can make it numerically singular), retry with escalating
-        # quasi-definite regularization scaled to the Schur block.
-        base = max(1.0, g_max, kkt[0, 0])
-        direction = None
-        for reg in (0.0, 1e-12 * base, 1e-9 * base, 1e-6 * base):
-            matrix = kkt
-            if reg > 0.0:
-                matrix = kkt.copy()
-                matrix[diag[: 1 + m], diag[: 1 + m]] += reg
-                matrix[diag[1 + m :], diag[1 + m :]] -= reg
-            try:
-                direction = attempt(matrix)
-                break
-            except _NumericalBreakdown:
-                continue
-        if direction is None:
-            raise _NumericalBreakdown
-        dy, dz, de, dx, ds_mat, ds = direction
-
-        tau = 0.98
-        alpha_p = min(
-            1.0,
-            tau * _psd_step_limit(inv_x, dx),
-            tau * _scalar_step_limit(self.s, ds),
-        )
-        alpha_d = min(
-            1.0,
-            tau * _psd_step_limit(inv_s, ds_mat),
-            tau * _scalar_step_limit(self.z, dz),
-        )
+        dy, dz, de, dx, ds_mat, ds = newton_direction()
+        alpha_p, alpha_d = step_lengths(0.98, dz, dx, ds_mat, ds)
         # Both directions are exactly Hermitian, and so stay the iterates.
         self.x = self.x + alpha_p * dx
         self.s = self.s + alpha_p * ds
@@ -459,21 +430,20 @@ class _Core:
         self.y = self.y + alpha_d * dy
 
 
-def solve(problem: SdpProblem, max_iterations: int = 200) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Solve the relaxed beamforming SDP to the tolerance TOL.
 
     Args:
         problem: Validated instance.
-        max_iterations: Interior-point iteration cap.
 
     Returns:
         SdpSolution with a unit-trace Hermitian PSD W and slacks e.
 
     Raises:
-        SdpConvergenceError: if the iteration cap is hit or a step breaks
+        SdpConvergenceError: if MAX_ITERATIONS is reached or a step breaks
             down numerically first (an iterate that is no longer numerically
-            positive definite included); carries the best iterate in its
-            ``best`` attribute.
+            positive definite, or a singular Newton system); carries the best
+            iterate in its ``best`` attribute.
     """
     mask = problem.active_mask
     all_pairs = np.argwhere(mask)  # rows of (k, j)
@@ -504,7 +474,7 @@ def solve(problem: SdpProblem, max_iterations: int = 200) -> SdpSolution:
     c_scaled = c_scaled / gamma
 
     core = _Core(vecs * np.sqrt(kappa)[class_of, None], class_of, c_scaled)
-    iterations, stop = core.iterate(max_iterations)
+    iterations, stop = core.iterate()
 
     w = core.x
     trace_w = float(np.trace(w).real)
@@ -518,12 +488,11 @@ def solve(problem: SdpProblem, max_iterations: int = 200) -> SdpSolution:
         objective=objective,
         iterations=iterations,
         residuals=core.residual_report(core.residuals()),
-        converged=stop is None,
     )
     if stop is not None:
         raise SdpConvergenceError(
             f"no convergence: {stop} stopped the run after {iterations} of at "
-            f"most {max_iterations} iterations (residuals: {solution.residuals})",
+            f"most {MAX_ITERATIONS} iterations (residuals: {solution.residuals})",
             best=solution,
         )
     return solution

@@ -128,11 +128,12 @@ class TransmitPlan:
             raise ValueError(f"equalizers must be (M, K), got shape {eq.shape}")
         if peak.shape != (eq.shape[0],):
             raise ValueError("peak_powers must have shape (M,)")
-        if np.any(peak <= 0):
+        # Each test is written so that a NaN fails it.
+        if not np.all(peak > 0):
             raise ValueError("peak powers must be positive")
         # Tiny headroom absorbs the round-trip rounding of a peak-power design.
         power = eq.real**2 + eq.imag**2
-        if np.any(power > peak[:, None] * (1.0 + 1e-9)):
+        if not np.all(power <= peak[:, None] * (1.0 + 1e-9)):
             raise ValueError("equalizer power exceeds the peak-power budget")
         eq.setflags(write=False)
         object.__setattr__(self, "equalizers", eq)
@@ -167,10 +168,11 @@ class TransceiverPlan:
         m, k = self.transmit.equalizers.shape
         if w.ndim != 1:
             raise ValueError("beamformer must be a vector")
-        if abs(np.linalg.norm(w) - 1.0) > 1e-10:
+        # The value tests are written so that a NaN fails them.
+        if not abs(np.linalg.norm(w) - 1.0) <= 1e-10:
             raise ValueError("beamformer must have unit 2-norm")
-        if lam.shape != (k,) or np.any(lam <= 0):
-            raise ValueError(f"denormalizers must be ({k},) positive scalars")
+        if lam.shape != (k,) or not np.all(np.isfinite(lam) & (lam > 0)):
+            raise ValueError(f"denormalizers must be ({k},) finite positive scalars")
         if idx.shape != (k,):
             raise ValueError(f"straggler_indices must have shape ({k},)")
         if np.any(idx < -1) or np.any(idx >= m):

@@ -340,6 +340,7 @@ def test_config_file_unknown_keys_are_ignored(tmp_path):
         ("experiment", "eval_every", "0"),
         ("partition", "dirichlet_param", "0.0"),
         ("dataset", "num_classes", "1"),
+        ("dataset", "test_samples", "2"),
     ],
 )
 def test_config_validation_rejects(section, key, value):

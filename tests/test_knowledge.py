@@ -353,6 +353,8 @@ class TestPartitionAndPlanTypes:
             (np.array([[1.1 + 0j]]), np.array([1.0])),  # over budget
             (eq, np.array([1.0])),  # wrong shape
             (eq, np.array([1.0, 0.0])),  # not positive
+            (np.array([[np.nan + 0j]]), np.array([1.0])),  # NaN equalizer
+            (eq, np.array([1.0, np.nan])),  # NaN budget
         ]:
             with pytest.raises(ValueError):
                 TransmitPlan(equalizers=equalizers, peak_powers=peaks)
@@ -407,7 +409,12 @@ class TestPartitionAndPlanTypes:
         assert np.array_equal(stored, before)
 
     def test_knowledge_set_validates_probability_vectors(self):
-        q = np.zeros((1, 2, 2))
-        q[0] = np.array([[0.9, 0.2], [0.5, 0.5]])  # first row sums to 1.1
-        with pytest.raises(ValueError):
-            KnowledgeSet(q=q)
+        for row in (
+            [0.9, 0.2],  # sums to 1.1
+            [np.nan, np.nan],
+            [np.nan, 1.0],
+        ):
+            q = np.full((1, 2, 2), 0.5)
+            q[0, 0] = row
+            with pytest.raises(ValueError):
+                KnowledgeSet(q=q)

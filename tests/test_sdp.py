@@ -158,7 +158,6 @@ class TestSolveClosedForm:
             problem = rank_one_problem([[h]], [1.0])
             solution = solve(problem)
             norm_sq = float(np.vdot(h, h).real)
-            assert solution.converged
             assert abs(solution.slacks[0] + norm_sq) <= 1e-6 * norm_sq
             assert abs(solution.objective - solution.slacks[0]) <= 1e-12 * norm_sq
             expected = np.outer(h, h.conj()) / norm_sq
@@ -277,15 +276,15 @@ class TestSolveProperties:
         alignment = abs(np.vdot(pair.vector, weak / np.linalg.norm(weak)))
         assert alignment >= 0.999
 
-    def test_iteration_cap_raises_with_best_iterate(self):
+    def test_iteration_cap_raises_with_best_iterate(self, monkeypatch):
         rng = np.random.default_rng(47)
         vectors = [[random_unit_complex(rng, 3) for _ in range(3)]]
         problem = rank_one_problem(vectors, [1.0])
+        monkeypatch.setattr(sdp_solver, "MAX_ITERATIONS", 1)
         with pytest.raises(SdpConvergenceError) as info:
-            solve(problem, max_iterations=1)
+            solve(problem)
         best = info.value.best
         assert isinstance(best, SdpSolution)
-        assert not best.converged
         assert best.iterations == 1
         assert "the iteration cap" in str(info.value)
 
@@ -310,6 +309,27 @@ class TestSolveProperties:
         assert "a numerical breakdown" in message and "after 3 of" in message
         assert "np.float64" not in message
         assert all(type(v) is float for v in info.value.best.residuals.values())
+
+    def test_singular_newton_system_ends_the_run_without_retry(self, monkeypatch):
+        # The Newton system is factored once per iteration: a singular one is
+        # a numerical breakdown, not a reason to factor it again.
+        rng = np.random.default_rng(47)
+        vectors = [[random_unit_complex(rng, 3) for _ in range(3)]]
+        problem = rank_one_problem(vectors, [1.0])
+        factor = sdp_solver.dgetrf
+        calls = []
+
+        def singular_from_the_fourth_call(matrix):
+            calls.append(matrix.shape)
+            lu, piv, info = factor(matrix)
+            return lu, piv, 1 if len(calls) >= 4 else info
+
+        monkeypatch.setattr(sdp_solver, "dgetrf", singular_from_the_fourth_call)
+        with pytest.raises(SdpConvergenceError) as info:
+            solve(problem)
+        assert "a numerical breakdown" in str(info.value)
+        assert info.value.best.iterations == 3
+        assert len(calls) == 4
 
 
 class TestStepLimits:
@@ -365,7 +385,7 @@ class TestStepLimits:
         best = info.value.best
         assert "a numerical breakdown" in str(info.value)
         assert "after 2 of" in str(info.value)
-        assert best.iterations == 2 and not best.converged
+        assert best.iterations == 2
         assert np.linalg.eigvalsh(best.W)[0] < 0.0
 
 

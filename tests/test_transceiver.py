@@ -645,6 +645,9 @@ class TestPlanTypeAndDump:
             ("straggler_indices", np.array([0]), "straggler"),
             ("straggler_indices", np.array([3, 0]), "straggler"),
             ("straggler_indices", np.array([-2, 0]), "straggler"),
+            ("denormalizers", np.array([np.nan, 1.0]), "denormalizers"),
+            ("denormalizers", np.array([1.0, np.inf]), "denormalizers"),
+            ("beamformer", np.array([np.nan + 0j, 0.0]), "unit"),
         ],
     )
     def test_bad_fields_rejected(self, field, value, match):
