@@ -250,6 +250,33 @@ class TestSolveProperties:
             assert solution.objective <= grid + 1e-9
             assert abs(solution.objective - grid) <= 1e-3 * abs(grid)
 
+    def test_zero_active_vector_solves(self):
+        # A zero constraint vector has a zero quadratic form at every W. The
+        # start's slacks must stay positive on it, also when a whole class
+        # is zero, and the optimum must match the grid search.
+        rng = np.random.default_rng(49)
+        vectors = [
+            [
+                (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * np.sqrt(0.5)
+                for _ in range(4)
+            ]
+            for _ in range(2)
+        ]
+        zero = np.zeros(2, dtype=np.complex128)
+        vectors[0][2] = zero
+        for problem in (
+            rank_one_problem(vectors, [1.0, 1.5]),
+            rank_one_problem([[zero], vectors[1]], [1.0, 1.5]),
+        ):
+            solution = solve(problem)
+            assert abs(solution.slacks[0]) <= 1e-7
+            grid = beamformer_grid_search(problem, coarse_theta=400, coarse_phi=400)
+            assert solution.objective <= grid + 1e-9
+            assert abs(solution.objective - grid) <= 1e-3 * abs(grid)
+        # With every vector zero the dual matrix has no constraint part.
+        zeros = rank_one_problem([[zero, zero], [zero]], [1.0, 1.5])
+        assert abs(solve(zeros).objective) <= 1e-12
+
     def test_deterministic(self):
         rng = np.random.default_rng(45)
         vectors = [[random_unit_complex(rng, 3) for _ in range(4)] for _ in range(2)]
@@ -330,6 +357,37 @@ class TestSolveProperties:
         assert "a numerical breakdown" in str(info.value)
         assert info.value.best.iterations == 3
         assert len(calls) == 4
+
+
+class TestStart:
+    @pytest.mark.parametrize("zero_row", [False, True])
+    def test_start_is_strictly_feasible_and_centred(self, monkeypatch, zero_row):
+        rng = np.random.default_rng(71)
+        scales = 10.0 ** rng.uniform(-3, 1, size=(3, 6))
+        vectors = [
+            [s * random_unit_complex(rng, 4) for s in row] for row in scales
+        ]
+        if zero_row:
+            vectors[1][3] = np.zeros(4, dtype=np.complex128)
+        cores = []
+
+        def stop_at_the_start(core):
+            cores.append(core)
+            return 0, None
+
+        monkeypatch.setattr(sdp_solver._Core, "iterate", stop_at_the_start)
+        solve(rank_one_problem(vectors, [0.5, 1.0, 3.0]))
+        core = cores[0]
+        report = core.residual_report(core.residuals())
+        for name in ("primal_eq", "primal_ineq", "dual_eq", "dual_matrix"):
+            assert report[name] <= 1e-14, name
+        assert np.all(core.s > 0) and np.all(core.z > 0)
+        assert np.linalg.eigvalsh(core.big_s)[0] > 0
+        np.testing.assert_allclose(core.members.T @ core.z, core.c, rtol=1e-12)
+        products = core.z * core.s
+        for k in range(core.num_classes):
+            in_class = products[core.class_of == k]
+            np.testing.assert_allclose(in_class, in_class[0], rtol=1e-12)
 
 
 class TestStepLimits:
