@@ -37,8 +37,8 @@ class ChannelConfig:
         carrier_freq: Carrier frequency in Hz.
         pathloss_exponent: Free-space decay exponent (>= 2 for physical setups;
             0 is allowed and collapses the distance term to 1).
-        antenna_gain_ps: Server-side antenna gain, linear scale.
-        antenna_gain_wd: Device-side antenna gain, linear scale.
+        antenna_gain_ps: Server-side antenna gain, linear scale (> 0).
+        antenna_gain_wd: Device-side antenna gain, linear scale (> 0).
         distance_range: (d_min, d_max) device-server distances in meters.
         csi_quality: Channel-estimate quality in [0, 1]; 1 = perfect estimates.
     """
@@ -58,15 +58,23 @@ class ChannelConfig:
             raise ValueError(f"num_wds must be >= 1, got {self.num_wds}")
         if self.num_antennas < 1:
             raise ValueError(f"num_antennas must be >= 1, got {self.num_antennas}")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be nonnegative")
-        if self.carrier_freq <= 0:
-            raise ValueError("carrier_freq must be positive")
+        # Each test is written so that NaN fails it.
+        if not 0.0 <= self.noise_variance < np.inf:
+            raise ValueError("noise_variance must be finite and nonnegative")
+        if not 0.0 < self.carrier_freq < np.inf:
+            raise ValueError("carrier_freq must be finite and positive")
+        if not 0.0 <= self.pathloss_exponent < np.inf:
+            raise ValueError("pathloss_exponent must be finite and nonnegative")
+        for name in ("antenna_gain_ps", "antenna_gain_wd"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not 0.0 <= self.csi_quality <= 1.0:
             raise ValueError(f"csi_quality must be in [0, 1], got {self.csi_quality}")
         d_min, d_max = self.distance_range
-        if not (0.0 < d_min <= d_max):
-            raise ValueError(f"need 0 < d_min <= d_max, got {self.distance_range}")
+        if not 0.0 < d_min <= d_max < np.inf:
+            raise ValueError(
+                f"need 0 < d_min <= d_max < inf, got {self.distance_range}"
+            )
 
 
 @dataclass(frozen=True)
@@ -142,8 +150,7 @@ def sample_channel(
     """Draw one block-fading state: h_i = sqrt(path_loss(d_i)) * g_i.
 
     The small-scale fading g_i has IID CN(0, 1) entries across devices and
-    antennas. A degenerate all-zero row (possible only under forced inputs)
-    is resampled once.
+    antennas.
 
     Args:
         config: Channel parameters.
@@ -160,11 +167,6 @@ def sample_channel(
         )
     amplitudes = np.sqrt([path_loss(d, config) for d in distances])
     fading = _standard_complex(rng, (config.num_wds, config.num_antennas))
-    zero_rows = np.all(fading == 0, axis=1)
-    if np.any(zero_rows):
-        fading[zero_rows] = _standard_complex(
-            rng, (int(zero_rows.sum()), config.num_antennas)
-        )
     coefficients = amplitudes[:, None] * fading
     return ChannelState(coefficients=coefficients)
 

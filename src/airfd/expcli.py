@@ -41,10 +41,8 @@ from .channel import (
     scale_coefficients,
 )
 from .knowledge import (
-    ClassGather,
     DatasetPartition,
     KnowledgeSet,
-    class_gather,
     global_target,
     knowledge_vectors,
 )
@@ -123,8 +121,8 @@ class DatasetSpec:
                 f"test_samples must be >= num_classes = {self.num_classes}, "
                 f"got {self.test_samples}"
             )
-        if self.separation < 0:
-            raise ValueError("separation must be nonnegative")
+        if not 0.0 <= self.separation < np.inf:
+            raise ValueError("separation must be finite and nonnegative")
         if self.feature_dim < self.num_classes - 1:
             raise ValueError(
                 "feature_dim must be >= num_classes - 1 so that equidistant "
@@ -303,8 +301,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.partition_mode not in ("iid", "dirichlet"):
             raise ValueError(f"unknown partition mode: {self.partition_mode!r}")
-        if self.dirichlet_param <= 0:
-            raise ValueError("dirichlet_param must be positive")
+        # The float tests are written so that NaN fails them.
+        if not 0.0 < self.dirichlet_param < np.inf:
+            raise ValueError("dirichlet_param must be finite and positive")
         if not self.methods:
             raise ValueError("methods must be non-empty")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -318,8 +317,8 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
-        if self.peak_power <= 0:
-            raise ValueError("peak_power must be positive")
+        if not 0.0 < self.peak_power < np.inf:
+            raise ValueError("peak_power must be finite and positive")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
 
@@ -464,24 +463,17 @@ def generate_knowledge(
     params_by_wd: list[ModelParams],
     features_by_wd: list[np.ndarray],
     labels_by_wd: list[np.ndarray],
-    part: DatasetPartition,
-    gather: ClassGather | None = None,
 ) -> tuple[KnowledgeSet, list[ForwardPass]]:
     """Every device's per-class average soft predictions.
 
     Also returns each device's forward pass, which `train_round` reuses for
-    its full-batch loss while the parameters are unchanged. `gather` is the
-    class gather of `labels_by_wd` (built here when not given).
+    its full-batch loss while the parameters are unchanged.
     """
-    if gather is None:
-        gather = class_gather(labels_by_wd, part.num_classes)
-    if not np.array_equal(gather.counts, part.counts):
-        raise ValueError("labels disagree with the partition's sample counts")
     passes = [
         forward_pass(params, features)
         for params, features in zip(params_by_wd, features_by_wd)
     ]
-    q = knowledge_vectors([fp.probs for fp in passes], gather)
+    q = knowledge_vectors([fp.probs for fp in passes], labels_by_wd)
     return KnowledgeSet(q=q), passes
 
 
@@ -582,7 +574,6 @@ def _run_trial(
     )
     features_by_wd = [train.features[idx] for idx in assignment]
     labels_by_wd = [train.labels[idx] for idx in assignment]
-    gather = class_gather(labels_by_wd, num_classes)
     distances = sample_distances(cha, substream(seed, "distance", trial))
     amplitudes = np.sqrt([path_loss(d, cha) for d in distances])
     unit_config = replace(
@@ -629,7 +620,7 @@ def _run_trial(
 
         for method in config.methods:
             knowledge, passes = generate_knowledge(
-                params[method], features_by_wd, labels_by_wd, part, gather
+                params[method], features_by_wd, labels_by_wd
             )
             plan = None
             if method == "error_free":

@@ -19,9 +19,7 @@ __all__ = [
     "Q_HAT_FLOOR",
     "DatasetPartition",
     "KnowledgeSet",
-    "ClassGather",
     "transmit_active_mask",
-    "class_gather",
     "knowledge_vectors",
     "global_target",
 ]
@@ -165,58 +163,16 @@ def transmit_active_mask(
     return partition.active_mask & (stds >= Q_HAT_FLOOR)
 
 
-@dataclass(frozen=True)
-class ClassGather:
-    """Where every device's samples of each class sit among the outputs of
-    all devices stacked in device order.
-
-    Labels are fixed within a trial, so one gather serves every round.
-
-    Attributes:
-        rows: Length-K tuple; rows[k] is an (M, L_k) int array, L_k being the
-            largest B_i^k. Row i lists the stacked positions of device i's
-            class-k samples in sample order, padded with `size`, the position
-            of the zero row appended after the stacked outputs.
-        counts: (M, K) sample counts B_i^k.
-        size: Number of samples over all devices.
-    """
-
-    rows: tuple[np.ndarray, ...]
-    counts: np.ndarray
-    size: int
-
-
-def class_gather(labels_by_wd: list[np.ndarray], num_classes: int) -> ClassGather:
-    """The gather of each class's samples, per device, for knowledge_vectors."""
-    num_wds = len(labels_by_wd)
-    labels = np.concatenate([np.asarray(lab) for lab in labels_by_wd])
-    owner = np.repeat(np.arange(num_wds), [len(lab) for lab in labels_by_wd])
-    if np.any(labels < 0) or np.any(labels >= num_classes):
-        raise ValueError("labels must lie in [0, K)")
-    counts = np.zeros((num_wds, num_classes), dtype=np.int64)
-    rows = []
-    for k in range(num_classes):
-        positions = np.flatnonzero(labels == k)
-        devices = owner[positions]
-        counts[:, k] = np.bincount(devices, minlength=num_wds)
-        # Rank of each sample among its device's class-k samples.
-        first = np.cumsum(counts[:, k]) - counts[:, k]
-        index = np.full((num_wds, counts[:, k].max()), labels.size)
-        index[devices, np.arange(positions.size) - first[devices]] = positions
-        rows.append(index)
-    counts.setflags(write=False)
-    return ClassGather(rows=tuple(rows), counts=counts, size=labels.size)
-
-
 def knowledge_vectors(
-    outputs_by_wd: list[np.ndarray], gather: ClassGather
+    outputs_by_wd: list[np.ndarray], labels_by_wd: list[np.ndarray]
 ) -> np.ndarray:
     """Average soft predictions per device and class.
 
     Args:
         outputs_by_wd: Length-M list; entry i is the (B_i, K) softmax outputs
-            of device i's samples, in the order the gather was built from.
-        gather: The class gather of the devices' labels.
+            of device i's samples.
+        labels_by_wd: Length-M list; entry i is the B_i labels, in [0, K), of
+            the same samples in the same order.
 
     Returns:
         (M, K, K) array whose [i, k] row is device i's class-k knowledge
@@ -225,19 +181,34 @@ def knowledge_vectors(
         the uniform vector (they are excluded from aggregation by their zero
         weight).
     """
-    num_wds, num_classes = gather.counts.shape
-    stacked = np.concatenate(
-        [np.asarray(out, dtype=np.float64) for out in outputs_by_wd]
-        + [np.zeros((1, num_classes))]
+    outputs = [np.asarray(out, dtype=np.float64) for out in outputs_by_wd]
+    num_wds, num_classes = len(outputs), outputs[0].shape[-1]
+    if len(labels_by_wd) != num_wds or any(
+        out.shape != (len(lab), num_classes)
+        for out, lab in zip(outputs, labels_by_wd)
+    ):
+        raise ValueError("each device needs one K-wide output row per label")
+    labels = np.concatenate(labels_by_wd)
+    if np.any(labels < 0) or np.any(labels >= num_classes):
+        raise ValueError("labels must lie in [0, K)")
+    # Cell i * K + k holds device i's class-k samples; bincount adds each
+    # cell's entries in sample order, starting from 0.0. There is one
+    # bincount per output entry: a single one over (cell, entry) bins would
+    # need a B*K index array, which made it slower.
+    owner = np.repeat(np.arange(num_wds), [len(lab) for lab in labels_by_wd])
+    cells = owner * num_classes + labels
+    counts = np.bincount(cells, minlength=num_wds * num_classes)
+    sums = np.stack(
+        [
+            np.bincount(cells, weights=entry, minlength=counts.size)
+            for entry in np.concatenate(outputs).T
+        ],
+        axis=1,
     )
-    expected = (gather.size + 1, num_classes)
-    if len(outputs_by_wd) != num_wds or stacked.shape != expected:
-        raise ValueError("outputs do not match the gather's devices and samples")
-    sums = np.stack([stacked[rows].sum(axis=1) for rows in gather.rows], axis=1)
-    result = np.full((num_wds, num_classes, num_classes), 1.0 / num_classes)
-    held = gather.counts > 0
-    result[held] = sums[held] / gather.counts[held][:, None]
-    return result
+    result = np.full((counts.size, num_classes), 1.0 / num_classes)
+    held = counts > 0
+    result[held] = sums[held] / counts[held][:, None]
+    return result.reshape(num_wds, num_classes, num_classes)
 
 
 def global_target(knowledge: KnowledgeSet, partition: DatasetPartition) -> np.ndarray:

@@ -95,15 +95,16 @@ class LearnerConfig:
     lr_cap: float = float("inf")
 
     def __post_init__(self) -> None:
-        if self.distill_weight < 0:
-            raise ValueError("distill_weight must be nonnegative")
-        if self.init_lr <= 0:
-            raise ValueError("init_lr must be positive")
+        # Each test is written so that NaN fails it.
+        if not 0.0 <= self.distill_weight < np.inf:
+            raise ValueError("distill_weight must be finite and nonnegative")
+        if not 0.0 < self.init_lr < np.inf:
+            raise ValueError("init_lr must be finite and positive")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be >= 1")
-        if self.lr_cap <= 0:
+        if not self.lr_cap > 0.0:
             raise ValueError("lr_cap must be positive")
 
 

@@ -425,7 +425,7 @@ def _final_distillation_loss(config, result) -> float:
         )
         feats = [train.features[idx] for idx in assignment]
         labs = [train.labels[idx] for idx in assignment]
-        knowledge, _ = expcli.generate_knowledge(params, feats, labs, part)
+        knowledge, _ = expcli.generate_knowledge(params, feats, labs)
         target = global_target(knowledge, part)
         per_wd = []
         for i, model in enumerate(params):

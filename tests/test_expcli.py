@@ -182,7 +182,7 @@ def test_generate_knowledge_matches_oracle_and_returns_forward_passes():
     labs = [data.labels[idx] for idx in assignment]
     arch = Architecture(feature_dim=8, hidden_dim=5, num_classes=3)
     params = [init_params(arch, substream(3, "init", 0, i)) for i in range(6)]
-    knowledge, passes = expcli.generate_knowledge(params, feats, labs, part)
+    knowledge, passes = expcli.generate_knowledge(params, feats, labs)
     assert np.any(part.counts == 0)
     for i, model in enumerate(params):
         probs = forward_pass(model, feats[i]).probs
@@ -192,8 +192,9 @@ def test_generate_knowledge_matches_oracle_and_returns_forward_passes():
         )
         assert np.array_equal(knowledge.q[i], expected)
     shuffled = [labs[1], labs[0]] + labs[2:]
-    with pytest.raises(ValueError, match="partition"):
-        expcli.generate_knowledge(params, feats, shuffled, part)
+    assert len(labs[0]) != len(labs[1])
+    with pytest.raises(ValueError, match="per label"):
+        expcli.generate_knowledge(params, feats, shuffled)
 
 
 def test_partition_huge_concentration_is_near_uniform():
@@ -341,6 +342,26 @@ def test_config_file_unknown_keys_are_ignored(tmp_path):
         ("partition", "dirichlet_param", "0.0"),
         ("dataset", "num_classes", "1"),
         ("dataset", "test_samples", "2"),
+        ("learner", "distill_weight", "nan"),
+        ("learner", "lr_cap", "nan"),
+        ("partition", "dirichlet_param", "nan"),
+        ("learner", "init_lr", "nan"),
+        ("channel", "peak_power", "nan"),
+        ("channel", "noise_variance", "nan"),
+        ("dataset", "separation", "nan"),
+        ("channel", "pathloss_exponent", "nan"),
+        ("learner", "init_lr", "inf"),
+        ("channel", "carrier_freq", "inf"),
+        ("channel", "antenna_gain_ps", "0"),
+        ("channel", "antenna_gain_wd", "-1"),
+        ("learner", "distill_weight", "inf"),
+        ("partition", "dirichlet_param", "inf"),
+        ("channel", "peak_power", "inf"),
+        ("channel", "noise_variance", "inf"),
+        ("dataset", "separation", "inf"),
+        ("channel", "pathloss_exponent", "-1"),
+        ("channel", "antenna_gain_ps", "inf"),
+        ("channel", "distance_max", "inf"),
     ],
 )
 def test_config_validation_rejects(section, key, value):
@@ -533,7 +554,7 @@ def test_error_free_matches_direct_reimplementation(tmp_path):
         for i in range(config.channel.num_wds)
     ]
     for t in range(lrn.rounds):
-        knowledge, _ = expcli.generate_knowledge(params, feats, labs, part)
+        knowledge, _ = expcli.generate_knowledge(params, feats, labs)
         target = global_target(knowledge, part)
         batch_rng = substream(seed, "batch", 0, t)
         for i in range(config.channel.num_wds):

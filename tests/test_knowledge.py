@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airfd.airagg import aggregate_over_air
 from airfd.channel import ChannelState
@@ -9,7 +11,6 @@ from airfd.knowledge import (
     Q_HAT_FLOOR,
     DatasetPartition,
     KnowledgeSet,
-    class_gather,
     global_target,
     knowledge_vectors,
     transmit_active_mask,
@@ -118,15 +119,48 @@ def ragged_devices(rng, num_wds, num_classes, concentration=0.1):
     return labels_by_wd, outputs_by_wd
 
 
+@st.composite
+def labelled_outputs(draw):
+    """1-8 devices with 1-30 labels each over 2-10 classes, in any order (so
+    with empty cells), and Dirichlet softmax-like outputs."""
+    num_classes = draw(st.integers(2, 10))
+    labels_by_wd = draw(
+        st.lists(
+            st.lists(st.integers(0, num_classes - 1), min_size=1, max_size=30),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    outputs_by_wd = [
+        rng.dirichlet(np.ones(num_classes), size=len(labels))
+        for labels in labels_by_wd
+    ]
+    return [np.array(labels) for labels in labels_by_wd], outputs_by_wd
+
+
 class TestKnowledgeVectors:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(labelled_outputs())
+    def test_property_matches_oracle_bit_for_bit(self, drawn):
+        labels_by_wd, outputs_by_wd = drawn
+        num_classes = outputs_by_wd[0].shape[1]
+        result = knowledge_vectors(outputs_by_wd, labels_by_wd)
+        assert result.shape == (len(labels_by_wd), num_classes, num_classes)
+        for i, (labels, outputs) in enumerate(zip(labels_by_wd, outputs_by_wd)):
+            expected = local_knowledge(
+                [outputs[labels == k] for k in range(num_classes)],
+                np.bincount(labels, minlength=num_classes),
+            )
+            assert np.array_equal(result[i], expected)
+
     def test_matches_oracle_loop_bit_for_bit(self):
         empty_cells = single_cells = 0
         for seed in range(30):
             rng = substream(seed, "kv")
             num_classes = int(rng.integers(2, 11))
             labels_by_wd, outputs_by_wd = ragged_devices(rng, 12, num_classes)
-            gather = class_gather(labels_by_wd, num_classes)
-            result = knowledge_vectors(outputs_by_wd, gather)
+            result = knowledge_vectors(outputs_by_wd, labels_by_wd)
             for i, (labels, outputs) in enumerate(zip(labels_by_wd, outputs_by_wd)):
                 counts_row = np.bincount(labels, minlength=num_classes)
                 expected = local_knowledge(
@@ -137,33 +171,34 @@ class TestKnowledgeVectors:
                 single_cells += int(np.sum(counts_row == 1))
         assert empty_cells > 0 and single_cells > 0
 
-    def test_gather_counts_and_padding(self):
-        labels_by_wd = [np.array([2, 0, 2]), np.array([1]), np.array([2, 2, 0, 2])]
-        gather = class_gather(labels_by_wd, 3)
-        assert np.array_equal(gather.counts, [[1, 0, 2], [0, 1, 0], [1, 0, 3]])
-        assert gather.size == 8
-        # Class 2 in stacked order: device 0 at 0, 2; device 2 at 4, 5, 7.
-        assert np.array_equal(gather.rows[2], [[0, 2, 8], [8, 8, 8], [4, 5, 7]])
-
     def test_empty_cells_keep_the_uniform_placeholder(self):
         labels_by_wd = [np.array([1, 1]), np.array([0])]
         outputs_by_wd = [np.array([[0.2, 0.8], [0.4, 0.6]]), np.array([[0.9, 0.1]])]
-        result = knowledge_vectors(outputs_by_wd, class_gather(labels_by_wd, 2))
+        result = knowledge_vectors(outputs_by_wd, labels_by_wd)
         assert np.array_equal(result[0, 0], [0.5, 0.5])
         assert np.allclose(result[0, 1], [0.3, 0.7], atol=1e-15)
         assert np.array_equal(result[1, 0], [0.9, 0.1])
         assert np.array_equal(result[1, 1], [0.5, 0.5])
 
     def test_mismatched_outputs_rejected(self):
-        gather = class_gather([np.array([0, 1]), np.array([1])], 2)
-        with pytest.raises(ValueError, match="gather"):
-            knowledge_vectors([np.full((2, 2), 0.5)], gather)
-        with pytest.raises(ValueError, match="gather"):
-            knowledge_vectors([np.full((2, 2), 0.5), np.full((2, 2), 0.5)], gather)
+        labels_by_wd = [np.array([0, 1]), np.array([1])]
+        with pytest.raises(ValueError, match="per label"):
+            knowledge_vectors([np.full((2, 2), 0.5)], labels_by_wd)
+        with pytest.raises(ValueError, match="per label"):
+            knowledge_vectors(
+                [np.full((2, 2), 0.5), np.full((2, 2), 0.5)], labels_by_wd
+            )
+        with pytest.raises(ValueError, match="per label"):
+            knowledge_vectors(
+                [np.full((2, 2), 0.5), np.full((1, 3), 1.0 / 3)], labels_by_wd
+            )
 
     def test_out_of_range_labels_rejected(self):
-        with pytest.raises(ValueError, match="labels"):
-            class_gather([np.array([0, 3])], 3)
+        outputs_by_wd = [np.full((2, 3), 1.0 / 3), np.full((1, 3), 1.0 / 3)]
+        # Label K of device 0 would otherwise land in device 1's class-0 cell.
+        for labels in (np.array([0, 3]), np.array([-1, 0])):
+            with pytest.raises(ValueError, match="labels"):
+                knowledge_vectors(outputs_by_wd, [labels, np.array([1])])
 
 
 class TestKnowledgeStats:
