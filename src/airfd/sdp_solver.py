@@ -22,12 +22,14 @@ system is
 
 built as R R^T from the m real rows R_l = vec(conj(L_X^H u_l) (L_S^-1 u_l)^T)
 / sqrt(2) (real and imaginary parts side by side), so it costs O(m^2 N^2)
-and holds no complex m x m matrix. The Newton system (trace dual, the m constraint duals
-and the K slacks: size 1 + m + K) is LU-factored once per iteration and
-solved for the predictor and the corrector. X and S do not change between
-the two, so each is Cholesky-factored once per iteration (X = L_X L_X^H,
-S = L_S L_S^H), and those factors give S^-1, the Schur rows and all four
-step lengths, alpha = 1 / -lambda_min(L^-1 dX L^-H).
+and holds no complex m x m matrix. The Newton system (trace dual, the m
+constraint duals and the K slacks: size 1 + m + K) is exactly symmetric, so
+its transpose is the same matrix in the Fortran order LAPACK reads: it is
+LU-factored in place, with no copy, once per iteration and solved for the
+predictor and the corrector. X and S do not change between the two, so each
+is Cholesky-factored once per iteration (X = L_X L_X^H, S = L_S L_S^H), and
+those factors give S^-1, the Schur rows and all four step lengths,
+alpha = 1 / -lambda_min(L^-1 dX L^-H).
 
 The method is the one on the real symmetric embedding [[Re, -Im], [Im, Re]]
 of the complex problem, written in complex form: its inner product is
@@ -368,6 +370,7 @@ class _Core:
         _, inv_s = _cholesky_and_inverse(self.big_s)
         s_inv = inv_s.conj().T @ inv_s
         x_s_inv = self.x @ s_inv
+        x_dual = self.x @ residuals.dual
         # Schur block G = (1/2) Re[(V^H X V) o conj(V^H S^-1 V)] = R R^T, with
         # row l of R the real and imaginary parts of
         # vec(conj(L_X^H u_l / sqrt(2)) (L_S^-1 u_l)^T).
@@ -389,7 +392,7 @@ class _Core:
 
         def directions(lu, piv, rc_mat, rc_vec):
             """Solve the reduced system for one right-hand side."""
-            y0 = (rc_mat + self.x @ residuals.dual) @ s_inv
+            y0 = (rc_mat + x_dual) @ s_inv
             rhs = np.empty(size)
             rhs[0] = residuals.trace - 2.0 * float(y0.trace().real)
             rhs[block] = -residuals.rows + rc_vec / self.z - self.forms(y0)
@@ -422,9 +425,10 @@ class _Core:
 
         def newton_direction():
             """Corrector direction, after the predictor (affine-scaling) step up
-            to the boundary. Returning frees the LU factors and predictor arrays
-            before the step: kept longer, they fragment the heap (+1.3 MB RSS)."""
-            lu, piv, info = dgetrf(kkt)
+            to the boundary."""
+            # kkt is exactly symmetric, so kkt.T is the same matrix in Fortran
+            # order: LAPACK factors it in place, without a transposed copy.
+            lu, piv, info = dgetrf(kkt.T, overwrite_a=1)
             if info != 0:
                 raise np.linalg.LinAlgError("the Newton system is singular")
             rc_mat = -self.x @ self.big_s
@@ -468,28 +472,25 @@ def solve(problem: SdpProblem) -> SdpSolution:
             iterate in its ``best`` attribute.
     """
     mask = problem.active_mask
-    all_pairs = np.argwhere(mask)  # rows of (k, j)
+    all_classes = np.nonzero(mask)[0].astype(np.int64)
+    all_vecs = problem.constraint_vectors[mask]  # (P, N), rows in (k, j) order
     # Presolve: exactly repeated constraints within a class are redundant and
-    # would make the Newton system singular at the optimum; merge them.
-    seen = set()
-    kept = []
-    for row, (k, j) in enumerate(all_pairs):
-        key = (int(k), problem.constraint_vectors[k, j].tobytes())
-        if key not in seen:
-            seen.add(key)
-            kept.append(row)
-    pairs = all_pairs[kept]
-    class_of = pairs[:, 0].astype(np.int64)
-    num_classes = problem.num_classes
-    vecs = problem.constraint_vectors[pairs[:, 0], pairs[:, 1]]
+    # would make the Newton system singular at the optimum; merge them. A
+    # row's key is the bytes of its class index followed by its vector's, and
+    # the rows keep their order of first occurrence.
+    keys = np.hstack([all_classes[:, None].view(np.uint8), all_vecs.view(np.uint8)])
+    keys = keys.view(np.dtype((np.void, keys.shape[1])))
+    _, first = np.unique(keys, return_index=True)
+    kept = np.sort(first)
+    class_of = all_classes[kept]
+    vecs = all_vecs[kept]
 
     # Per-class scaling for conditioning: H'_l = kappa_k H_l, c'_k = c_k / kappa_k
     # leaves the problem invariant with e^k -> kappa_k e^k.
     traces = (vecs.real**2 + vecs.imag**2).sum(axis=1)  # Tr(v v^H)
-    kappa = np.ones(num_classes)
-    for k in range(num_classes):
-        top = traces[class_of == k].max()
-        kappa[k] = 1.0 / top if top > 0 else 1.0
+    top = np.zeros(problem.num_classes)
+    np.maximum.at(top, class_of, traces)
+    kappa = np.divide(1.0, top, out=np.ones_like(top), where=top > 0)
     c_scaled = problem.class_weights / kappa
     # One overall dual scale so the objective weights sit near 1.
     gamma = float(np.mean(c_scaled))

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from airfd import sdp_solver
+from airfd.channel import ChannelConfig, sample_channel
+from airfd.knowledge import DatasetPartition
 from airfd.oracles import beamformer_grid_search
+from airfd.rng import substream
 from airfd.sdp_solver import (
     PrincipalEigenpair,
     SdpConvergenceError,
@@ -14,6 +17,7 @@ from airfd.sdp_solver import (
     extract_principal_eigenpair,
     solve,
 )
+from airfd.transceiver import build_relaxation
 
 
 def random_unit_complex(rng, n):
@@ -204,6 +208,51 @@ class TestSolveProperties:
         assert np.allclose(a.slacks, b.slacks, rtol=1e-5, atol=1e-9)
         assert np.abs(a.W - b.W).max() <= 1e-4
 
+    def test_repeated_rows_within_a_class_change_no_bit(self):
+        # The presolve merges rows repeated within a class and keeps the rest
+        # in their order of first occurrence, so the method runs on exactly
+        # the rows of the problem written without the repeats.
+        rng = np.random.default_rng(42)
+        distinct = [
+            [s * random_unit_complex(rng, 4) for s in 10.0 ** rng.uniform(-2, 1, 5)]
+            for _ in range(3)
+        ]
+        order = [rng.permutation(np.r_[0:5, rng.integers(0, 5, 4)]) for _ in range(3)]
+        repeated = [[row[i] for i in picks] for row, picks in zip(distinct, order)]
+
+        def without_repeats(vectors):
+            kept = []
+            for v in vectors:
+                if all(v.tobytes() != w.tobytes() for w in kept):
+                    kept.append(v)
+            return kept
+
+        weights = [0.7, 1.1, 2.3]
+        a = solve(rank_one_problem(repeated, weights))
+        b = solve(rank_one_problem([without_repeats(r) for r in repeated], weights))
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.W, b.W)
+        assert np.array_equal(a.slacks, b.slacks)
+        assert a.objective == b.objective
+
+    def test_a_vector_shared_by_two_classes_stays_in_both(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        a, b, c = (random_unit_complex(rng, 3) for _ in range(3))
+        iterate = sdp_solver._Core.iterate
+        cores = []
+
+        def record(core):
+            cores.append(core)
+            return iterate(core)
+
+        monkeypatch.setattr(sdp_solver._Core, "iterate", record)
+        solve(rank_one_problem([[a, b, a], [c, a]], [1.0, 2.0]))
+        core = cores[0]
+        assert core.class_of.tolist() == [0, 0, 1, 1]
+        # Scaling by sqrt(kappa_k) > 0 keeps each row's direction.
+        for row, v in zip(core.u, (a, b, c, a)):
+            assert np.allclose(row / np.linalg.norm(row), v, rtol=0, atol=1e-15)
+
     def test_single_class_scaling_squares_slack_same_argmin(self):
         # With one class, scaling every constraint vector by beta multiplies
         # the slack by beta^2 and leaves the optimizing W unchanged.
@@ -346,9 +395,9 @@ class TestSolveProperties:
         factor = sdp_solver.dgetrf
         calls = []
 
-        def singular_from_the_fourth_call(matrix):
+        def singular_from_the_fourth_call(matrix, **kwargs):
             calls.append(matrix.shape)
-            lu, piv, info = factor(matrix)
+            lu, piv, info = factor(matrix, **kwargs)
             return lu, piv, 1 if len(calls) >= 4 else info
 
         monkeypatch.setattr(sdp_solver, "dgetrf", singular_from_the_fourth_call)
@@ -357,6 +406,65 @@ class TestSolveProperties:
         assert "a numerical breakdown" in str(info.value)
         assert info.value.best.iterations == 3
         assert len(calls) == 4
+
+
+class TestNewtonSystem:
+    @staticmethod
+    def desk_problem():
+        """M = 10 devices, K = 3 classes, N = 5 antennas, spread scales."""
+        rng = np.random.default_rng(51)
+        vectors = [
+            [s * random_unit_complex(rng, 5) for s in 10.0 ** rng.uniform(-3, 0, 10)]
+            for _ in range(3)
+        ]
+        return rank_one_problem(vectors, [0.8, 1.0, 1.3])
+
+    @staticmethod
+    def c01_problem():
+        """Round 0 of the rank-one acceptance claim (M = 50, K = 10, N = 5)."""
+        config = ChannelConfig(
+            num_wds=50,
+            num_antennas=5,
+            noise_variance=1e-8,
+            carrier_freq=915e6,
+            pathloss_exponent=4.0,
+            antenna_gain_ps=1.0,
+            antenna_gain_wd=1.0,
+            distance_range=(100.0, 500.0),
+            csi_quality=1.0,
+        )
+        rng = substream(0, "rank-one", 0)
+        distances = rng.uniform(*config.distance_range, size=50)
+        channel = sample_channel(config, distances, rng)
+        counts = rng.integers(100, 301, size=(50, 10))
+        counts[np.argmax(distances)] *= 100
+        stds = rng.uniform(0.05, 0.3, size=(50, 10))
+        return build_relaxation(
+            channel, stds, DatasetPartition(counts=counts), np.full(50, 1e-3)
+        )
+
+    @pytest.mark.parametrize("shape", ["desk", "c01"])
+    def test_newton_system_is_factored_in_place(self, monkeypatch, shape):
+        # The Newton system is exactly symmetric, so its transpose is handed
+        # to LAPACK in Fortran order and overwritten by its LU factors: no
+        # copy of the (1 + m + K)^2 matrix is made.
+        problem = self.desk_problem() if shape == "desk" else self.c01_problem()
+        factor = sdp_solver.dgetrf
+        calls = []
+
+        def spy(matrix, **kwargs):
+            symmetric = np.array_equal(matrix, matrix.T)
+            lu, piv, info = factor(matrix, **kwargs)
+            in_place = np.shares_memory(lu, matrix)
+            calls.append((matrix.flags.f_contiguous, kwargs, symmetric, in_place))
+            return lu, piv, info
+
+        monkeypatch.setattr(sdp_solver, "dgetrf", spy)
+        solution = solve(problem)
+        assert len(calls) == solution.iterations > 0
+        for f_contiguous, kwargs, symmetric, in_place in calls:
+            assert f_contiguous and symmetric and in_place
+            assert kwargs == {"overwrite_a": 1}
 
 
 class TestStart:
