@@ -116,8 +116,8 @@ def path_loss(distance: float, config: ChannelConfig) -> float:
     Returns:
         Linear power gain (dimensionless, >= 0).
     """
-    if distance <= 0:
-        raise ValueError(f"distance must be positive, got {distance}")
+    if not 0.0 < distance < np.inf:  # written so that a NaN fails it
+        raise ValueError(f"distance must be finite and positive, got {distance}")
     ratio = _SPEED_OF_LIGHT / (4.0 * np.pi * config.carrier_freq * distance)
     return float(
         config.antenna_gain_ps
@@ -213,8 +213,8 @@ def sample_noise(
     Returns:
         (count, num_antennas) complex array; all-zero when noise_variance is 0.
     """
-    if noise_variance < 0:
-        raise ValueError("noise_variance must be nonnegative")
+    if not 0.0 <= noise_variance < np.inf:  # written so that a NaN fails it
+        raise ValueError("noise_variance must be finite and nonnegative")
     if noise_variance == 0.0:
         return np.zeros((count, num_antennas), dtype=np.complex128)
     return np.sqrt(noise_variance) * _standard_complex(rng, (count, num_antennas))

@@ -226,37 +226,31 @@ def partition(
         raise ValueError(
             f"cannot spread {labels.shape[0]} samples over {num_wds} devices"
         )
-    per_wd: list[list[np.ndarray]] = [[] for _ in range(num_wds)]
+    owner = np.full(labels.shape[0], -1, dtype=np.int64)  # each sample's device
     pointer = 0
     for k in range(num_classes):
         idx = rng.permutation(np.flatnonzero(labels == k))
         if mode == "iid":
-            dest = (pointer + np.arange(idx.size)) % num_wds
+            owner[idx] = (pointer + np.arange(idx.size)) % num_wds
             pointer = (pointer + idx.size) % num_wds
-            for i in range(num_wds):
-                per_wd[i].append(idx[dest == i])
         else:
             proportions = rng.dirichlet(np.full(num_wds, concentration))
             alloc = _largest_remainder(proportions, idx.size)
-            bounds = np.concatenate(([0], np.cumsum(alloc)))
-            for i in range(num_wds):
-                per_wd[i].append(idx[bounds[i] : bounds[i + 1]])
+            owner[idx] = np.repeat(np.arange(num_wds), alloc)
 
-    assignment = [np.sort(np.concatenate(parts)) for parts in per_wd]
-    # Repair empty devices so every one of them can train and transmit.
-    while True:
-        sizes = np.array([a.size for a in assignment])
-        empty = np.flatnonzero(sizes == 0)
-        if empty.size == 0:
-            break
+    # Repair empty devices so every one of them can train and transmit. The
+    # donor keeps a sample: an empty device exists and S >= M samples remain.
+    sizes = np.bincount(owner, minlength=num_wds)
+    for empty in np.flatnonzero(sizes == 0):
         donor = int(np.argmax(sizes))
-        moved, rest = assignment[donor][-1], assignment[donor][:-1]
-        assignment[donor] = rest
-        assignment[int(empty[0])] = np.array([moved], dtype=np.int64)
+        owner[np.flatnonzero(owner == donor)[-1]] = empty
+        sizes[donor] -= 1
+        sizes[empty] = 1
 
-    counts = np.zeros((num_wds, num_classes), dtype=np.int64)
-    for i, idx in enumerate(assignment):
-        counts[i] = np.bincount(labels[idx], minlength=num_classes)
+    assignment = [np.flatnonzero(owner == i) for i in range(num_wds)]
+    counts = np.bincount(
+        owner * num_classes + labels, minlength=num_wds * num_classes
+    ).reshape(num_wds, num_classes)
     return DatasetPartition(counts=counts), assignment
 
 

@@ -206,8 +206,8 @@ def _loss(
         raise ValueError("labels must be (B,)")
     if np.any(labels < 0) or np.any(labels >= arch.num_classes):
         raise ValueError("labels must lie in [0, K)")
-    if distill_weight < 0:
-        raise ValueError("distill_weight must be nonnegative")
+    if not 0.0 <= distill_weight < np.inf:  # written so that a NaN fails it
+        raise ValueError("distill_weight must be finite and nonnegative")
     if distill_weight > 0:
         knowledge = np.asarray(knowledge, dtype=np.float64)
         if knowledge.shape != (arch.num_classes, arch.num_classes):

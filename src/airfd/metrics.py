@@ -26,6 +26,8 @@ __all__ = [
     "csv_header",
 ]
 
+_NOISE_DRAWS_PER_BATCH = 1000  # per pass of phi2_sq_monte_carlo; bounds memory
+
 
 def a2_coefficient(config: LearnerConfig) -> float:
     """Weight of the squared-error terms: 6 eta0 gamma^2."""
@@ -109,7 +111,6 @@ def phi2_sq_monte_carlo(
     noise_variance: float,
     rng: np.random.Generator,
     draws: int = 100_000,
-    chunk: int = 1000,
 ) -> float:
     """Monte-Carlo estimate of the squared noise error: simulates receiver
     noise through the combining vector and the denormalizers.
@@ -129,7 +130,7 @@ def phi2_sq_monte_carlo(
     done = 0
     scale = np.sqrt(noise_variance * 0.5)
     while done < draws:
-        batch = min(chunk, draws - done)
+        batch = min(_NOISE_DRAWS_PER_BATCH, draws - done)
         parts = rng.standard_normal((batch, k, k, n, 2)) * scale
         noise = parts[..., 0] + 1j * parts[..., 1]
         combined = noise @ np.conj(w)  # (batch, K, K)
@@ -202,9 +203,10 @@ class RoundMetrics:
     wall_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.phi1_max < 0 or self.phi1_mean < 0 or self.phi2_sq_mean < 0:
+        # Each test is written so that a NaN fails it.
+        if not all(v >= 0 for v in (self.phi1_max, self.phi1_mean, self.phi2_sq_mean)):
             raise ValueError("error measures must be nonnegative")
-        if self.eig1 < self.eig2 - 1e-12:
+        if not self.eig1 >= self.eig2 - 1e-12:
             raise ValueError("eig1 must be the larger eigenvalue")
 
     def to_csv_row(self) -> str:

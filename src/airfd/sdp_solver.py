@@ -114,8 +114,8 @@ class SdpProblem:
         mask = np.array(self.active_mask, dtype=bool)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if c.ndim != 1 or np.any(c <= 0):
-            raise ValueError("class_weights must be positive scalars")
+        if c.ndim != 1 or not np.all(np.isfinite(c) & (c > 0)):  # NaN fails
+            raise ValueError("class_weights must be finite positive scalars")
         k = c.shape[0]
         if vecs.ndim != 3 or vecs.shape[0] != k or vecs.shape[2] != self.dim:
             raise ValueError(

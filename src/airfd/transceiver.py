@@ -197,6 +197,9 @@ def _scaled_channels(
         v_j^k = (sqrt(P_j) / (B_j^k q_hat_j^k)) h_j,
 
     zero where device j does not transmit class k."""
+    peaks_ok = np.isfinite(peak_powers) & (peak_powers > 0)  # false for NaN
+    if peak_powers.shape != (partition.num_wds,) or not np.all(peaks_ok):
+        raise ValueError("peak_powers must be (M,) positive and finite")
     active = transmit_active_mask(partition, knowledge_stds)
     denom = np.where(active, partition.counts * knowledge_stds, 1.0)
     scale = np.where(active, np.sqrt(peak_powers)[:, None] / denom, 0.0)  # (M, K)
@@ -228,8 +231,6 @@ def build_relaxation(
         raise ValueError("channel and partition disagree on the device count")
     if stds.shape != (m, k):
         raise ValueError("knowledge_stds must have the partition's (M, K) shape")
-    if peaks.shape != (m,) or np.any(peaks <= 0):
-        raise ValueError("peak_powers must be (M,) positive")
 
     active, vecs = _scaled_channels(channel, stds, partition, peaks)
     class_weights = partition.class_mix().sum(axis=0) / partition.class_totals
@@ -586,8 +587,8 @@ def orthogonal_receive(
         raise ValueError("knowledge and partition disagree on (M, K)")
     if channel.num_wds != m:
         raise ValueError("channel and partition disagree on the device count")
-    if peaks.shape != (m,) or np.any(peaks <= 0):
-        raise ValueError("peak_powers must be (M,) positive")
+    if peaks.shape != (m,) or not np.all(np.isfinite(peaks) & (peaks > 0)):
+        raise ValueError("peak_powers must be (M,) positive and finite")
     if noise.shape != (m, k, k, n):
         raise ValueError(f"noise must have shape ({m}, {k}, {k}, {n})")
 

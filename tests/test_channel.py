@@ -167,6 +167,21 @@ class TestSampleNoise:
             sample_noise(2, 5, -1.0, substream(0, "n"))
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: path_loss(np.nan, make_config()), "distance"),
+        (lambda: path_loss(np.inf, make_config()), "distance"),
+        (lambda: sample_noise(2, 5, np.nan, substream(0, "n")), "noise_variance"),
+        (lambda: sample_noise(2, 5, np.inf, substream(0, "n")), "noise_variance"),
+    ],
+    ids=["path_loss-nan", "path_loss-inf", "sample_noise-nan", "sample_noise-inf"],
+)
+def test_non_finite_scalar_inputs_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestHelpers:
     def test_sample_distances_range_and_determinism(self):
         config = make_config(num_wds=1000, distance_range=(100.0, 500.0))

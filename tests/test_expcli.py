@@ -227,6 +227,119 @@ def test_partition_extreme_skew_leaves_no_empty_device():
         assert all(idx.size >= 1 for idx in assignment)
 
 
+def reference_partition(labels, mode, num_wds, concentration, rng):
+    """The partition rule as plain loops: per-device member lists, a sorted
+    merge, and a repair that rescans every device size after each move.
+
+    Returns (assignment, counts, number of repair moves)."""
+    num_classes = int(labels.max()) + 1
+    members = [[] for _ in range(num_wds)]
+    pointer = 0
+    for k in range(num_classes):
+        idx = rng.permutation(np.flatnonzero(labels == k))
+        if mode == "iid":
+            for j, sample in enumerate(idx):
+                members[(pointer + j) % num_wds].append(int(sample))
+            pointer = (pointer + idx.size) % num_wds
+        else:
+            proportions = rng.dirichlet(np.full(num_wds, concentration))
+            alloc = expcli._largest_remainder(proportions, idx.size)
+            start = 0
+            for i in range(num_wds):
+                members[i].extend(int(x) for x in idx[start : start + alloc[i]])
+                start += alloc[i]
+    members = [sorted(m) for m in members]
+    moves = 0
+    while True:
+        sizes = [len(m) for m in members]
+        if min(sizes) > 0:
+            break
+        donor = sizes.index(max(sizes))
+        members[sizes.index(0)].append(members[donor].pop())
+        moves += 1
+    counts = np.zeros((num_wds, num_classes), dtype=np.int64)
+    for i, m in enumerate(members):
+        for sample in m:
+            counts[i, labels[sample]] += 1
+    return [np.array(m, dtype=np.int64) for m in members], counts, moves
+
+
+def test_partition_matches_reference_loops():
+    repaired = multiple = 0
+    for case in range(240):
+        rng = substream(10, "cases", case)
+        mode = ("iid", "dirichlet")[case % 2]
+        k = int(rng.integers(2, 7))
+        m = int(rng.integers(1, 25))
+        size = int(rng.integers(max(m, k), 121))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, size - k)])
+        if case % 4 < 2:
+            labels = np.sort(labels)  # class-sorted, as synthesize_dataset draws
+        data = expcli.Dataset(features=np.zeros((size, 1)), labels=labels)
+        concentration = float(10.0 ** rng.uniform(-2.0, 0.5))
+        part, assignment = partition(
+            data, mode, m, concentration, substream(10, "p", case)
+        )
+        expected, counts, moves = reference_partition(
+            labels, mode, m, concentration, substream(10, "p", case)
+        )
+        assert len(assignment) == m
+        for got, want in zip(assignment, expected):
+            assert np.array_equal(got, want)
+        assert np.array_equal(part.counts, counts)
+        repaired += moves >= 1
+        multiple += moves >= 2
+    assert repaired >= 60 and multiple >= 50
+
+
+def test_partition_repair_moves_donors_highest_index():
+    labels = np.repeat(np.arange(3), 4)
+    data = expcli.Dataset(features=np.zeros((12, 1)), labels=labels)
+    part, assignment = partition(data, "dirichlet", 5, 0.1, substream(5, "repair", 3))
+    # The deal is [0..3], [8..11], [4..7], [], []. Devices 0-2 tie at four
+    # samples, so device 0 gives device 3 its highest index, 3; device 1 is
+    # then the largest and gives device 4 its highest index, 11.
+    assert [a.tolist() for a in assignment] == [
+        [0, 1, 2],
+        [8, 9, 10],
+        [4, 5, 6, 7],
+        [3],
+        [11],
+    ]
+    assert part.counts.tolist() == [
+        [3, 0, 0],
+        [0, 0, 3],
+        [0, 4, 0],
+        [1, 0, 0],
+        [0, 0, 1],
+    ]
+
+
+@pytest.mark.parametrize(
+    "proportions, total, expected",
+    [
+        ([0.5, 0.3, 0.2], 7, [4, 2, 1]),  # remainder to the largest part 0.5
+        ([0.375, 0.125, 0.5], 6, [2, 1, 3]),  # 0.75 beats 0.25 at index 0
+        ([0.125, 0.375, 0.5], 4, [1, 1, 2]),  # 0.5 ties 0.5: lowest index
+        ([0.25, 0.25, 0.25, 0.25], 2, [1, 1, 0, 0]),
+        ([1 / 3, 1 / 3, 1 / 3], 5, [2, 2, 1]),
+        ([0.0, 1.0], 3, [0, 3]),
+    ],
+)
+def test_largest_remainder_rule(proportions, total, expected):
+    alloc = expcli._largest_remainder(np.array(proportions), total)
+    assert alloc.dtype == np.int64 and alloc.tolist() == expected
+
+
+def test_largest_remainder_sum_is_exact():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        proportions = rng.dirichlet(np.full(int(rng.integers(1, 30)), 0.3))
+        total = int(rng.integers(0, 500))
+        alloc = expcli._largest_remainder(proportions, total)
+        assert int(alloc.sum()) == total and np.all(alloc >= 0)
+
+
 def test_partition_rejections():
     spec = make_spec(num_samples=4, test_samples=4)
     data = synthesize_dataset(spec, substream(9, "data", 0))

@@ -139,6 +139,14 @@ class TestLossAndGrad:
         assert loss_active == loss_off
         np.testing.assert_allclose(grad_active, grad_off, atol=1e-15)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -0.5])
+    def test_bad_distill_weight_rejected(self, weight):
+        rng = np.random.default_rng(12)
+        params = random_model(rng)
+        features, labels, knowledge = random_batch(rng)
+        with pytest.raises(ValueError, match="distill_weight"):
+            loss_and_grad(params, features, labels, knowledge, weight)
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         for trial in range(3):

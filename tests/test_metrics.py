@@ -181,6 +181,15 @@ class TestPhi2:
         target = phi2_sq_all(lams, DatasetPartition(counts=counts[None, :]), sigma)[0]
         assert abs(estimate - target) <= 0.02 * target
 
+    def test_monte_carlo_batch_size_is_not_an_argument(self):
+        # A caller-chosen batch size of 0 made the draw loop spin forever.
+        w, lams, counts = np.ones(1), np.ones(1), np.ones(1)
+        rng = np.random.default_rng(0)
+        with pytest.raises(TypeError):
+            phi2_sq_monte_carlo(w, lams, counts, 1.0, rng, chunk=0)
+        with pytest.raises(ValueError, match="draws"):
+            phi2_sq_monte_carlo(w, lams, counts, 1.0, rng, draws=0)
+
 
 class TestP2Objective:
     def test_single_wd_closed_form(self):
@@ -302,3 +311,16 @@ class TestCsvFormat:
             self.make_metrics(phi1_max=-1.0)
         with pytest.raises(ValueError, match="eig1"):
             self.make_metrics(eig1=0.1, eig2=0.9)
+
+    @pytest.mark.parametrize(
+        "field, match",
+        [
+            ("phi1_max", "nonnegative"),
+            ("phi1_mean", "nonnegative"),
+            ("phi2_sq_mean", "nonnegative"),
+            ("eig1", "eig1"),
+        ],
+    )
+    def test_nan_measures_rejected(self, field, match):
+        with pytest.raises(ValueError, match=match):
+            self.make_metrics(**{field: float("nan")})

@@ -151,6 +151,17 @@ class TestProblemValidation:
                 active_mask=np.ones((1, 1), bool),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_non_finite_weights(self, bad):
+        vecs = np.ones((2, 1, 2), dtype=np.complex128)
+        with pytest.raises(ValueError, match="class_weights"):
+            SdpProblem(
+                dim=2,
+                class_weights=np.array([1.0, bad]),
+                constraint_vectors=vecs,
+                active_mask=np.ones((2, 1), bool),
+            )
+
 
 class TestSolveClosedForm:
     def test_single_device_single_class(self):

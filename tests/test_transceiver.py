@@ -670,3 +670,35 @@ class TestPlanTypeAndDump:
         fields[field] = value
         with pytest.raises(ValueError, match=match):
             TransceiverPlan(**fields)
+
+
+class TestPeakPowerChecks:
+    @staticmethod
+    def call(function, channel, knowledge, partition, peaks):
+        m, k = partition.counts.shape
+        if function is orthogonal_receive:
+            noise = np.zeros((m, k, k, channel.num_antennas))
+            return orthogonal_receive(channel, knowledge, partition, peaks, noise)
+        if function is optimal_postprocessing:
+            w = random_beamformer(np.random.default_rng(0), channel.num_antennas)
+            return optimal_postprocessing(
+                w, channel, knowledge.stds, partition, peaks
+            )
+        return function(channel, knowledge.stds, partition, peaks)
+
+    @pytest.mark.parametrize(
+        "function", [build_relaxation, optimal_postprocessing, orthogonal_receive]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-3])
+    def test_non_finite_or_non_positive_peak_rejected(self, function, bad):
+        rng = np.random.default_rng(81)
+        channel = random_channel(rng, 4, 3)
+        partition = random_partition(rng, 4, 3)
+        knowledge = random_knowledge(rng, 4, 3)
+        peaks = np.full(4, 1e-3)
+        self.call(function, channel, knowledge, partition, peaks)  # accepted
+        peaks[2] = bad
+        with pytest.raises(ValueError, match=r"peak_powers must be \(M,\) positive"):
+            self.call(function, channel, knowledge, partition, peaks)
+        with pytest.raises(ValueError, match=r"peak_powers must be \(M,\) positive"):
+            self.call(function, channel, knowledge, partition, peaks[:3])
