@@ -98,10 +98,11 @@ def phi2_sq_all(
     beamformer (each of the K slots of a class block contributes sigma_n^2).
     """
     lams = np.asarray(denormalizers, dtype=np.float64)
+    k = partition.num_classes
+    if lams.shape != (k,) or not np.all(np.isfinite(lams) & (lams > 0)):
+        raise ValueError(f"denormalizers must be ({k},) finite positive scalars")
     mix = partition.class_mix()
-    return (mix * partition.num_classes * noise_variance / lams[None, :] ** 2).sum(
-        axis=1
-    )
+    return (mix * k * noise_variance / lams[None, :] ** 2).sum(axis=1)
 
 
 def phi2_sq_monte_carlo(
@@ -206,6 +207,16 @@ class RoundMetrics:
         # Each test is written so that a NaN fails it.
         if not all(v >= 0 for v in (self.phi1_max, self.phi1_mean, self.phi2_sq_mean)):
             raise ValueError("error measures must be nonnegative")
+        if not 0.0 <= self.p2_obj < np.inf:
+            raise ValueError("p2_obj must be finite and nonnegative")
+        if not np.isfinite(self.p4_obj):
+            raise ValueError("p4_obj must be finite")
+        if not 0.0 <= self.train_loss_mean < np.inf:
+            raise ValueError("train_loss_mean must be finite and nonnegative")
+        if not 0.0 <= self.test_acc_mean <= 1.0:
+            raise ValueError("test_acc_mean must lie in [0, 1]")
+        if not np.isfinite(self.eig2):
+            raise ValueError("eig2 must be finite")
         if not self.eig1 >= self.eig2 - 1e-12:
             raise ValueError("eig1 must be the larger eigenvalue")
 

@@ -341,10 +341,11 @@ class _Core:
             "rel_gap": residuals.gap / gap_scale,
         }
 
-    def iterate(self) -> tuple[int, str | None]:
+    def iterate(self) -> tuple[int, str | None, dict]:
         """Steps until every residual is within TOL, at most MAX_ITERATIONS
-        times. Returns the steps run and why the run stopped short (or None)."""
-        for iteration in range(MAX_ITERATIONS):
+        times. Returns the steps run, why the run stopped short (or None) and
+        the residual report of the iterate it stopped on."""
+        for iteration in range(MAX_ITERATIONS + 1):
             residuals = self.residuals()
             report = self.residual_report(residuals)
             if (
@@ -352,14 +353,16 @@ class _Core:
                 and max(report["dual_eq"], report["dual_matrix"]) <= TOL
                 and report["rel_gap"] <= TOL
             ):
-                return iteration, None
+                return iteration, None, report
+            if iteration == MAX_ITERATIONS:
+                return iteration, "the iteration cap", report
 
             try:
                 self._step(residuals)
             except np.linalg.LinAlgError:
-                # Report the best point reached before the breakdown.
-                return iteration, "a numerical breakdown"
-        return MAX_ITERATIONS, "the iteration cap"
+                # Report the best point reached before the breakdown; a failed
+                # step leaves the iterate unchanged.
+                return iteration, "a numerical breakdown", report
 
     def _step(self, residuals: _Residuals) -> None:
         m = self.m
@@ -497,7 +500,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
     c_scaled = c_scaled / gamma
 
     core = _Core(vecs * np.sqrt(kappa)[class_of, None], class_of, c_scaled)
-    iterations, stop = core.iterate()
+    iterations, stop, report = core.iterate()
 
     w = core.x
     trace_w = float(np.trace(w).real)
@@ -510,7 +513,7 @@ def solve(problem: SdpProblem) -> SdpSolution:
         slacks=slacks,
         objective=objective,
         iterations=iterations,
-        residuals=core.residual_report(core.residuals()),
+        residuals=report,
     )
     if stop is not None:
         raise SdpConvergenceError(

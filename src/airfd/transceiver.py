@@ -196,13 +196,18 @@ def _scaled_channels(
 
         v_j^k = (sqrt(P_j) / (B_j^k q_hat_j^k)) h_j,
 
-    zero where device j does not transmit class k."""
-    peaks_ok = np.isfinite(peak_powers) & (peak_powers > 0)  # false for NaN
-    if peak_powers.shape != (partition.num_wds,) or not np.all(peaks_ok):
+    zero where device j does not transmit class k. Every planner's round
+    inputs are checked here: the channel's device count, the peak powers and
+    the shape of the knowledge stds."""
+    if channel.num_wds != partition.num_wds:
+        raise ValueError("channel and partition disagree on the device count")
+    peaks = np.asarray(peak_powers, dtype=np.float64)
+    peaks_ok = np.isfinite(peaks) & (peaks > 0)  # false for NaN
+    if peaks.shape != (partition.num_wds,) or not np.all(peaks_ok):
         raise ValueError("peak_powers must be (M,) positive and finite")
     active = transmit_active_mask(partition, knowledge_stds)
     denom = np.where(active, partition.counts * knowledge_stds, 1.0)
-    scale = np.where(active, np.sqrt(peak_powers)[:, None] / denom, 0.0)  # (M, K)
+    scale = np.where(active, np.sqrt(peaks)[:, None] / denom, 0.0)  # (M, K)
     return active, scale.T[:, :, None] * channel.coefficients[None, :, :]
 
 
@@ -224,15 +229,7 @@ def build_relaxation(
     (sum_i B_i^k / B_i) / B^k, the weight its inverse squared denormalizer
     carries in the aggregation-error objective.
     """
-    stds = np.asarray(knowledge_stds, dtype=np.float64)
-    peaks = np.asarray(peak_powers, dtype=np.float64)
-    m, k = partition.counts.shape
-    if channel.num_wds != m:
-        raise ValueError("channel and partition disagree on the device count")
-    if stds.shape != (m, k):
-        raise ValueError("knowledge_stds must have the partition's (M, K) shape")
-
-    active, vecs = _scaled_channels(channel, stds, partition, peaks)
+    active, vecs = _scaled_channels(channel, knowledge_stds, partition, peak_powers)
     class_weights = partition.class_mix().sum(axis=0) / partition.class_totals
     return SdpProblem(
         dim=channel.num_antennas,
@@ -408,36 +405,25 @@ def optimal_postprocessing(
 
     Raises:
         PlanDegeneracyError: some transmitting device has w^H h_i = 0.
+        ValueError: the inputs disagree on the device count, the peak powers
+            are not (M,) positive and finite, the stds are not (M, K), or the
+            beamformer's length is not the antenna count.
     """
     stds = np.asarray(knowledge_stds, dtype=np.float64)
-    peaks = np.asarray(peak_powers, dtype=np.float64)
-    active, vecs = _scaled_channels(channel, stds, partition, peaks)
-    return _complete(beamformer, channel, stds, partition, active.T, vecs)
-
-
-def _complete(
-    beamformer: np.ndarray,
-    channel: ChannelState,
-    stds: np.ndarray,
-    partition: DatasetPartition,
-    active: np.ndarray,
-    vecs: np.ndarray,
-) -> PostprocessingResult:
-    """optimal_postprocessing given the relaxation's (K, M) transmit mask and
-    (K, M, N) scaled channel vectors, as build_relaxation stores them."""
+    active, vecs = _scaled_channels(channel, stds, partition, peak_powers)
     combined = _combined_gains(channel, beamformer)
     power_gain = combined.real**2 + combined.imag**2
-    nulled = (power_gain == 0.0) & active.any(axis=0)
+    nulled = (power_gain == 0.0) & active.any(axis=1)
     if np.any(nulled):
         raise PlanDegeneracyError(
             f"combining vector nulls transmitting device(s) {np.flatnonzero(nulled).tolist()}"
         )
     expr = partition.class_totals[:, None] * np.abs(vecs @ np.conj(beamformer))
-    expr = np.where(active, expr, np.inf)  # (K, M)
+    expr = np.where(active.T, expr, np.inf)  # (K, M)
     denormalizers = expr.min(axis=1)
     tied = expr <= denormalizers[:, None] * (1.0 + _TIE_MARGIN)
     denom = np.where(
-        active.T,
+        active,
         partition.class_totals[None, :] * power_gain[:, None],
         1.0,
     )
@@ -447,7 +433,7 @@ def _complete(
     return PostprocessingResult(
         denormalizers=denormalizers,
         straggler_indices=np.argmax(tied, axis=1).astype(np.int64),
-        equalizers=np.where(active.T, numer / denom, 0.0 + 0.0j),
+        equalizers=np.where(active, numer / denom, 0.0 + 0.0j),
     )
 
 
@@ -479,22 +465,13 @@ def optimize_round(
     well the principal direction is separated shows in the diagnostics'
     eig1 and eig2.
     """
-    stds = np.asarray(knowledge_stds, dtype=np.float64)
-    peaks = np.asarray(peak_powers, dtype=np.float64)
-    problem = build_relaxation(channel, stds, partition, peaks)
+    problem = build_relaxation(channel, knowledge_stds, partition, peak_powers)
     solution = solve(problem)
     pair = extract_principal_eigenpair(solution.W)
     w = _polish_beamformer(pair.vector, problem)
-    post = _complete(
-        w,
-        channel,
-        stds,
-        partition,
-        problem.active_mask,
-        problem.constraint_vectors,
-    )
+    post = optimal_postprocessing(w, channel, knowledge_stds, partition, peak_powers)
     return TransceiverPlan(
-        transmit=TransmitPlan(equalizers=post.equalizers, peak_powers=peaks),
+        transmit=TransmitPlan(equalizers=post.equalizers, peak_powers=peak_powers),
         beamformer=w,
         denormalizers=post.denormalizers,
         straggler_indices=post.straggler_indices,

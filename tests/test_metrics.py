@@ -168,6 +168,22 @@ class TestPhi2:
             expected, rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "lams",
+        [
+            [2.0],
+            [1.0, 2.0, 0.5, 1.0],
+            [1.0, np.nan, 2.0],
+            [1.0, np.inf, 2.0],
+            [1.0, 0.0, 2.0],
+            [1.0, -1.0, 2.0],
+        ],
+    )
+    def test_bad_denormalizers_rejected(self, lams):
+        partition = DatasetPartition(counts=np.array([[2, 3, 5], [1, 4, 4]]))
+        with pytest.raises(ValueError, match=r"denormalizers must be \(3,\) finite"):
+            phi2_sq_all(np.array(lams), partition, 0.1)
+
     def test_monte_carlo_matches_analytic(self):
         rng = np.random.default_rng(111)
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -311,6 +327,18 @@ class TestCsvFormat:
             self.make_metrics(phi1_max=-1.0)
         with pytest.raises(ValueError, match="eig1"):
             self.make_metrics(eig1=0.1, eig2=0.9)
+        for field, value in (
+            ("p2_obj", np.inf),
+            ("p2_obj", -1.0),
+            ("p4_obj", -np.inf),
+            ("train_loss_mean", np.inf),
+            ("train_loss_mean", -1.0),
+            ("test_acc_mean", 2.0),
+            ("test_acc_mean", -0.5),
+            ("eig2", -np.inf),
+        ):
+            with pytest.raises(ValueError, match=field):
+                self.make_metrics(**{field: value})
 
     @pytest.mark.parametrize(
         "field, match",
@@ -319,6 +347,11 @@ class TestCsvFormat:
             ("phi1_mean", "nonnegative"),
             ("phi2_sq_mean", "nonnegative"),
             ("eig1", "eig1"),
+            ("eig2", "eig2 must be finite"),
+            ("p2_obj", "p2_obj"),
+            ("p4_obj", "p4_obj"),
+            ("train_loss_mean", "train_loss_mean"),
+            ("test_acc_mean", "test_acc_mean"),
         ],
     )
     def test_nan_measures_rejected(self, field, match):

@@ -492,7 +492,7 @@ class TestStart:
 
         def stop_at_the_start(core):
             cores.append(core)
-            return 0, None
+            return 0, None, core.residual_report(core.residuals())
 
         monkeypatch.setattr(sdp_solver._Core, "iterate", stop_at_the_start)
         solve(rank_one_problem(vectors, [0.5, 1.0, 3.0]))

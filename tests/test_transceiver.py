@@ -12,6 +12,7 @@ from airfd.knowledge import (
     global_target,
     transmit_active_mask,
 )
+from airfd.metrics import p2_objective
 from airfd.rng import substream
 from airfd.sdp_solver import canonical_phase, extract_principal_eigenpair, solve
 from airfd.transceiver import (
@@ -684,6 +685,11 @@ class TestPeakPowerChecks:
             return optimal_postprocessing(
                 w, channel, knowledge.stds, partition, peaks
             )
+        if function is p2_objective:
+            w = random_beamformer(np.random.default_rng(0), channel.num_antennas)
+            return p2_objective(
+                w, channel, knowledge.stds, partition, peaks, 1e-3, 1.0, 10
+            )
         return function(channel, knowledge.stds, partition, peaks)
 
     @pytest.mark.parametrize(
@@ -702,3 +708,28 @@ class TestPeakPowerChecks:
             self.call(function, channel, knowledge, partition, peaks)
         with pytest.raises(ValueError, match=r"peak_powers must be \(M,\) positive"):
             self.call(function, channel, knowledge, partition, peaks[:3])
+
+
+class TestDeviceCountCheck:
+    @pytest.mark.parametrize(
+        "function",
+        [
+            build_relaxation,
+            optimal_postprocessing,
+            uniform_baseline,
+            optimize_round,
+            orthogonal_receive,
+            p2_objective,
+        ],
+    )
+    @pytest.mark.parametrize("channel_wds", [1, 3])
+    def test_channel_of_another_device_count_rejected(self, function, channel_wds):
+        rng = np.random.default_rng(82)
+        partition = random_partition(rng, 4, 3)
+        knowledge = random_knowledge(rng, 4, 3)
+        peaks = np.full(4, 1e-3)
+        call = TestPeakPowerChecks.call
+        call(function, random_channel(rng, 4, 3), knowledge, partition, peaks)
+        channel = random_channel(rng, channel_wds, 3)
+        with pytest.raises(ValueError, match="channel and partition disagree"):
+            call(function, channel, knowledge, partition, peaks)
