@@ -454,20 +454,33 @@ def dump_config(config: ExperimentConfig) -> str:
 
 
 def generate_knowledge(
-    params_by_wd: list[ModelParams],
-    features_by_wd: list[np.ndarray],
-    labels_by_wd: list[np.ndarray],
+    params_by_group: list[ModelParams],
+    features_by_group: list[np.ndarray],
+    labels_by_group: list[np.ndarray],
 ) -> tuple[KnowledgeSet, list[ForwardPass]]:
     """Every device's per-class average soft predictions.
 
-    Also returns each device's forward pass, which `train_round` reuses for
-    its full-batch loss while the parameters are unchanged.
+    Entry g of each list is one device's model, (B, F) features and (B,)
+    labels, or a stack of devices' (see learner); the devices are numbered
+    in list order, and within a stack in stack order. Also returns each
+    entry's forward pass, which `train_round` reuses for its full-batch loss
+    while the parameters are unchanged.
     """
     passes = [
         forward_pass(params, features)
-        for params, features in zip(params_by_wd, features_by_wd)
+        for params, features in zip(params_by_group, features_by_group)
     ]
-    q = knowledge_vectors([fp.probs for fp in passes], labels_by_wd)
+    outputs = [
+        probs
+        for fp in passes
+        for probs in fp.probs.reshape(-1, *fp.log_probs.shape[-2:])
+    ]
+    labels = [
+        lab
+        for labels in labels_by_group
+        for lab in np.reshape(labels, (-1, np.shape(labels)[-1]))
+    ]
+    q = knowledge_vectors(outputs, labels)
     return KnowledgeSet(q=q), passes
 
 
@@ -566,17 +579,27 @@ def _run_trial(
         config.dirichlet_param,
         substream(seed, "partition", trial),
     )
-    features_by_wd = [train.features[idx] for idx in assignment]
-    labels_by_wd = [train.labels[idx] for idx in assignment]
+    # Consecutive devices that hold the same number of samples train as one
+    # (G, P) stack, and a device without such a neighbour as one model. The
+    # stacks are in device order, so every per-device list stays in order.
+    sizes = part.per_wd_totals
+    cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1), num_wds]
+    runs = [slice(a, b) if b - a > 1 else a for a, b in zip(cuts, cuts[1:])]
+    samples_by_group = [np.asarray(assignment[run]) for run in runs]
+    features_by_group = [train.features[idx] for idx in samples_by_group]
+    labels_by_group = [train.labels[idx] for idx in samples_by_group]
     distances = sample_distances(cha, substream(seed, "distance", trial))
     amplitudes = np.sqrt([path_loss(d, cha) for d in distances])
     unit_config = replace(
         cha, pathloss_exponent=0.0, antenna_gain_ps=1.0, antenna_gain_wd=1.0
     )
-    initial = [
-        init_params(arch, substream(seed, "init", trial, i))
-        for i in range(num_wds)
-    ]
+    thetas = np.stack(
+        [
+            init_params(arch, substream(seed, "init", trial, i)).theta
+            for i in range(num_wds)
+        ]
+    )
+    initial = [ModelParams(thetas[run], arch) for run in runs]
 
     params = {m: list(initial) for m in config.methods}
     accuracy = dict.fromkeys(config.methods, 0.0)
@@ -614,7 +637,7 @@ def _run_trial(
 
         for method in config.methods:
             knowledge, passes = generate_knowledge(
-                params[method], features_by_wd, labels_by_wd
+                params[method], features_by_group, labels_by_group
             )
             plan = None
             if method == "error_free":
@@ -641,24 +664,25 @@ def _run_trial(
             )
             models = params[method]
             losses = np.empty(num_wds)
-            for i in range(num_wds):
-                models[i], losses[i] = train_round(
-                    models[i],
-                    features_by_wd[i],
-                    labels_by_wd[i],
+            for g, run in enumerate(runs):
+                models[g], losses[run] = train_round(
+                    models[g],
+                    features_by_group[g],
+                    labels_by_group[g],
                     target,
                     lrn,
                     t,
                     batch_rng,
-                    cache=passes[i],
+                    cache=passes[g],
                 )
-            del passes  # stale once the models have moved
+            del passes  # spent by train_round
             if t % config.eval_every == 0 or t == rounds - 1:
                 accuracy[method] = float(
                     np.mean(
                         [
                             evaluate_accuracy(p, test.features, test.labels)
-                            for p in models
+                            for stack in models
+                            for p in stack.unstack()
                         ]
                     )
                 )
@@ -705,7 +729,11 @@ def _run_trial(
                     test_acc_mean=accuracy[method],
                 )
             )
-    return rows, accuracy, params, plan_seconds, plan_iterations
+    finals = {
+        m: [p for stack in stacks for p in stack.unstack()]
+        for m, stacks in params.items()
+    }
+    return rows, accuracy, finals, plan_seconds, plan_iterations
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

@@ -2,10 +2,17 @@
 network trained per device on a cross-entropy loss plus a distillation
 regularizer that pulls each sample's output toward the shared per-class
 knowledge vector, under a diminishing step-size schedule.
+
+The forward pass, the loss and gradient, and a training round also take a
+stack of G models with an optional leading axis: theta (G, P), features
+(G, B, F) and labels (G, B), one batch of the same size per model. numpy's
+stacked matmul makes the same BLAS call on each slice, so every model of a
+stack gets the bits it would get alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,18 +56,19 @@ class Architecture:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """A flat real parameter vector together with its layer sizes."""
+    """A flat real parameter vector, or a (G, P) stack of G of them, together
+    with their layer sizes."""
 
     theta: np.ndarray
     arch: Architecture
 
     def __post_init__(self) -> None:
         theta = np.asarray(self.theta, dtype=np.float64)
-        if theta.ndim != 1:
-            raise ValueError("theta must be a flat vector")
-        if theta.shape[0] != self.arch.param_count:
+        if theta.ndim not in (1, 2):
+            raise ValueError("theta must be a flat vector or a (G, P) stack")
+        if theta.shape[-1] != self.arch.param_count:
             raise ValueError(
-                f"theta has {theta.shape[0]} entries; architecture needs "
+                f"theta has {theta.shape[-1]} entries; architecture needs "
                 f"{self.arch.param_count}"
             )
         if not np.all(np.isfinite(theta)):
@@ -71,7 +79,21 @@ class ModelParams:
 
     @property
     def dim(self) -> int:
-        return self.theta.shape[0]
+        return self.theta.shape[-1]
+
+    def unstack(self) -> list[ModelParams]:
+        """The models of a (G, P) stack, one by one ([self] for one model).
+        Each holds a row of this checked, read-only stack as it is: no copy
+        and no second check."""
+        if self.theta.ndim == 1:
+            return [self]
+        models = []
+        for row in self.theta:
+            model = object.__new__(ModelParams)
+            object.__setattr__(model, "theta", row)
+            object.__setattr__(model, "arch", self.arch)
+            models.append(model)
+        return models
 
 
 @dataclass(frozen=True)
@@ -109,16 +131,17 @@ class LearnerConfig:
 
 
 def _unpack(theta: np.ndarray, arch: Architecture):
-    """Split the flat vector into (W1, b1, W2, b2)."""
+    """Split the flat vector, or each row of a stack, into (W1, b1, W2, b2)."""
     f, h, k = arch.feature_dim, arch.hidden_dim, arch.num_classes
+    lead = theta.shape[:-1]
     pos = 0
-    w1 = theta[pos : pos + f * h].reshape(f, h)
+    w1 = theta[..., pos : pos + f * h].reshape(*lead, f, h)
     pos += f * h
-    b1 = theta[pos : pos + h]
+    b1 = theta[..., pos : pos + h]
     pos += h
-    w2 = theta[pos : pos + h * k].reshape(h, k)
+    w2 = theta[..., pos : pos + h * k].reshape(*lead, h, k)
     pos += h * k
-    b2 = theta[pos : pos + k]
+    b2 = theta[..., pos : pos + k]
     return w1, b1, w2, b2
 
 
@@ -132,13 +155,16 @@ def init_params(arch: Architecture, rng: np.random.Generator) -> ModelParams:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """The log-softmax of each row, computed in the logits' buffer."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    return logits
 
 
 class ForwardPass(NamedTuple):
-    """One model's outputs on a (B, F) batch, kept so that the same forward
-    pass can serve knowledge extraction and the training loss.
+    """One model's outputs on a (B, F) batch, or a stack's on a (G, B, F)
+    batch, kept so that the same forward pass can serve knowledge extraction
+    and the training loss.
 
     Attributes:
         hidden: (B, H) tanh activations of the hidden layer.
@@ -154,36 +180,65 @@ class ForwardPass(NamedTuple):
         return np.exp(self.log_probs)
 
 
+def _checked_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """The batch as float64, (B, F) for one model or (G, B, F) for a stack."""
+    features = np.asarray(features, dtype=np.float64)
+    lead = params.theta.shape[:-1]
+    if (
+        features.ndim != len(lead) + 2
+        or features.shape[:-2] != lead
+        or features.shape[-1] != params.arch.feature_dim
+    ):
+        shape = ", ".join(map(str, (*lead, "B", params.arch.feature_dim)))
+        raise ValueError(f"features must be ({shape}), got {features.shape}")
+    return features
+
+
+def _checked_labels(
+    params: ModelParams, features: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """One label in [0, K) per sample of a non-empty batch."""
+    labels = np.asarray(labels)
+    if labels.shape != features.shape[:-1]:
+        raise ValueError("labels must be (B,), one per sample of each model")
+    if labels.shape[-1] == 0:
+        raise ValueError("the batch must hold at least one sample")
+    if labels.min() < 0 or labels.max() >= params.arch.num_classes:
+        raise ValueError("labels must lie in [0, K)")
+    return labels
+
+
 def _hidden_and_logits(
     params: ModelParams, features: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations (B, H) and logits (B, K) for a (B, F) batch."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != params.arch.feature_dim:
-        raise ValueError(
-            f"features must be (B, {params.arch.feature_dim}), got {features.shape}"
-        )
+    """Hidden activations (B, H) and logits (B, K) of a checked batch."""
     w1, b1, w2, b2 = _unpack(params.theta, params.arch)
-    hidden = np.tanh(features @ w1 + b1)
-    return hidden, hidden @ w2 + b2
+    hidden = features @ w1
+    hidden += b1[..., None, :]
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ w2
+    logits += b2[..., None, :]
+    return hidden, logits
 
 
 def forward_pass(params: ModelParams, features: np.ndarray) -> ForwardPass:
     """Hidden activations and log-softmax outputs for a (B, F) batch; the
     softmax rows (`probs`) are positive and sum to 1 within 1e-12 for finite
     parameters."""
-    hidden, logits = _hidden_and_logits(params, features)
+    hidden, logits = _hidden_and_logits(
+        params, _checked_features(params, features)
+    )
     return ForwardPass(hidden=hidden, log_probs=_log_softmax(logits))
 
 
 class _Loss(NamedTuple):
     """The mean loss of a checked batch and what its gradient reuses."""
 
-    value: float
+    value: float | np.ndarray  # (G,) for a stack
     features: np.ndarray
-    labels: np.ndarray
+    picked: tuple[np.ndarray, np.ndarray]  # each sample's (row, label) entry
     hidden: np.ndarray
-    probs: np.ndarray
+    probs: np.ndarray  # (..., B, K), in the forward pass's own buffer
     residual: np.ndarray | None  # probs - knowledge[labels]; None if unused
 
 
@@ -195,17 +250,11 @@ def _loss(
     distill_weight: float,
     cache: ForwardPass | None,
 ) -> _Loss:
-    """Check the batch and compute its mean loss (see loss_and_grad)."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
+    """Check the batch and compute its mean loss (see loss_and_grad). The
+    softmax outputs overwrite the log-softmax ones in place."""
     arch = params.arch
-    if features.ndim != 2 or features.shape[1] != arch.feature_dim:
-        raise ValueError(f"features must be (B, {arch.feature_dim})")
-    batch = features.shape[0]
-    if labels.shape != (batch,):
-        raise ValueError("labels must be (B,)")
-    if np.any(labels < 0) or np.any(labels >= arch.num_classes):
-        raise ValueError("labels must lie in [0, K)")
+    features = _checked_features(params, features)
+    labels = _checked_labels(params, features, labels)
     if not 0.0 <= distill_weight < np.inf:  # written so that a NaN fails it
         raise ValueError("distill_weight must be finite and nonnegative")
     if distill_weight > 0:
@@ -221,18 +270,24 @@ def _loss(
     if cache is None:
         cache = forward_pass(params, features)
     elif (cache.hidden.shape, cache.log_probs.shape) != (
-        (batch, arch.hidden_dim),
-        (batch, arch.num_classes),
+        (*labels.shape, arch.hidden_dim),
+        (*labels.shape, arch.num_classes),
     ):
         raise ValueError("cache does not match the batch and the architecture")
-    probs = cache.probs
-
-    loss = float(-cache.log_probs[np.arange(batch), labels].mean())
+    batch = labels.shape[-1]
+    # Samples of every model as rows of one (G * B, K) view.
+    probs = np.ascontiguousarray(cache.log_probs)
+    picked = (np.arange(labels.size), labels.reshape(-1))
+    log_likelihood = probs.reshape(-1, arch.num_classes)[picked]
+    loss = -log_likelihood.reshape(labels.shape).mean(axis=-1)
+    np.exp(probs, out=probs)
     residual = None
     if distill_weight > 0:
-        residual = probs - knowledge[labels]  # (B, K)
-        loss += distill_weight * float(np.sum(residual**2) / batch)
-    return _Loss(loss, features, labels, cache.hidden, probs, residual)
+        residual = knowledge[labels]
+        np.subtract(probs, residual, out=residual)  # (..., B, K)
+        squares = np.square(residual).reshape(*labels.shape[:-1], -1)
+        loss += distill_weight * (squares.sum(axis=-1) / batch)
+    return _Loss(loss, features, picked, cache.hidden, probs, residual)
 
 
 def loss_and_grad(
@@ -243,7 +298,7 @@ def loss_and_grad(
     distill_weight: float,
     *,
     cache: ForwardPass | None = None,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean per-sample loss and its exact gradient in the flat parameters.
 
     Per sample with label v and output p:
@@ -252,41 +307,56 @@ def loss_and_grad(
     skipped entirely, so the result is bit-identical to plain cross-entropy.
 
     Args:
-        params: Model parameters.
-        features: (B, F) sample features.
-        labels: (B,) integer labels in [0, K).
+        params: Model parameters, one model or a (G, P) stack.
+        features: (B, F) sample features; (G, B, F) for a stack.
+        labels: (B,) integer labels in [0, K); (G, B) for a stack.
         knowledge: (K, K) real matrix; row v is the shared soft-prediction
             target for class v. Ignored when distill_weight == 0 (may be None).
         distill_weight: Nonnegative regularizer weight.
         cache: This model's forward pass on these features, reused instead of
-            being recomputed (the result is bit-identical either way).
+            being recomputed (the result is bit-identical either way). Its
+            buffers hold the gradient's intermediates afterwards, so it is
+            spent.
 
     Returns:
-        (loss, gradient) with gradient flat of the parameter dimension.
+        (loss, gradient): a float and a flat gradient of the parameter
+        dimension, or for a stack a (G,) array and a (G, P) array.
     """
     loss = _loss(params, features, labels, knowledge, distill_weight, cache)
     probs, hidden = loss.probs, loss.hidden
-    batch = probs.shape[0]
+    batch = probs.shape[-2]
     w2 = _unpack(params.theta, params.arch)[2]
 
-    d_logits = probs.copy()
-    d_logits[np.arange(batch), loss.labels] -= 1.0
     if loss.residual is not None:
         # Jacobian of softmax applied to the residual:
         # (diag(p) - p p^T) r = p*r - p (p.r)
-        weighted = probs * loss.residual
-        d_logits += 2.0 * distill_weight * (
-            weighted - probs * weighted.sum(axis=1, keepdims=True)
-        )
+        weighted = np.multiply(probs, loss.residual, out=loss.residual)
+        weighted -= probs * weighted.sum(axis=-1, keepdims=True)
+        weighted *= 2.0 * distill_weight
+    d_logits = probs  # the softmax outputs are not read again
+    d_logits.reshape(-1, params.arch.num_classes)[loss.picked] -= 1.0
+    if loss.residual is not None:
+        d_logits += weighted
 
     d_logits /= batch
-    grad_w2 = hidden.T @ d_logits
-    grad_b2 = d_logits.sum(axis=0)
-    d_hidden = (d_logits @ w2.T) * (1.0 - hidden**2)
-    grad_w1 = loss.features.T @ d_hidden
-    grad_b1 = d_hidden.sum(axis=0)
+    grad_w2 = hidden.swapaxes(-1, -2) @ d_logits
+    grad_b2 = d_logits.sum(axis=-2)
+    d_hidden = d_logits @ w2.swapaxes(-1, -2)
+    # 1 - hidden**2, in the hidden activations' buffer once grad_w2 has them.
+    np.square(hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    d_hidden *= hidden
+    grad_w1 = loss.features.swapaxes(-1, -2) @ d_hidden
+    grad_b1 = d_hidden.sum(axis=-2)
+    lead = params.theta.shape[:-1]
     grad = np.concatenate(
-        [grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2]
+        [
+            grad_w1.reshape(*lead, -1),
+            grad_b1,
+            grad_w2.reshape(*lead, -1),
+            grad_b2,
+        ],
+        axis=-1,
     )
     return loss.value, grad
 
@@ -321,16 +391,17 @@ def train_round(
     rng: np.random.Generator | None = None,
     *,
     cache: ForwardPass | None = None,
-) -> tuple[ModelParams, float]:
+) -> tuple[ModelParams, float | np.ndarray]:
     """One round of local training; returns updated params and the full-batch
-    loss measured before the update.
+    loss measured before the update ((G,) losses for a stack).
 
     With local_epochs == 1 this is a single full-batch step. With
     local_epochs E > 1 the samples are shuffled once (requires rng) and split
     into E near-equal minibatches, each consuming one step at this round's
-    step size; the full-batch loss then needs no gradient. `cache`, the
-    forward pass of `params` on `features`, serves the full-batch loss (and,
-    for a single step, its gradient) in place of a second forward pass.
+    step size; the full-batch loss then needs no gradient. A stack draws one
+    shuffle per model from rng, in stack order. `cache`, the forward pass of
+    `params` on `features`, serves the full-batch loss (and, for a single
+    step, its gradient) in place of a second forward pass; it is spent.
     """
     eta = lr_schedule(round_index, config)
     if config.local_epochs == 1:
@@ -345,15 +416,22 @@ def train_round(
     ).value
     if rng is None:
         raise ValueError("minibatch training (local_epochs > 1) requires rng")
-    order = rng.permutation(features.shape[0])
+    features = np.asarray(features)
+    lead, batch = features.shape[:-2], features.shape[-2]
+    # Every model's shuffle as rows into its samples in the (G * B, F) view.
+    shuffles = [rng.permutation(batch) for _ in range(math.prod(lead))]
+    order = np.reshape(shuffles, (*lead, batch))
+    order += np.arange(order.size, step=batch).reshape(*lead, 1)
+    samples = features.reshape(-1, features.shape[-1])
+    sample_labels = np.asarray(labels).reshape(-1)
     theta = params.theta
-    for chunk in np.array_split(order, config.local_epochs):
+    for chunk in np.array_split(order, config.local_epochs, axis=-1):
         if chunk.size == 0:
             continue
         _, grad = loss_and_grad(
             ModelParams(theta=theta, arch=params.arch),
-            features[chunk],
-            np.asarray(labels)[chunk],
+            samples[chunk],
+            sample_labels[chunk],
             knowledge,
             config.distill_weight,
         )
@@ -364,10 +442,11 @@ def train_round(
 def evaluate_accuracy(
     params: ModelParams, features: np.ndarray, labels: np.ndarray
 ) -> float:
-    """Fraction of samples whose argmax output matches the label.
+    """Fraction of one model's samples whose argmax output matches the label.
 
     Softmax is monotone, so the prediction is the argmax of the logits.
     """
+    features = _checked_features(params, features)
+    labels = _checked_labels(params, features, labels)
     _, logits = _hidden_and_logits(params, features)
-    predictions = np.argmax(logits, axis=1)
-    return float(np.mean(predictions == np.asarray(labels)))
+    return float(np.mean(np.argmax(logits, axis=-1) == labels))

@@ -573,7 +573,8 @@ def test_benchmark_rebinding_points_are_called_by_name(tmp_path, monkeypatch):
         "uniform_baseline": method_rounds,
         "orthogonal_receive": method_rounds,
         "aggregate_over_air": 2 * method_rounds,
-        "train_round": 4 * method_rounds * wds,
+        # Devices 0-1 hold 13 samples and 2-3 hold 12: two stacks.
+        "train_round": 4 * method_rounds * 2,
         "evaluate_accuracy": 4 * method_rounds * wds,
         "a2_coefficient": 1,
         "phi1": 2 * method_rounds,
@@ -592,7 +593,10 @@ def test_benchmark_rebinding_points_are_called_by_name(tmp_path, monkeypatch):
 
     for name in expected:
         monkeypatch.setattr(expcli, name, counting(name, getattr(expcli, name)))
-    result = run_experiment(config_from_parser(full_small_parser(str(tmp_path))))
+    parser = full_small_parser(str(tmp_path))
+    parser["dataset"]["num_samples"] = "50"
+    parser["partition"]["mode"] = "iid"
+    result = run_experiment(config_from_parser(parser))
     assert not result.aborts
     assert calls == expected
 
@@ -638,14 +642,35 @@ def test_each_methods_rows_do_not_depend_on_the_other_methods(tmp_path):
 
 
 def test_error_free_matches_direct_reimplementation(tmp_path):
-    parser = small_parser(
-        experiment={"methods": "error_free", "output_dir": str(tmp_path)},
-        learner={"rounds": "4", "local_epochs": "2"},
-    )
-    config = config_from_parser(parser)
-    result = run_experiment(config)
-    assert not result.aborts
+    """The driver trains each run of equal-size devices as one stack; a plain
+    loop over single devices must reach the same final models, bit for bit.
+    The second run splits 50 samples over 4 devices (13, 13, 12, 12: two
+    stacks) and shuffles each device's minibatches from the shared stream."""
+    runs = [
+        small_parser(learner={"rounds": "4", "local_epochs": "2"}),
+        small_parser(
+            dataset={"num_samples": "50"},
+            partition={"mode": "iid"},
+            learner={"rounds": "4", "local_epochs": "3"},
+        ),
+    ]
+    for n, parser in enumerate(runs):
+        parser["experiment"]["methods"] = "error_free"
+        parser["experiment"]["output_dir"] = str(tmp_path / str(n))
+        config = config_from_parser(parser)
+        result = run_experiment(config)
+        assert not result.aborts
+        reference, sizes = reference_error_free_params(config)
+        finals = result.final_params["error_free"][0]
+        assert len(finals) == len(reference) == 4
+        for mine, theirs in zip(reference, finals):
+            assert np.array_equal(mine.theta, theirs.theta)
+    assert sizes == [13, 13, 12, 12]
 
+
+def reference_error_free_params(config):
+    """Final error_free models of trial 0, one device at a time, and the
+    devices' sample counts."""
     seed, lrn = config.seed, config.learner
     train = synthesize_dataset(config.dataset, substream(seed, "data", 0))
     part, assignment = partition(
@@ -674,9 +699,7 @@ def test_error_free_matches_direct_reimplementation(tmp_path):
             params[i], _ = train_round(
                 params[i], feats[i], labs[i], target, lrn, t, batch_rng
             )
-    finals = result.final_params["error_free"][0]
-    for mine, theirs in zip(params, finals):
-        assert np.array_equal(mine.theta, theirs.theta)
+    return params, [len(idx) for idx in assignment]
 
 
 def test_noiseless_perfect_csi_superposition_matches_error_free(tmp_path):

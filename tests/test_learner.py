@@ -372,6 +372,20 @@ class TestTrainRound:
             )
             assert evaluate_accuracy(params, features, labels) == expected
 
+    def test_accuracy_checks_its_labels(self):
+        params = random_model(np.random.default_rng(36))
+        features = np.random.default_rng(37).standard_normal((6, 8))
+        labels = np.arange(6) % 3
+        # A (B, 1) column would broadcast into a (B, B) comparison.
+        with pytest.raises(ValueError, match="labels must be"):
+            evaluate_accuracy(params, features, labels[:, None])
+        for bad in (-1, 3):
+            with pytest.raises(ValueError, match="labels must lie"):
+                evaluate_accuracy(params, features, np.where(labels == 0, bad, labels))
+        for measure in (evaluate_accuracy, lambda *batch: loss_and_grad(*batch, None, 0.0)):
+            with pytest.raises(ValueError, match="at least one sample"):
+                measure(params, features[:0], labels[:0])
+
     def test_accuracy_on_saturated_model(self):
         theta = np.zeros(ARCH.param_count)
         theta[-3] = 50.0
@@ -379,3 +393,73 @@ class TestTrainRound:
         features = np.zeros((5, 8))
         assert evaluate_accuracy(params, features, np.zeros(5, dtype=int)) == 1.0
         assert evaluate_accuracy(params, features, np.ones(5, dtype=int)) == 0.0
+
+
+class TestStack:
+    """A (G, P) stack of models against a loop over its models, bit for bit."""
+
+    @pytest.mark.parametrize("models", [1, 4])
+    @pytest.mark.parametrize("distill_weight", [0.0, 0.6])
+    @pytest.mark.parametrize("local_epochs", [1, 3])
+    def test_stack_matches_per_model_loop(self, models, distill_weight, local_epochs):
+        rng = np.random.default_rng(40 + models)
+        stack = ModelParams(
+            theta=0.5 * rng.standard_normal((models, ARCH.param_count)), arch=ARCH
+        )
+        features = rng.standard_normal((models, 25, ARCH.feature_dim))
+        labels = rng.integers(0, ARCH.num_classes, (models, 25))
+        knowledge = rng.dirichlet(np.ones(ARCH.num_classes), size=ARCH.num_classes)
+        config = LearnerConfig(
+            distill_weight=distill_weight,
+            init_lr=0.05,
+            rounds=5,
+            local_epochs=local_epochs,
+        )
+        singles = stack.unstack()
+        loop_rng = np.random.default_rng(7)
+        passes, grads, steps = [], [], []
+        for model, x, y in zip(singles, features, labels):
+            passes.append(forward_pass(model, x))
+            grads.append(loss_and_grad(model, x, y, knowledge, distill_weight))
+            steps.append(
+                train_round(
+                    model, x, y, knowledge, config, 2, loop_rng,
+                    cache=forward_pass(model, x),
+                )
+            )
+
+        together = forward_pass(stack, features)
+        assert np.array_equal(together.hidden, [fp.hidden for fp in passes])
+        assert np.array_equal(together.log_probs, [fp.log_probs for fp in passes])
+        loss, grad = loss_and_grad(stack, features, labels, knowledge, distill_weight)
+        assert np.array_equal(loss, [value for value, _ in grads])
+        assert np.array_equal(grad, [g for _, g in grads])
+        trained, losses = train_round(
+            stack, features, labels, knowledge, config, 2,
+            np.random.default_rng(7), cache=forward_pass(stack, features),
+        )
+        assert np.array_equal(trained.theta, [model.theta for model, _ in steps])
+        assert np.array_equal(losses, [value for _, value in steps])
+
+    def test_unstack_gives_read_only_rows(self):
+        rng = np.random.default_rng(44)
+        stack = ModelParams(theta=rng.standard_normal((3, ARCH.param_count)), arch=ARCH)
+        models = stack.unstack()
+        assert [m.arch for m in models] == [ARCH] * 3
+        assert np.array_equal([m.theta for m in models], stack.theta)
+        assert not any(m.theta.flags.writeable for m in models)
+
+    def test_batch_must_match_the_stack(self):
+        rng = np.random.default_rng(45)
+        stack = ModelParams(theta=rng.standard_normal((3, ARCH.param_count)), arch=ARCH)
+        with pytest.raises(ValueError, match="features"):
+            forward_pass(stack, rng.standard_normal((2, 5, 8)))
+        with pytest.raises(ValueError, match="features"):
+            forward_pass(stack, rng.standard_normal((5, 8)))
+        with pytest.raises(ValueError, match="labels must be"):
+            loss_and_grad(
+                stack, rng.standard_normal((3, 5, 8)), np.zeros(5, dtype=int),
+                None, 0.0,
+            )
+        with pytest.raises(ValueError, match="flat vector or a"):
+            ModelParams(theta=np.zeros((2, 2, ARCH.param_count)), arch=ARCH)
