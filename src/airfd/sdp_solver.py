@@ -23,10 +23,12 @@ system is
 built as R R^T from the m real rows R_l = vec(conj(L_X^H u_l) (L_S^-1 u_l)^T)
 / sqrt(2) (real and imaginary parts side by side), so it costs O(m^2 N^2)
 and holds no complex m x m matrix. The Newton system (trace dual, the m
-constraint duals and the K slacks: size 1 + m + K) is exactly symmetric, so
-its transpose is the same matrix in the Fortran order LAPACK reads: it is
-LU-factored in place, with no copy, once per iteration and solved for the
-predictor and the corrector. X and S do not change between the two, so each
+constraint duals and the K slacks: size 1 + m + K) is symmetric and
+indefinite. Only one triangle of it is written, into a buffer that every
+iteration of a solve reuses, and LAPACK factors that triangle in place as
+L D L^T with symmetric 1 x 1 and 2 x 2 pivots (Bunch-Kaufman), once per
+iteration, for the predictor and the corrector; no block of the system has
+to stay numerically definite. X and S do not change between the two, so each
 is Cholesky-factored once per iteration (X = L_X L_X^H, S = L_S L_S^H), and
 those factors give S^-1, the Schur rows and all four step lengths,
 alpha = 1 / -lambda_min(L^-1 dX L^-H).
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, zpotrf, ztrtri
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs, zpotrf, ztrtri
 
 __all__ = [
     "SdpProblem",
@@ -164,7 +166,8 @@ class SdpSolution:
 
 class SdpConvergenceError(RuntimeError):
     """The interior-point method stopped short of the tolerance, at its
-    iteration cap or on a numerical breakdown; carries the best iterate."""
+    iteration cap or on a numerical breakdown; carries the last accepted
+    iterate in ``best``, whose residuals need not be the smallest reached."""
 
     def __init__(self, message: str, best: SdpSolution):
         super().__init__(message)
@@ -285,6 +288,11 @@ class _Core:
         # Membership matrix of constraints in classes (m, K).
         self.members = np.zeros((self.m, self.num_classes))
         self.members[np.arange(self.m), class_of] = 1.0
+        # The Newton system's buffer, refilled by every step of the run, and
+        # the workspace size its factorization asks for.
+        size = 1 + self.m + self.num_classes
+        self.kkt = np.zeros((size, size))
+        self.lwork = int(dsytrf_lwork(size, lower=1)[0])
 
         # Strictly feasible, centred start at the instance's own scale (see
         # the module docstring).
@@ -360,7 +368,7 @@ class _Core:
             try:
                 self._step(residuals)
             except np.linalg.LinAlgError:
-                # Report the best point reached before the breakdown; a failed
+                # Report the last point reached before the breakdown; a failed
                 # step leaves the iterate unchanged.
                 return iteration, "a numerical breakdown", report
 
@@ -381,31 +389,38 @@ class _Core:
         fs = self.u @ inv_s.T
         schur_rows = (fx.conj()[:, :, None] * fs[:, None, :]).reshape(m, -1)
         schur_rows = schur_rows.view(np.float64)
-        size = 1 + m + self.num_classes
         block = slice(1, 1 + m)
-        diag = np.arange(size)
-        kkt = np.zeros((size, size))
+        classes = slice(1 + m, None)
+        diag = np.arange(1, 1 + m)
+        # LAPACK reads the lower triangle of kkt.T, which is the upper triangle
+        # of kkt: only that triangle is written. The last factorization
+        # overwrote it, so its structural zeros are written again too.
+        kkt = self.kkt
         kkt[0, 0] = 2.0 * float(x_s_inv.trace().real)
-        kkt[0, block] = kkt[block, 0] = self.forms(x_s_inv)
-        # Written into kkt directly: no m x m temporary.
-        np.matmul(schur_rows, schur_rows.T, out=kkt[block, block])
-        kkt[diag[block], diag[block]] += self.s / self.z
-        kkt[block, 1 + m :] = self.members
-        kkt[1 + m :, block] = self.members.T
+        kkt[0, block] = self.forms(x_s_inv)
+        kkt[0, classes] = 0.0
+        # Written into kkt directly, with no m x m temporary. The copy makes
+        # it a general product, which writes each entry once: numpy computes
+        # R @ R.T as a symmetric product plus a mirror copy, and only one
+        # triangle is read.
+        np.matmul(schur_rows, schur_rows.copy().T, out=kkt[block, block])
+        kkt[diag, diag] += self.s / self.z
+        kkt[block, classes] = self.members
+        kkt[classes, classes] = 0.0
 
-        def directions(lu, piv, rc_mat, rc_vec):
+        def directions(ldl, piv, rc_mat, rc_vec):
             """Solve the reduced system for one right-hand side."""
             y0 = (rc_mat + x_dual) @ s_inv
-            rhs = np.empty(size)
+            rhs = np.empty(kkt.shape[0])
             rhs[0] = residuals.trace - 2.0 * float(y0.trace().real)
             rhs[block] = -residuals.rows + rc_vec / self.z - self.forms(y0)
-            rhs[1 + m :] = residuals.classes
-            sol, info = dgetrs(lu, piv, rhs)
+            rhs[classes] = residuals.classes
+            sol, info = dsytrs(ldl, piv, rhs, lower=1)
             if info != 0 or not np.isfinite(sol).all():
                 raise np.linalg.LinAlgError("no finite Newton direction")
             dy = float(sol[0])
             dz = sol[block]
-            de = sol[1 + m :]
+            de = sol[classes]
             dz_mat = 0.5 * self.outer_sum(dz)
             ds_mat = -residuals.dual - dy * self.eye - dz_mat
             dx = _hermitian(y0 + dy * x_s_inv + self.x @ dz_mat @ s_inv)
@@ -429,14 +444,15 @@ class _Core:
         def newton_direction():
             """Corrector direction, after the predictor (affine-scaling) step up
             to the boundary."""
-            # kkt is exactly symmetric, so kkt.T is the same matrix in Fortran
-            # order: LAPACK factors it in place, without a transposed copy.
-            lu, piv, info = dgetrf(kkt.T, overwrite_a=1)
+            # kkt.T is kkt in Fortran order: LAPACK factors it in place as
+            # L D L^T, with symmetric 1 x 1 and 2 x 2 pivots (Bunch-Kaufman),
+            # without a copy. Only an exactly zero pivot block stops it.
+            ldl, piv, info = dsytrf(kkt.T, lower=1, lwork=self.lwork, overwrite_a=1)
             if info != 0:
                 raise np.linalg.LinAlgError("the Newton system is singular")
             rc_mat = -self.x @ self.big_s
             rc_vec = -(self.z * self.s)
-            _, dz_a, _, dx_a, ds_mat_a, ds_a = directions(lu, piv, rc_mat, rc_vec)
+            _, dz_a, _, dx_a, ds_mat_a, ds_a = directions(ldl, piv, rc_mat, rc_vec)
             alpha_p, alpha_d = step_lengths(1.0, dz_a, dx_a, ds_mat_a, ds_a)
             gap_aff = _inner(
                 self.x + alpha_p * dx_a, self.big_s + alpha_d * ds_mat_a
@@ -446,7 +462,7 @@ class _Core:
             # Corrector: recenter and compensate the second-order term.
             rc_mat = sigma * mu * self.eye - self.x @ self.big_s - dx_a @ ds_mat_a
             rc_vec = sigma * mu - self.z * self.s - dz_a * ds_a
-            return directions(lu, piv, rc_mat, rc_vec)
+            return directions(ldl, piv, rc_mat, rc_vec)
 
         dy, dz, de, dx, ds_mat, ds = newton_direction()
         alpha_p, alpha_d = step_lengths(0.98, dz, dx, ds_mat, ds)
@@ -471,8 +487,9 @@ def solve(problem: SdpProblem) -> SdpSolution:
     Raises:
         SdpConvergenceError: if MAX_ITERATIONS is reached or a step breaks
             down numerically first (an iterate that is no longer numerically
-            positive definite, or a singular Newton system); carries the best
-            iterate in its ``best`` attribute.
+            positive definite, or a singular Newton system); carries the last
+            accepted iterate, not the one with the smallest residuals, in its
+            ``best`` attribute.
     """
     mask = problem.active_mask
     all_classes = np.nonzero(mask)[0].astype(np.int64)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airfd import sdp_solver
 from airfd.channel import ChannelConfig, sample_channel
@@ -56,6 +58,32 @@ def reduced_objective(w_matrix, problem):
         ]
         total += problem.class_weights[k] * (-min(values))
     return total
+
+
+@st.composite
+def desk_shaped_problems(draw):
+    """Rank-one problems shaped like the default experiment's: K = 3 classes,
+    3-11 devices, 2-5 antennas, vector norms 1e-3 to 1 and about one entry in
+    five inactive (each class keeps one); with a permutation of the devices."""
+    num_wds = draw(st.integers(3, 11))
+    dim = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vecs = rng.standard_normal((3, num_wds, dim)) + 1j * rng.standard_normal(
+        (3, num_wds, dim)
+    )
+    vecs *= 10.0 ** rng.uniform(-3, 0, (3, num_wds, 1)) / np.linalg.norm(
+        vecs, axis=2, keepdims=True
+    )
+    mask = rng.random((3, num_wds)) >= 0.2
+    mask[np.arange(3), rng.integers(0, num_wds, 3)] = True
+    vecs[~mask] = 0.0
+    problem = SdpProblem(
+        dim=dim,
+        class_weights=rng.uniform(0.5, 2.0, 3),
+        constraint_vectors=vecs,
+        active_mask=mask,
+    )
+    return problem, np.array(draw(st.permutations(range(num_wds))))
 
 
 class TestPrincipalEigenpair:
@@ -403,20 +431,35 @@ class TestSolveProperties:
         rng = np.random.default_rng(47)
         vectors = [[random_unit_complex(rng, 3) for _ in range(3)]]
         problem = rank_one_problem(vectors, [1.0])
-        factor = sdp_solver.dgetrf
+        factor = sdp_solver.dsytrf
         calls = []
 
         def singular_from_the_fourth_call(matrix, **kwargs):
             calls.append(matrix.shape)
-            lu, piv, info = factor(matrix, **kwargs)
-            return lu, piv, 1 if len(calls) >= 4 else info
+            ldl, piv, info = factor(matrix, **kwargs)
+            return ldl, piv, 1 if len(calls) >= 4 else info
 
-        monkeypatch.setattr(sdp_solver, "dgetrf", singular_from_the_fourth_call)
+        monkeypatch.setattr(sdp_solver, "dsytrf", singular_from_the_fourth_call)
         with pytest.raises(SdpConvergenceError) as info:
             solve(problem)
         assert "a numerical breakdown" in str(info.value)
         assert info.value.best.iterations == 3
         assert len(calls) == 4
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(desk_shaped_problems())
+    def test_permuting_the_devices_keeps_the_objective(self, drawn):
+        # The devices' order changes the rows of the Newton system, and with
+        # them its symmetric pivots, but not the relaxation's optimum.
+        problem, order = drawn
+        permuted = SdpProblem(
+            dim=problem.dim,
+            class_weights=problem.class_weights,
+            constraint_vectors=problem.constraint_vectors[:, order],
+            active_mask=problem.active_mask[:, order],
+        )
+        a, b = solve(problem), solve(permuted)
+        assert abs(a.objective - b.objective) <= 1e-8 * abs(a.objective)
 
 
 class TestNewtonSystem:
@@ -456,26 +499,45 @@ class TestNewtonSystem:
 
     @pytest.mark.parametrize("shape", ["desk", "c01"])
     def test_newton_system_is_factored_in_place(self, monkeypatch, shape):
-        # The Newton system is exactly symmetric, so its transpose is handed
-        # to LAPACK in Fortran order and overwritten by its LU factors: no
-        # copy of the (1 + m + K)^2 matrix is made.
+        # LAPACK reads the lower triangle of the Newton system's transpose, in
+        # Fortran order, and overwrites it with its L D L^T factors: no copy
+        # of the (1 + m + K)^2 matrix is made. Both directions of an
+        # iteration solve the symmetric matrix that triangle holds, whose
+        # structural zeros (trace row and class block against the class
+        # columns) the step writes again after each factorization.
         problem = self.desk_problem() if shape == "desk" else self.c01_problem()
-        factor = sdp_solver.dgetrf
+        k = problem.num_classes
+        factor, solve_factored = sdp_solver.dsytrf, sdp_solver.dsytrs
         calls = []
+        errors = []
 
-        def spy(matrix, **kwargs):
-            symmetric = np.array_equal(matrix, matrix.T)
-            lu, piv, info = factor(matrix, **kwargs)
-            in_place = np.shares_memory(lu, matrix)
-            calls.append((matrix.flags.f_contiguous, kwargs, symmetric, in_place))
-            return lu, piv, info
+        def spy_factor(matrix, **kwargs):
+            lower = np.tril(matrix)
+            read = lower + np.tril(lower, -1).T
+            zeros = not (read[0, -k:].any() or read[-k:, -k:].any())
+            ldl, piv, info = factor(matrix, **kwargs)
+            in_place = np.shares_memory(ldl, matrix)
+            calls.append((matrix.flags.f_contiguous, kwargs, in_place, zeros, read))
+            return ldl, piv, info
 
-        monkeypatch.setattr(sdp_solver, "dgetrf", spy)
+        def spy_solve(ldl, piv, rhs, **kwargs):
+            sol, info = solve_factored(ldl, piv, rhs, **kwargs)
+            read = calls[-1][-1]
+            # Normwise backward error in the infinity norm.
+            residual = np.abs(rhs - read @ sol).max()
+            scale = np.abs(read).sum(axis=1).max() * np.abs(sol).max()
+            errors.append(residual / (scale + np.abs(rhs).max()))
+            return sol, info
+
+        monkeypatch.setattr(sdp_solver, "dsytrf", spy_factor)
+        monkeypatch.setattr(sdp_solver, "dsytrs", spy_solve)
         solution = solve(problem)
         assert len(calls) == solution.iterations > 0
-        for f_contiguous, kwargs, symmetric, in_place in calls:
-            assert f_contiguous and symmetric and in_place
-            assert kwargs == {"overwrite_a": 1}
+        for f_contiguous, kwargs, in_place, zeros, _ in calls:
+            assert f_contiguous and in_place and zeros
+            assert kwargs["lower"] == 1 and kwargs["overwrite_a"] == 1
+        assert len(errors) == 2 * len(calls)
+        assert max(errors) <= 1e-14
 
 
 class TestStart:
