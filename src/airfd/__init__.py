@@ -21,8 +21,18 @@ default takes effect only when numpy has not been imported before airfd.
 """
 
 import os
+import sys
 
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+# The BLAS thread variables as found at import (None where unset), and
+# whether numpy, and with it BLAS, was loaded before this package, so that
+# the one-thread default came too late. The run summary reports both.
+BLAS_THREADS_AT_IMPORT = {
+    _name: os.environ.get(_name)
+    for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+}
+NUMPY_LOADED_FIRST = "numpy" in sys.modules
+
+for _name in BLAS_THREADS_AT_IMPORT:
     os.environ.setdefault(_name, "1")
 
 from . import (  # noqa: E402  (BLAS threads are set before numpy loads)

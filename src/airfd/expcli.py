@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import BLAS_THREADS_AT_IMPORT, NUMPY_LOADED_FIRST
 from .airagg import aggregate_over_air, superpose_and_combine
 from .channel import (
     ChannelConfig,
@@ -315,6 +316,8 @@ class ExperimentConfig:
             raise ValueError("peak_power must be finite and positive")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if not self.output_dir.strip():
+            raise ValueError("output_dir must name a directory")
 
 
 # The defaults of a run. config_from_parser reads every field of a run's
@@ -454,34 +457,19 @@ def dump_config(config: ExperimentConfig) -> str:
 
 
 def generate_knowledge(
-    params_by_group: list[ModelParams],
-    features_by_group: list[np.ndarray],
-    labels_by_group: list[np.ndarray],
-) -> tuple[KnowledgeSet, list[ForwardPass]]:
-    """Every device's per-class average soft predictions.
-
-    Entry g of each list is one device's model, (B, F) features and (B,)
-    labels, or a stack of devices' (see learner); the devices are numbered
-    in list order, and within a stack in stack order. Also returns each
-    entry's forward pass, which `train_round` reuses for its full-batch loss
-    while the parameters are unchanged.
-    """
-    passes = [
-        forward_pass(params, features)
-        for params, features in zip(params_by_group, features_by_group)
-    ]
-    outputs = [
-        probs
-        for fp in passes
-        for probs in fp.probs.reshape(-1, *fp.log_probs.shape[-2:])
-    ]
-    labels = [
-        lab
-        for labels in labels_by_group
-        for lab in np.reshape(labels, (-1, np.shape(labels)[-1]))
-    ]
-    q = knowledge_vectors(outputs, labels)
-    return KnowledgeSet(q=q), passes
+    params: ModelParams,
+    features: np.ndarray,
+    labels: np.ndarray,
+    sizes: np.ndarray,
+) -> tuple[KnowledgeSet, ForwardPass]:
+    """Every device's per-class average soft predictions, from one forward
+    pass of the batch: the (M, P) models, the (S, F) features and (S,)
+    labels of every device's samples in device order, and the (M,) device
+    sizes. Also returns the forward pass, which `train_round` reuses for the
+    full-batch loss while the parameters are unchanged."""
+    forward = forward_pass(params, features, sizes)
+    q = knowledge_vectors(forward.probs, labels, sizes)
+    return KnowledgeSet(q=q), forward
 
 
 class CommunicationCost(NamedTuple):
@@ -579,29 +567,26 @@ def _run_trial(
         config.dirichlet_param,
         substream(seed, "partition", trial),
     )
-    # Consecutive devices that hold the same number of samples train as one
-    # (G, P) stack, and a device without such a neighbour as one model. The
-    # stacks are in device order, so every per-device list stays in order.
+    # The training set in device order: device i holds the next sizes[i]
+    # samples, as the learner's batches and knowledge_vectors read them.
+    order = np.concatenate(assignment)
+    features, labels = train.features[order], train.labels[order]
     sizes = part.per_wd_totals
-    cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1), num_wds]
-    runs = [slice(a, b) if b - a > 1 else a for a, b in zip(cuts, cuts[1:])]
-    samples_by_group = [np.asarray(assignment[run]) for run in runs]
-    features_by_group = [train.features[idx] for idx in samples_by_group]
-    labels_by_group = [train.labels[idx] for idx in samples_by_group]
     distances = sample_distances(cha, substream(seed, "distance", trial))
     amplitudes = np.sqrt([path_loss(d, cha) for d in distances])
     unit_config = replace(
         cha, pathloss_exponent=0.0, antenna_gain_ps=1.0, antenna_gain_wd=1.0
     )
-    thetas = np.stack(
-        [
-            init_params(arch, substream(seed, "init", trial, i)).theta
-            for i in range(num_wds)
-        ]
+    initial = ModelParams(
+        np.stack(
+            [
+                init_params(arch, substream(seed, "init", trial, i)).theta
+                for i in range(num_wds)
+            ]
+        ),
+        arch,
     )
-    initial = [ModelParams(thetas[run], arch) for run in runs]
-
-    params = {m: list(initial) for m in config.methods}
+    params = dict.fromkeys(config.methods, initial)
     accuracy = dict.fromkeys(config.methods, 0.0)
     rows: dict[str, list[RoundMetrics]] = {m: [] for m in config.methods}
     plan_seconds = dict.fromkeys(config.methods, 0.0)
@@ -636,8 +621,8 @@ def _run_trial(
             ).reshape(num_wds, num_classes, num_classes, cha.num_antennas)
 
         for method in config.methods:
-            knowledge, passes = generate_knowledge(
-                params[method], features_by_group, labels_by_group
+            knowledge, forward = generate_knowledge(
+                params[method], features, labels, sizes
             )
             plan = None
             if method == "error_free":
@@ -662,27 +647,24 @@ def _run_trial(
             batch_rng = (
                 substream(seed, "batch", trial, t) if lrn.local_epochs > 1 else None
             )
-            models = params[method]
-            losses = np.empty(num_wds)
-            for g, run in enumerate(runs):
-                models[g], losses[run] = train_round(
-                    models[g],
-                    features_by_group[g],
-                    labels_by_group[g],
-                    target,
-                    lrn,
-                    t,
-                    batch_rng,
-                    cache=passes[g],
-                )
-            del passes  # spent by train_round
+            params[method], losses = train_round(
+                params[method],
+                features,
+                labels,
+                sizes,
+                target,
+                lrn,
+                t,
+                batch_rng,
+                cache=forward,
+            )
+            del forward  # spent by train_round
             if t % config.eval_every == 0 or t == rounds - 1:
                 accuracy[method] = float(
                     np.mean(
                         [
-                            evaluate_accuracy(p, test.features, test.labels)
-                            for stack in models
-                            for p in stack.unstack()
+                            evaluate_accuracy(model, test.features, test.labels)
+                            for model in params[method].unstack()
                         ]
                     )
                 )
@@ -729,10 +711,7 @@ def _run_trial(
                     test_acc_mean=accuracy[method],
                 )
             )
-    finals = {
-        m: [p for stack in stacks for p in stack.unstack()]
-        for m, stacks in params.items()
-    }
+    finals = {m: models.unstack() for m, models in params.items()}
     return rows, accuracy, finals, plan_seconds, plan_iterations
 
 
@@ -825,6 +804,7 @@ def _summarize(
     lines.append(dump_config(config).rstrip())
     lines.append("")
     lines.append(f"model parameters per device: {arch.param_count}")
+    lines.append(_blas_threads_line())
     lines.append(
         f"trials completed: {len(completed)} of {config.trials}; "
         f"total wall time {total_wall:.3f} s"
@@ -875,6 +855,20 @@ def _summarize(
     else:
         lines.append("(none)")
     return "\n".join(lines) + "\n"
+
+
+def _blas_threads_line() -> str:
+    """The BLAS thread variables as airfd found them at import, and whether
+    its one-thread default for unset ones could apply."""
+    found = ", ".join(
+        f"{name}={'unset' if value is None else value}"
+        for name, value in BLAS_THREADS_AT_IMPORT.items()
+    )
+    if NUMPY_LOADED_FIRST:
+        note = "numpy was loaded first, so the one-thread default did not apply"
+    else:
+        note = "unset ones took the one-thread default"
+    return f"BLAS threads at airfd import: {found}; {note}"
 
 
 # ---------------------------------------------------------------------------
@@ -961,12 +955,17 @@ def _verify_instance(seed: int, index: int) -> list[tuple[str, bool, str]]:
     features = rng.standard_normal((12, 5))
     labels = rng.integers(0, num_classes, size=12)
     shared = rng.dirichlet(np.ones(num_classes), size=num_classes)
-    _, grad = loss_and_grad(model, features, labels, shared, 0.7)
+
+    def device_loss_and_grad(theta):  # one device holding all 12 samples
+        loss, grad = loss_and_grad(
+            ModelParams(theta=theta[None], arch=arch), features, labels, [12],
+            shared, 0.7,
+        )
+        return loss[0], grad[0]
+
+    grad = device_loss_and_grad(model.theta)[1]
     numeric = finite_difference_gradient(
-        lambda theta: loss_and_grad(
-            ModelParams(theta=theta, arch=arch), features, labels, shared, 0.7
-        )[0],
-        model.theta,
+        lambda theta: device_loss_and_grad(theta)[0], model.theta
     )
     rel = float(
         np.linalg.norm(grad - numeric) / max(np.linalg.norm(numeric), 1e-30)

@@ -164,15 +164,15 @@ def transmit_active_mask(
 
 
 def knowledge_vectors(
-    outputs_by_wd: list[np.ndarray], labels_by_wd: list[np.ndarray]
+    outputs: np.ndarray, labels: np.ndarray, sizes: np.ndarray
 ) -> np.ndarray:
     """Average soft predictions per device and class.
 
     Args:
-        outputs_by_wd: Length-M list; entry i is the (B_i, K) softmax outputs
-            of device i's samples.
-        labels_by_wd: Length-M list; entry i is the B_i labels, in [0, K), of
-            the same samples in the same order.
+        outputs: (S, K) softmax outputs of every device's samples, device 0's
+            first.
+        labels: (S,) labels, in [0, K), of the same samples in the same order.
+        sizes: (M,) sample counts of the devices, in order, adding up to S.
 
     Returns:
         (M, K, K) array whose [i, k] row is device i's class-k knowledge
@@ -181,27 +181,32 @@ def knowledge_vectors(
         the uniform vector (they are excluded from aggregation by their zero
         weight).
     """
-    outputs = [np.asarray(out, dtype=np.float64) for out in outputs_by_wd]
-    num_wds, num_classes = len(outputs), outputs[0].shape[-1]
-    if len(labels_by_wd) != num_wds or any(
-        out.shape != (len(lab), num_classes)
-        for out, lab in zip(outputs, labels_by_wd)
+    outputs = np.asarray(outputs, dtype=np.float64)
+    labels, sizes = np.asarray(labels), np.asarray(sizes)
+    if (
+        outputs.ndim != 2
+        or labels.shape != outputs.shape[:1]
+        or sizes.ndim != 1
+        or np.any(sizes < 0)
+        or sizes.sum() != labels.size
     ):
-        raise ValueError("each device needs one K-wide output row per label")
-    labels = np.concatenate(labels_by_wd)
+        raise ValueError(
+            "each device needs one K-wide output row per label, and the "
+            "sizes must add up to the labels"
+        )
+    num_wds, num_classes = sizes.size, outputs.shape[1]
     if np.any(labels < 0) or np.any(labels >= num_classes):
         raise ValueError("labels must lie in [0, K)")
     # Cell i * K + k holds device i's class-k samples; bincount adds each
     # cell's entries in sample order, starting from 0.0. There is one
     # bincount per output entry: a single one over (cell, entry) bins would
-    # need a B*K index array, which made it slower.
-    owner = np.repeat(np.arange(num_wds), [len(lab) for lab in labels_by_wd])
-    cells = owner * num_classes + labels
+    # need a S*K index array, which made it slower.
+    cells = np.repeat(np.arange(num_wds) * num_classes, sizes) + labels
     counts = np.bincount(cells, minlength=num_wds * num_classes)
     sums = np.stack(
         [
             np.bincount(cells, weights=entry, minlength=counts.size)
-            for entry in np.concatenate(outputs).T
+            for entry in outputs.T
         ],
         axis=1,
     )

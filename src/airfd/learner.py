@@ -3,16 +3,21 @@ network trained per device on a cross-entropy loss plus a distillation
 regularizer that pulls each sample's output toward the shared per-class
 knowledge vector, under a diminishing step-size schedule.
 
-The forward pass, the loss and gradient, and a training round also take a
-stack of G models with an optional leading axis: theta (G, P), features
-(G, B, F) and labels (G, B), one batch of the same size per model. numpy's
-stacked matmul makes the same BLAS call on each slice, so every model of a
-stack gets the bits it would get alone.
+The forward pass, the loss and gradient, and a training round take every
+device at once, as one ragged batch: the devices' models as a (M, P) stack
+theta, their samples concatenated in device order as (S, F) features and
+(S,) labels, and the (M,) device sizes. Element-wise work (tanh, the
+log-softmax, the softmax, the distillation residual, 1 - h**2) runs once over
+all S rows. Only the matrix products, the bias adds and the per-device
+reductions (loss means, distillation sums, bias gradients) loop, over runs of
+consecutive devices with the same size, as stacked matmuls on (G, B, ...)
+views. numpy's stacked matmul makes the same BLAS call on each slice, and
+each reduction runs per device in the same order, so every device gets the
+bits it would get alone. Test accuracy is measured one model at a time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,8 +61,8 @@ class Architecture:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """A flat real parameter vector, or a (G, P) stack of G of them, together
-    with their layer sizes."""
+    """A flat real parameter vector, or a (M, P) stack of M of them (one per
+    device of a batch), together with their layer sizes."""
 
     theta: np.ndarray
     arch: Architecture
@@ -65,7 +70,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         theta = np.asarray(self.theta, dtype=np.float64)
         if theta.ndim not in (1, 2):
-            raise ValueError("theta must be a flat vector or a (G, P) stack")
+            raise ValueError("theta must be a flat vector or a (M, P) stack")
         if theta.shape[-1] != self.arch.param_count:
             raise ValueError(
                 f"theta has {theta.shape[-1]} entries; architecture needs "
@@ -82,7 +87,7 @@ class ModelParams:
         return self.theta.shape[-1]
 
     def unstack(self) -> list[ModelParams]:
-        """The models of a (G, P) stack, one by one ([self] for one model).
+        """The models of a (M, P) stack, one by one ([self] for one model).
         Each holds a row of this checked, read-only stack as it is: no copy
         and no second check."""
         if self.theta.ndim == 1:
@@ -162,83 +167,120 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class ForwardPass(NamedTuple):
-    """One model's outputs on a (B, F) batch, or a stack's on a (G, B, F)
-    batch, kept so that the same forward pass can serve knowledge extraction
-    and the training loss.
+    """The outputs of a batch's forward pass, kept so that one pass serves
+    knowledge extraction and the training loss.
 
     Attributes:
-        hidden: (B, H) tanh activations of the hidden layer.
-        log_probs: (B, K) log-softmax outputs.
+        hidden: (S, H) tanh activations of the hidden layer.
+        log_probs: (S, K) log-softmax outputs.
+        probs: (S, K) softmax outputs, exp(log_probs).
     """
 
     hidden: np.ndarray
     log_probs: np.ndarray
-
-    @property
-    def probs(self) -> np.ndarray:
-        """(B, K) softmax outputs."""
-        return np.exp(self.log_probs)
+    probs: np.ndarray
 
 
-def _checked_features(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """The batch as float64, (B, F) for one model or (G, B, F) for a stack."""
+class _Run(NamedTuple):
+    """Consecutive devices that hold the same number of samples."""
+
+    devices: slice  # rows of theta
+    rows: slice  # rows of the (S, ...) sample arrays
+    count: int  # G
+    size: int  # B
+
+
+def _runs(sizes: np.ndarray) -> list[_Run]:
+    """The runs of a batch's (M,) sizes, in device order."""
+    firsts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist()]
+    ends = [*firsts[1:], len(sizes)]
+    runs, row = [], 0
+    for first, end, size in zip(firsts, ends, sizes[firsts].tolist()):
+        count = end - first
+        rows = slice(row, row + count * size)
+        runs.append(_Run(slice(first, end), rows, count, size))
+        row += count * size
+    return runs
+
+
+def _stacked(array: np.ndarray, run: _Run) -> np.ndarray:
+    """The run's rows of an (S, ...) array as a (G, B, ...) view."""
+    return array[run.rows].reshape(run.count, run.size, *array.shape[1:])
+
+
+def _checked_features(arch: Architecture, features: np.ndarray) -> np.ndarray:
+    """The samples' features as a (S, F) float64 array."""
     features = np.asarray(features, dtype=np.float64)
-    lead = params.theta.shape[:-1]
-    if (
-        features.ndim != len(lead) + 2
-        or features.shape[:-2] != lead
-        or features.shape[-1] != params.arch.feature_dim
-    ):
-        shape = ", ".join(map(str, (*lead, "B", params.arch.feature_dim)))
-        raise ValueError(f"features must be ({shape}), got {features.shape}")
+    if features.ndim != 2 or features.shape[1] != arch.feature_dim:
+        raise ValueError(
+            f"features must be (S, {arch.feature_dim}), got {features.shape}"
+        )
     return features
 
 
 def _checked_labels(
-    params: ModelParams, features: np.ndarray, labels: np.ndarray
+    arch: Architecture, labels: np.ndarray, samples: int
 ) -> np.ndarray:
     """One label in [0, K) per sample of a non-empty batch."""
     labels = np.asarray(labels)
-    if labels.shape != features.shape[:-1]:
-        raise ValueError("labels must be (B,), one per sample of each model")
-    if labels.shape[-1] == 0:
+    if labels.shape != (samples,):
+        raise ValueError("labels must be (S,), one per sample")
+    if samples == 0:
         raise ValueError("the batch must hold at least one sample")
-    if labels.min() < 0 or labels.max() >= params.arch.num_classes:
+    if labels.min() < 0 or labels.max() >= arch.num_classes:
         raise ValueError("labels must lie in [0, K)")
     return labels
 
 
-def _hidden_and_logits(
-    params: ModelParams, features: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations (B, H) and logits (B, K) of a checked batch."""
-    w1, b1, w2, b2 = _unpack(params.theta, params.arch)
-    hidden = features @ w1
-    hidden += b1[..., None, :]
+def _checked_runs(params: ModelParams, sizes: np.ndarray, samples: int) -> list[_Run]:
+    """The runs of a (M, P) stack whose M devices hold sizes[i] >= 1 of the
+    batch's samples each, in order."""
+    sizes = np.asarray(sizes)
+    if params.theta.ndim != 2 or sizes.shape != params.theta.shape[:1]:
+        raise ValueError("a batch needs a (M, P) theta and (M,) sizes")
+    if not np.issubdtype(sizes.dtype, np.integer) or np.any(sizes < 1):
+        raise ValueError("every device must hold at least one sample")
+    if sizes.sum() != samples:
+        raise ValueError("the sizes must add up to the batch's samples")
+    return _runs(sizes)
+
+
+def forward_pass(
+    params: ModelParams, features: np.ndarray, sizes: np.ndarray
+) -> ForwardPass:
+    """Hidden activations, log-softmax and softmax outputs of a batch: the
+    (M, P) models of M devices, their (S, F) samples in device order and
+    their (M,) sizes. The softmax rows are positive and sum to 1 within
+    1e-12 for finite parameters."""
+    arch = params.arch
+    features = _checked_features(arch, features)
+    runs = _checked_runs(params, sizes, len(features))
+    w1, b1, w2, b2 = _unpack(params.theta, arch)
+    hidden = np.empty((len(features), arch.hidden_dim))
+    logits = np.empty((len(features), arch.num_classes))
+    for run in runs:
+        out = _stacked(hidden, run)
+        np.matmul(_stacked(features, run), w1[run.devices], out=out)
+        out += b1[run.devices, None, :]
     np.tanh(hidden, out=hidden)
-    logits = hidden @ w2
-    logits += b2[..., None, :]
-    return hidden, logits
-
-
-def forward_pass(params: ModelParams, features: np.ndarray) -> ForwardPass:
-    """Hidden activations and log-softmax outputs for a (B, F) batch; the
-    softmax rows (`probs`) are positive and sum to 1 within 1e-12 for finite
-    parameters."""
-    hidden, logits = _hidden_and_logits(
-        params, _checked_features(params, features)
-    )
-    return ForwardPass(hidden=hidden, log_probs=_log_softmax(logits))
+    for run in runs:
+        out = _stacked(logits, run)
+        np.matmul(_stacked(hidden, run), w2[run.devices], out=out)
+        out += b2[run.devices, None, :]
+    log_probs = _log_softmax(logits)
+    return ForwardPass(hidden, log_probs, np.exp(log_probs))
 
 
 class _Loss(NamedTuple):
-    """The mean loss of a checked batch and what its gradient reuses."""
+    """The per-device mean losses of a checked batch and what its gradient
+    reuses."""
 
-    value: float | np.ndarray  # (G,) for a stack
+    value: np.ndarray  # (M,)
     features: np.ndarray
+    runs: list[_Run]
     picked: tuple[np.ndarray, np.ndarray]  # each sample's (row, label) entry
     hidden: np.ndarray
-    probs: np.ndarray  # (..., B, K), in the forward pass's own buffer
+    probs: np.ndarray  # (S, K), in the forward pass's own buffer
     residual: np.ndarray | None  # probs - knowledge[labels]; None if unused
 
 
@@ -246,15 +288,18 @@ def _loss(
     params: ModelParams,
     features: np.ndarray,
     labels: np.ndarray,
+    sizes: np.ndarray,
     knowledge: np.ndarray,
     distill_weight: float,
     cache: ForwardPass | None,
 ) -> _Loss:
-    """Check the batch and compute its mean loss (see loss_and_grad). The
-    softmax outputs overwrite the log-softmax ones in place."""
+    """Check the batch and compute each device's mean loss (see
+    loss_and_grad)."""
     arch = params.arch
-    features = _checked_features(params, features)
-    labels = _checked_labels(params, features, labels)
+    features = _checked_features(arch, features)
+    samples = len(features)
+    labels = _checked_labels(arch, labels, samples)
+    runs = _checked_runs(params, sizes, samples)
     if not 0.0 <= distill_weight < np.inf:  # written so that a NaN fails it
         raise ValueError("distill_weight must be finite and nonnegative")
     if distill_weight > 0:
@@ -268,64 +313,75 @@ def _loss(
             raise ValueError("knowledge rows must be finite")
 
     if cache is None:
-        cache = forward_pass(params, features)
-    elif (cache.hidden.shape, cache.log_probs.shape) != (
-        (*labels.shape, arch.hidden_dim),
-        (*labels.shape, arch.num_classes),
+        cache = forward_pass(params, features, sizes)
+    elif (cache.hidden.shape, cache.probs.shape) != (
+        (samples, arch.hidden_dim),
+        (samples, arch.num_classes),
     ):
         raise ValueError("cache does not match the batch and the architecture")
-    batch = labels.shape[-1]
-    # Samples of every model as rows of one (G * B, K) view.
-    probs = np.ascontiguousarray(cache.log_probs)
-    picked = (np.arange(labels.size), labels.reshape(-1))
-    log_likelihood = probs.reshape(-1, arch.num_classes)[picked]
-    loss = -log_likelihood.reshape(labels.shape).mean(axis=-1)
-    np.exp(probs, out=probs)
+    picked = (np.arange(samples), labels)
+    log_likelihood = cache.log_probs[picked]
     residual = None
     if distill_weight > 0:
         residual = knowledge[labels]
-        np.subtract(probs, residual, out=residual)  # (..., B, K)
-        squares = np.square(residual).reshape(*labels.shape[:-1], -1)
-        loss += distill_weight * (squares.sum(axis=-1) / batch)
-    return _Loss(loss, features, picked, cache.hidden, probs, residual)
+        np.subtract(cache.probs, residual, out=residual)  # (S, K)
+    # Each device's sums run over its own contiguous entries, as they would
+    # for its samples alone; a mean is that sum over the count.
+    sizes = np.asarray(sizes)
+    log_likelihoods = np.empty(sizes.shape)
+    for run in runs:
+        log_likelihoods[run.devices] = np.add.reduce(
+            _stacked(log_likelihood, run), axis=-1
+        )
+    loss = -(log_likelihoods / sizes)
+    if residual is not None:
+        squares = np.square(residual)
+        distances = np.empty(sizes.shape)
+        for run in runs:
+            distances[run.devices] = np.add.reduce(
+                _stacked(squares, run).reshape(run.count, -1), axis=-1
+            )
+        loss += distill_weight * (distances / sizes)
+    return _Loss(loss, features, runs, picked, cache.hidden, cache.probs, residual)
 
 
 def loss_and_grad(
     params: ModelParams,
     features: np.ndarray,
     labels: np.ndarray,
+    sizes: np.ndarray,
     knowledge: np.ndarray,
     distill_weight: float,
     *,
     cache: ForwardPass | None = None,
-) -> tuple[float | np.ndarray, np.ndarray]:
-    """Mean per-sample loss and its exact gradient in the flat parameters.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each device's mean per-sample loss and its exact gradient in that
+    device's flat parameters.
 
     Per sample with label v and output p:
         cross_entropy(p, v) + distill_weight * ||p - knowledge[v]||_2^2,
-    averaged over the batch. With distill_weight == 0 the regularizer path is
-    skipped entirely, so the result is bit-identical to plain cross-entropy.
+    averaged over the device's samples. With distill_weight == 0 the
+    regularizer path is skipped entirely, so the result is bit-identical to
+    plain cross-entropy.
 
     Args:
-        params: Model parameters, one model or a (G, P) stack.
-        features: (B, F) sample features; (G, B, F) for a stack.
-        labels: (B,) integer labels in [0, K); (G, B) for a stack.
+        params: The (M, P) models of M devices.
+        features: (S, F) sample features, device 0's first.
+        labels: (S,) integer labels in [0, K) of the same samples.
+        sizes: (M,) sample counts (>= 1) of the devices, in order.
         knowledge: (K, K) real matrix; row v is the shared soft-prediction
             target for class v. Ignored when distill_weight == 0 (may be None).
         distill_weight: Nonnegative regularizer weight.
-        cache: This model's forward pass on these features, reused instead of
-            being recomputed (the result is bit-identical either way). Its
-            buffers hold the gradient's intermediates afterwards, so it is
-            spent.
+        cache: The forward pass of these models on these features, reused
+            instead of being recomputed (the result is bit-identical either
+            way). Its buffers hold the gradient's intermediates afterwards,
+            so it is spent.
 
     Returns:
-        (loss, gradient): a float and a flat gradient of the parameter
-        dimension, or for a stack a (G,) array and a (G, P) array.
+        (loss, gradient): a (M,) array and a (M, P) array.
     """
-    loss = _loss(params, features, labels, knowledge, distill_weight, cache)
-    probs, hidden = loss.probs, loss.hidden
-    batch = probs.shape[-2]
-    w2 = _unpack(params.theta, params.arch)[2]
+    loss = _loss(params, features, labels, sizes, knowledge, distill_weight, cache)
+    arch, probs, hidden = params.arch, loss.probs, loss.hidden
 
     if loss.residual is not None:
         # Jacobian of softmax applied to the residual:
@@ -334,30 +390,40 @@ def loss_and_grad(
         weighted -= probs * weighted.sum(axis=-1, keepdims=True)
         weighted *= 2.0 * distill_weight
     d_logits = probs  # the softmax outputs are not read again
-    d_logits.reshape(-1, params.arch.num_classes)[loss.picked] -= 1.0
+    d_logits[loss.picked] -= 1.0
     if loss.residual is not None:
         d_logits += weighted
 
-    d_logits /= batch
-    grad_w2 = hidden.swapaxes(-1, -2) @ d_logits
-    grad_b2 = d_logits.sum(axis=-2)
-    d_hidden = d_logits @ w2.swapaxes(-1, -2)
+    w2 = _unpack(params.theta, arch)[2]
+    grad = np.empty(params.theta.shape)
+    grad_w1, grad_b1, grad_w2, grad_b2 = _unpack(grad, arch)
+    d_hidden = np.empty(hidden.shape)
+    for run in loss.runs:
+        run_d_logits = _stacked(d_logits, run)
+        run_d_logits /= run.size
+        np.matmul(
+            _stacked(hidden, run).swapaxes(-1, -2),
+            run_d_logits,
+            out=grad_w2[run.devices],
+        )
+        grad_b2[run.devices] = np.add.reduce(run_d_logits, axis=-2)
+        np.matmul(
+            run_d_logits,
+            w2[run.devices].swapaxes(-1, -2),
+            out=_stacked(d_hidden, run),
+        )
     # 1 - hidden**2, in the hidden activations' buffer once grad_w2 has them.
     np.square(hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     d_hidden *= hidden
-    grad_w1 = loss.features.swapaxes(-1, -2) @ d_hidden
-    grad_b1 = d_hidden.sum(axis=-2)
-    lead = params.theta.shape[:-1]
-    grad = np.concatenate(
-        [
-            grad_w1.reshape(*lead, -1),
-            grad_b1,
-            grad_w2.reshape(*lead, -1),
-            grad_b2,
-        ],
-        axis=-1,
-    )
+    for run in loss.runs:
+        run_d_hidden = _stacked(d_hidden, run)
+        np.matmul(
+            _stacked(loss.features, run).swapaxes(-1, -2),
+            run_d_hidden,
+            out=grad_w1[run.devices],
+        )
+        grad_b1[run.devices] = np.add.reduce(run_d_hidden, axis=-2)
     return loss.value, grad
 
 
@@ -385,68 +451,90 @@ def train_round(
     params: ModelParams,
     features: np.ndarray,
     labels: np.ndarray,
+    sizes: np.ndarray,
     knowledge: np.ndarray,
     config: LearnerConfig,
     round_index: int,
     rng: np.random.Generator | None = None,
     *,
     cache: ForwardPass | None = None,
-) -> tuple[ModelParams, float | np.ndarray]:
-    """One round of local training; returns updated params and the full-batch
-    loss measured before the update ((G,) losses for a stack).
+) -> tuple[ModelParams, np.ndarray]:
+    """One round of local training of every device of a batch (see
+    loss_and_grad); returns the updated (M, P) models and each device's
+    full-batch loss measured before the update.
 
-    With local_epochs == 1 this is a single full-batch step. With
-    local_epochs E > 1 the samples are shuffled once (requires rng) and split
-    into E near-equal minibatches, each consuming one step at this round's
-    step size; the full-batch loss then needs no gradient. A stack draws one
-    shuffle per model from rng, in stack order. `cache`, the forward pass of
-    `params` on `features`, serves the full-batch loss (and, for a single
-    step, its gradient) in place of a second forward pass; it is spent.
+    With local_epochs == 1 each device takes a single full-batch step. With
+    local_epochs E > 1 each device shuffles its samples once, drawing its
+    permutation from rng (required) in device order, and splits them into E
+    near-equal minibatches (np.array_split's), each consuming one step at
+    this round's step size; a device with fewer than E samples takes no step
+    for its empty minibatches. The full-batch loss then needs no gradient.
+    `cache`, the forward pass of `params` on `features`, serves the
+    full-batch loss (and, for a single step, its gradient) in place of a
+    second forward pass; it is spent.
     """
     eta = lr_schedule(round_index, config)
     if config.local_epochs == 1:
         loss, grad = loss_and_grad(
-            params, features, labels, knowledge, config.distill_weight, cache=cache
+            params, features, labels, sizes, knowledge, config.distill_weight,
+            cache=cache,
         )
         theta = local_update(params.theta, grad, eta)
         return ModelParams(theta=theta, arch=params.arch), loss
 
     loss = _loss(
-        params, features, labels, knowledge, config.distill_weight, cache
+        params, features, labels, sizes, knowledge, config.distill_weight, cache
     ).value
     if rng is None:
         raise ValueError("minibatch training (local_epochs > 1) requires rng")
-    features = np.asarray(features)
-    lead, batch = features.shape[:-2], features.shape[-2]
-    # Every model's shuffle as rows into its samples in the (G * B, F) view.
-    shuffles = [rng.permutation(batch) for _ in range(math.prod(lead))]
-    order = np.reshape(shuffles, (*lead, batch))
-    order += np.arange(order.size, step=batch).reshape(*lead, 1)
-    samples = features.reshape(-1, features.shape[-1])
-    sample_labels = np.asarray(labels).reshape(-1)
-    theta = params.theta
-    for chunk in np.array_split(order, config.local_epochs, axis=-1):
-        if chunk.size == 0:
-            continue
+    features, labels = np.asarray(features), np.asarray(labels)
+    sizes = np.asarray(sizes)
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # Every device's shuffle as rows of the batch, and each row's place in it.
+    shuffled = np.concatenate([rng.permutation(size) for size in sizes]) + starts
+    place = np.arange(len(shuffled)) - starts
+    # Minibatch e of a device holds the places [cut_e, cut_e+1) of its shuffle.
+    whole, extra = np.divmod(sizes, config.local_epochs)
+    cuts = [
+        e * whole + np.minimum(e, extra) for e in range(config.local_epochs + 1)
+    ]
+    theta = params.theta.copy()
+    for low, high in zip(cuts, cuts[1:]):
+        chunk = high - low
+        stepping = chunk > 0
+        if not stepping.any():
+            break
+        take = shuffled[
+            (place >= np.repeat(low, sizes)) & (place < np.repeat(high, sizes))
+        ]
         _, grad = loss_and_grad(
-            ModelParams(theta=theta, arch=params.arch),
-            samples[chunk],
-            sample_labels[chunk],
+            ModelParams(theta=theta[stepping], arch=params.arch),
+            features[take],
+            labels[take],
+            chunk[stepping],
             knowledge,
             config.distill_weight,
         )
-        theta = local_update(theta, grad, eta)
+        theta[stepping] = local_update(theta[stepping], grad, eta)
     return ModelParams(theta=theta, arch=params.arch), loss
 
 
 def evaluate_accuracy(
     params: ModelParams, features: np.ndarray, labels: np.ndarray
 ) -> float:
-    """Fraction of one model's samples whose argmax output matches the label.
+    """Fraction of one model's (B, F) samples whose argmax output matches
+    the label.
 
     Softmax is monotone, so the prediction is the argmax of the logits.
     """
-    features = _checked_features(params, features)
-    labels = _checked_labels(params, features, labels)
-    _, logits = _hidden_and_logits(params, features)
+    if params.theta.ndim != 1:
+        raise ValueError("evaluate_accuracy takes one model")
+    features = _checked_features(params.arch, features)
+    labels = _checked_labels(params.arch, labels, len(features))
+    w1, b1, w2, b2 = _unpack(params.theta, params.arch)
+    hidden = features @ w1
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    logits = hidden @ w2
+    logits += b2
     return float(np.mean(np.argmax(logits, axis=-1) == labels))

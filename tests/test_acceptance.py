@@ -16,7 +16,7 @@ from airfd.channel import (
     sample_noise,
 )
 from airfd.knowledge import DatasetPartition, KnowledgeSet, global_target
-from airfd.learner import Architecture, init_params, loss_and_grad
+from airfd.learner import Architecture, ModelParams, init_params, loss_and_grad
 from airfd.metrics import (
     misalignment_vectors,
     p2_objective,
@@ -264,12 +264,18 @@ def test_c07_analytic_gradient_matches_finite_differences():
             np.ones(arch.num_classes), size=arch.num_classes
         )
         gamma = float(rng.uniform(0.0, 2.0))
-        _, analytic = loss_and_grad(params, features, labels, knowledge, gamma)
+
+        def device_loss_and_grad(theta):  # one device holding the batch
+            model = replace(params, theta=theta[None])
+            value, grad = loss_and_grad(
+                model, features, labels, [batch], knowledge, gamma
+            )
+            return value[0], grad[0]
+
+        analytic = device_loss_and_grad(params.theta)[1]
 
         def loss_only(theta):
-            model = replace(params, theta=theta)
-            value, _ = loss_and_grad(model, features, labels, knowledge, gamma)
-            return value
+            return device_loss_and_grad(theta)[0]
 
         numeric = finite_difference_gradient(loss_only, params.theta)
         gap = np.linalg.norm(analytic - numeric)
@@ -408,8 +414,6 @@ def test_c10_distillation_weight_sweet_spot(tmp_path):
 def _final_distillation_loss(config, result) -> float:
     """Mean squared distance between final local outputs and the final
     aggregation targets for their labels, averaged over devices and trials."""
-    from airfd.learner import forward_pass
-
     per_trial = []
     for j, trial in enumerate(result.completed_trials):
         params = result.final_params["error_free"][j]
@@ -423,14 +427,17 @@ def _final_distillation_loss(config, result) -> float:
             config.dirichlet_param,
             substream(config.seed, "partition", trial),
         )
-        feats = [train.features[idx] for idx in assignment]
-        labs = [train.labels[idx] for idx in assignment]
-        knowledge, _ = expcli.generate_knowledge(params, feats, labs)
+        order = np.concatenate(assignment)
+        feats, labs = train.features[order], train.labels[order]
+        sizes = part.per_wd_totals
+        models = ModelParams(np.stack([p.theta for p in params]), params[0].arch)
+        knowledge, forward = expcli.generate_knowledge(models, feats, labs, sizes)
         target = global_target(knowledge, part)
-        per_wd = []
-        for i, model in enumerate(params):
-            residual = forward_pass(model, feats[i]).probs - target[labs[i]]
-            per_wd.append(float(np.mean(np.sum(residual**2, axis=1))))
+        squares = np.sum((forward.probs - target[labs]) ** 2, axis=1)
+        per_wd = [
+            float(np.mean(device))
+            for device in np.split(squares, np.cumsum(sizes)[:-1])
+        ]
         per_trial.append(float(np.mean(per_wd)))
     return float(np.mean(per_trial))
 

@@ -3,10 +3,12 @@ the experiment loop, and the command-line interface."""
 
 import configparser
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import airfd
 from airfd import expcli
 from airfd.expcli import (
     DatasetSpec,
@@ -23,10 +25,11 @@ from airfd.expcli import (
     synthesize_dataset,
 )
 from airfd.channel import ChannelState
-from airfd.knowledge import DatasetPartition, global_target
+from airfd.knowledge import DatasetPartition, KnowledgeSet, global_target
 from airfd.learner import (
     Architecture,
     LearnerConfig,
+    ModelParams,
     evaluate_accuracy,
     forward_pass,
     init_params,
@@ -34,6 +37,11 @@ from airfd.learner import (
 )
 from airfd.oracles import local_knowledge
 from airfd.rng import substream
+
+
+def one(model):
+    """A single model as a batch of one device."""
+    return ModelParams(theta=model.theta[None], arch=model.arch)
 
 
 def make_spec(**overrides) -> DatasetSpec:
@@ -132,13 +140,14 @@ def test_large_separation_centralized_model_learns():
     )
     arch = Architecture(feature_dim=8, hidden_dim=16, num_classes=3)
     config = LearnerConfig(distill_weight=0.0, init_lr=0.2, rounds=100)
-    params = init_params(arch, substream(3, "init", 0))
+    params = one(init_params(arch, substream(3, "init", 0)))
     unused = np.full((3, 3), 1.0 / 3.0)
     for t in range(config.rounds):
         params, _ = train_round(
-            params, train.features, train.labels, unused, config, t
+            params, train.features, train.labels, [300], unused, config, t
         )
-    assert evaluate_accuracy(params, test.features, test.labels) > 0.95
+    (model,) = params.unstack()
+    assert evaluate_accuracy(model, test.features, test.labels) > 0.95
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +187,22 @@ def test_generate_knowledge_matches_oracle_and_returns_forward_passes():
     spec = make_spec(num_samples=90)
     data = synthesize_dataset(spec, substream(3, "data", 0))
     part, assignment = partition(data, "dirichlet", 6, 0.1, substream(3, "p", 0))
-    feats = [data.features[idx] for idx in assignment]
-    labs = [data.labels[idx] for idx in assignment]
+    order = np.concatenate(assignment)
+    feats, labs, sizes = data.features[order], data.labels[order], part.per_wd_totals
     arch = Architecture(feature_dim=8, hidden_dim=5, num_classes=3)
-    params = [init_params(arch, substream(3, "init", 0, i)) for i in range(6)]
-    knowledge, passes = expcli.generate_knowledge(params, feats, labs)
+    thetas = [init_params(arch, substream(3, "init", 0, i)).theta for i in range(6)]
+    params = ModelParams(np.stack(thetas), arch)
+    knowledge, forward = expcli.generate_knowledge(params, feats, labs, sizes)
     assert np.any(part.counts == 0)
-    for i, model in enumerate(params):
-        probs = forward_pass(model, feats[i]).probs
-        assert np.array_equal(passes[i].probs, probs)
+    assert np.array_equal(forward.probs, forward_pass(params, feats, sizes).probs)
+    for i, (model, idx) in enumerate(zip(params.unstack(), assignment)):
+        probs = forward_pass(one(model), data.features[idx], [idx.size]).probs
         expected = local_knowledge(
-            [probs[labs[i] == k] for k in range(3)], part.counts[i]
+            [probs[data.labels[idx] == k] for k in range(3)], part.counts[i]
         )
         assert np.array_equal(knowledge.q[i], expected)
-    shuffled = [labs[1], labs[0]] + labs[2:]
-    assert len(labs[0]) != len(labs[1])
-    with pytest.raises(ValueError, match="per label"):
-        expcli.generate_knowledge(params, feats, shuffled)
+    with pytest.raises(ValueError, match="add up"):
+        expcli.generate_knowledge(params, feats, labs, sizes + 1)
 
 
 def test_partition_huge_concentration_is_near_uniform():
@@ -484,6 +492,17 @@ def test_config_validation_rejects(section, key, value):
         config_from_parser(parser)
 
 
+@pytest.mark.parametrize("output_dir", ["", "   ", "\t\n"])
+def test_empty_output_dir_rejected_before_any_trial_runs(output_dir):
+    parser = small_parser()
+    parser["experiment"]["output_dir"] = output_dir
+    with pytest.raises(ValueError, match="output_dir"):
+        config_from_parser(parser)
+    config = config_from_parser(small_parser())
+    with pytest.raises(ValueError, match="output_dir"):
+        replace(config, output_dir=output_dir)
+
+
 # ---------------------------------------------------------------------------
 # Communication accounting
 # ---------------------------------------------------------------------------
@@ -573,8 +592,8 @@ def test_benchmark_rebinding_points_are_called_by_name(tmp_path, monkeypatch):
         "uniform_baseline": method_rounds,
         "orthogonal_receive": method_rounds,
         "aggregate_over_air": 2 * method_rounds,
-        # Devices 0-1 hold 13 samples and 2-3 hold 12: two stacks.
-        "train_round": 4 * method_rounds * 2,
+        # One batch of every device per (method, round).
+        "train_round": 4 * method_rounds,
         "evaluate_accuracy": 4 * method_rounds * wds,
         "a2_coefficient": 1,
         "phi1": 2 * method_rounds,
@@ -583,6 +602,15 @@ def test_benchmark_rebinding_points_are_called_by_name(tmp_path, monkeypatch):
         "RoundMetrics": 4 * method_rounds,
     }
     calls = dict.fromkeys(expected, 0)
+    # perfbench counts a round's trained samples as len(features).
+    trained_samples = []
+    train = expcli.train_round
+
+    def recording_train(params, features, *args, **kwargs):
+        trained_samples.append(len(features))
+        return train(params, features, *args, **kwargs)
+
+    monkeypatch.setattr(expcli, "train_round", recording_train)
 
     def counting(name, target):
         def pass_through(*args, **kwargs):
@@ -599,6 +627,7 @@ def test_benchmark_rebinding_points_are_called_by_name(tmp_path, monkeypatch):
     result = run_experiment(config_from_parser(parser))
     assert not result.aborts
     assert calls == expected
+    assert trained_samples == [50] * expected["train_round"]
 
 
 @pytest.mark.parametrize("planner", ["optimize_round", "uniform_baseline"])
@@ -642,10 +671,10 @@ def test_each_methods_rows_do_not_depend_on_the_other_methods(tmp_path):
 
 
 def test_error_free_matches_direct_reimplementation(tmp_path):
-    """The driver trains each run of equal-size devices as one stack; a plain
-    loop over single devices must reach the same final models, bit for bit.
-    The second run splits 50 samples over 4 devices (13, 13, 12, 12: two
-    stacks) and shuffles each device's minibatches from the shared stream."""
+    """The driver trains every device as one batch; a plain loop over single
+    devices must reach the same final models, bit for bit. The second run
+    splits 50 samples over 4 devices (13, 13, 12, 12: runs of equal sizes)
+    and shuffles each device's minibatches from the shared stream."""
     runs = [
         small_parser(learner={"rounds": "4", "local_epochs": "2"}),
         small_parser(
@@ -688,18 +717,24 @@ def reference_error_free_params(config):
         num_classes=config.dataset.num_classes,
     )
     params = [
-        init_params(arch, substream(seed, "init", 0, i))
+        one(init_params(arch, substream(seed, "init", 0, i)))
         for i in range(config.channel.num_wds)
     ]
     for t in range(lrn.rounds):
-        knowledge, _ = expcli.generate_knowledge(params, feats, labs)
-        target = global_target(knowledge, part)
+        q = np.concatenate(
+            [
+                expcli.generate_knowledge(model, x, y, [len(y)])[0].q
+                for model, x, y in zip(params, feats, labs)
+            ]
+        )
+        target = global_target(KnowledgeSet(q=q), part)
         batch_rng = substream(seed, "batch", 0, t)
         for i in range(config.channel.num_wds):
             params[i], _ = train_round(
-                params[i], feats[i], labs[i], target, lrn, t, batch_rng
+                params[i], feats[i], labs[i], [len(labs[i])], target, lrn, t,
+                batch_rng,
             )
-    return params, [len(idx) for idx in assignment]
+    return [model.unstack()[0] for model in params], [len(idx) for idx in assignment]
 
 
 def test_noiseless_perfect_csi_superposition_matches_error_free(tmp_path):
@@ -767,6 +802,39 @@ def test_summary_reports_the_plans_mean_solver_iterations(tmp_path, monkeypatch)
     )
     # Only the optimized plans solve the relaxation.
     assert sum("IPM iterations" in line for line in lines) == 1
+
+
+@pytest.mark.parametrize("numpy_first", [False, True])
+def test_summary_records_the_blas_thread_settings(tmp_path, monkeypatch, numpy_first):
+    """Plan bits can depend on the BLAS thread count, so the summary says
+    what the thread variables were when airfd was imported, and whether
+    numpy was loaded first (then the one-thread default did not apply)."""
+    assert expcli.BLAS_THREADS_AT_IMPORT is airfd.BLAS_THREADS_AT_IMPORT
+    monkeypatch.setattr(
+        expcli,
+        "BLAS_THREADS_AT_IMPORT",
+        {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "4"},
+    )
+    monkeypatch.setattr(expcli, "NUMPY_LOADED_FIRST", numpy_first)
+    parser = small_parser(
+        experiment={"methods": "error_free", "output_dir": str(tmp_path)},
+        learner={"rounds": "1"},
+    )
+    result = run_experiment(config_from_parser(parser))
+    with open(result.summary_path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    (line,) = [line for line in lines if line.startswith("BLAS threads")]
+    found = "OPENBLAS_NUM_THREADS=unset, OMP_NUM_THREADS=4"
+    if numpy_first:
+        assert line == (
+            f"BLAS threads at airfd import: {found}; numpy was loaded first, "
+            "so the one-thread default did not apply"
+        )
+    else:
+        assert line == (
+            f"BLAS threads at airfd import: {found}; unset ones took the "
+            "one-thread default"
+        )
 
 
 def test_csv_rows_structure_and_eval_cadence(tmp_path):

@@ -119,6 +119,15 @@ def ragged_devices(rng, num_wds, num_classes, concentration=0.1):
     return labels_by_wd, outputs_by_wd
 
 
+def vectors(outputs_by_wd, labels_by_wd):
+    """knowledge_vectors of devices given as per-device lists."""
+    return knowledge_vectors(
+        np.concatenate(outputs_by_wd),
+        np.concatenate(labels_by_wd),
+        [len(labels) for labels in labels_by_wd],
+    )
+
+
 @st.composite
 def labelled_outputs(draw):
     """1-8 devices with 1-30 labels each over 2-10 classes, in any order (so
@@ -145,7 +154,7 @@ class TestKnowledgeVectors:
     def test_property_matches_oracle_bit_for_bit(self, drawn):
         labels_by_wd, outputs_by_wd = drawn
         num_classes = outputs_by_wd[0].shape[1]
-        result = knowledge_vectors(outputs_by_wd, labels_by_wd)
+        result = vectors(outputs_by_wd, labels_by_wd)
         assert result.shape == (len(labels_by_wd), num_classes, num_classes)
         for i, (labels, outputs) in enumerate(zip(labels_by_wd, outputs_by_wd)):
             expected = local_knowledge(
@@ -160,7 +169,7 @@ class TestKnowledgeVectors:
             rng = substream(seed, "kv")
             num_classes = int(rng.integers(2, 11))
             labels_by_wd, outputs_by_wd = ragged_devices(rng, 12, num_classes)
-            result = knowledge_vectors(outputs_by_wd, labels_by_wd)
+            result = vectors(outputs_by_wd, labels_by_wd)
             for i, (labels, outputs) in enumerate(zip(labels_by_wd, outputs_by_wd)):
                 counts_row = np.bincount(labels, minlength=num_classes)
                 expected = local_knowledge(
@@ -174,31 +183,35 @@ class TestKnowledgeVectors:
     def test_empty_cells_keep_the_uniform_placeholder(self):
         labels_by_wd = [np.array([1, 1]), np.array([0])]
         outputs_by_wd = [np.array([[0.2, 0.8], [0.4, 0.6]]), np.array([[0.9, 0.1]])]
-        result = knowledge_vectors(outputs_by_wd, labels_by_wd)
+        result = vectors(outputs_by_wd, labels_by_wd)
         assert np.array_equal(result[0, 0], [0.5, 0.5])
         assert np.allclose(result[0, 1], [0.3, 0.7], atol=1e-15)
         assert np.array_equal(result[1, 0], [0.9, 0.1])
         assert np.array_equal(result[1, 1], [0.5, 0.5])
 
     def test_mismatched_outputs_rejected(self):
-        labels_by_wd = [np.array([0, 1]), np.array([1])]
+        outputs, labels = np.full((3, 2), 0.5), np.array([0, 1, 1])
         with pytest.raises(ValueError, match="per label"):
-            knowledge_vectors([np.full((2, 2), 0.5)], labels_by_wd)
+            knowledge_vectors(outputs[:2], labels, [2, 1])
         with pytest.raises(ValueError, match="per label"):
-            knowledge_vectors(
-                [np.full((2, 2), 0.5), np.full((2, 2), 0.5)], labels_by_wd
-            )
-        with pytest.raises(ValueError, match="per label"):
-            knowledge_vectors(
-                [np.full((2, 2), 0.5), np.full((1, 3), 1.0 / 3)], labels_by_wd
-            )
+            knowledge_vectors(outputs[None], labels, [2, 1])
+        with pytest.raises(ValueError, match="add up"):
+            knowledge_vectors(outputs, labels, [2, 2])
+        with pytest.raises(ValueError, match="add up"):
+            knowledge_vectors(outputs, labels, [4, -1])
+
+    def test_devices_without_samples_keep_the_uniform_placeholder(self):
+        outputs = np.array([[0.9, 0.1], [0.2, 0.8]])
+        result = knowledge_vectors(outputs, np.array([0, 1]), [0, 2, 0])
+        assert np.array_equal(result[[0, 2]], np.full((2, 2, 2), 0.5))
+        assert np.array_equal(result[1], outputs)
 
     def test_out_of_range_labels_rejected(self):
-        outputs_by_wd = [np.full((2, 3), 1.0 / 3), np.full((1, 3), 1.0 / 3)]
+        outputs = np.full((3, 3), 1.0 / 3)
         # Label K of device 0 would otherwise land in device 1's class-0 cell.
         for labels in (np.array([0, 3]), np.array([-1, 0])):
             with pytest.raises(ValueError, match="labels"):
-                knowledge_vectors(outputs_by_wd, [labels, np.array([1])])
+                knowledge_vectors(outputs, np.append(labels, 1), [2, 1])
 
 
 class TestKnowledgeStats:
