@@ -198,7 +198,7 @@ def partition(
     num_wds: int,
     concentration: float,
     rng: np.random.Generator,
-) -> tuple[DatasetPartition, list[np.ndarray]]:
+) -> tuple[DatasetPartition, np.ndarray]:
     """Assign every sample to one of `num_wds` devices.
 
     Modes:
@@ -216,8 +216,9 @@ def partition(
     the highest label the donor holds, whichever class it holds most.
 
     Returns:
-        (DatasetPartition, assignment) where assignment[i] holds the sorted
-        dataset indices of device i.
+        (DatasetPartition, order) where order lists the dataset indices in
+        device order, ascending within each device: device i holds the next
+        counts[i].sum() of them.
     """
     if mode not in ("iid", "dirichlet"):
         raise ValueError(f"unknown partition mode: {mode!r}")
@@ -248,11 +249,10 @@ def partition(
         sizes[donor] -= 1
         sizes[empty] = 1
 
-    assignment = [np.flatnonzero(owner == i) for i in range(num_wds)]
     counts = np.bincount(
         owner * num_classes + labels, minlength=num_wds * num_classes
     ).reshape(num_wds, num_classes)
-    return DatasetPartition(counts=counts), assignment
+    return DatasetPartition(counts=counts), np.argsort(owner, kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +364,9 @@ lr_cap = inf
 """
 
 def default_parser() -> configparser.ConfigParser:
-    """The built-in defaults as a mutable key-value structure."""
-    parser = configparser.ConfigParser()
+    """The built-in defaults as a mutable key-value structure. Values are
+    read literally: a '%' is a character, not an interpolation."""
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(DEFAULT_CONFIG)
     return parser
 
@@ -524,15 +525,16 @@ class ExperimentResult(NamedTuple):
 
     csv_paths/summary_path point at the written files; rows holds the same
     records in memory; final_accuracies[method] lists the mean end-of-run
-    test accuracy of each completed trial; final_params[method][j][i] is
-    device i's final model in the j-th completed trial.
+    test accuracy of each completed trial; final_params[method][j] is the
+    (M, P) stack of final models in the j-th completed trial (device i's is
+    row i).
     """
 
     csv_paths: dict[str, str]
     summary_path: str
     rows: dict[str, list[RoundMetrics]]
     final_accuracies: dict[str, list[float]]
-    final_params: dict[str, list[list[ModelParams]]]
+    final_params: dict[str, list[ModelParams]]
     completed_trials: list[int]
     aborts: list[TrialAbort]
 
@@ -560,7 +562,7 @@ def _run_trial(
         replace(spec, num_samples=spec.test_samples),
         substream(seed, "testdata", trial),
     )
-    part, assignment = partition(
+    part, order = partition(
         train,
         config.partition_mode,
         num_wds,
@@ -569,7 +571,6 @@ def _run_trial(
     )
     # The training set in device order: device i holds the next sizes[i]
     # samples, as the learner's batches and knowledge_vectors read them.
-    order = np.concatenate(assignment)
     features, labels = train.features[order], train.labels[order]
     sizes = part.per_wd_totals
     distances = sample_distances(cha, substream(seed, "distance", trial))
@@ -577,14 +578,8 @@ def _run_trial(
     unit_config = replace(
         cha, pathloss_exponent=0.0, antenna_gain_ps=1.0, antenna_gain_wd=1.0
     )
-    initial = ModelParams(
-        np.stack(
-            [
-                init_params(arch, substream(seed, "init", trial, i)).theta
-                for i in range(num_wds)
-            ]
-        ),
-        arch,
+    initial = init_params(
+        arch, [substream(seed, "init", trial, i) for i in range(num_wds)]
     )
     params = dict.fromkeys(config.methods, initial)
     accuracy = dict.fromkeys(config.methods, 0.0)
@@ -660,14 +655,10 @@ def _run_trial(
             )
             del forward  # spent by train_round
             if t % config.eval_every == 0 or t == rounds - 1:
-                accuracy[method] = float(
-                    np.mean(
-                        [
-                            evaluate_accuracy(model, test.features, test.labels)
-                            for model in params[method].unstack()
-                        ]
-                    )
+                accuracies = evaluate_accuracy(
+                    params[method], test.features, test.labels
                 )
+                accuracy[method] = float(np.mean(accuracies))
 
             if plan is None:
                 phi1_max = phi1_mean = phi2_mean = p2_val = p4_val = 0.0
@@ -711,8 +702,7 @@ def _run_trial(
                     test_acc_mean=accuracy[method],
                 )
             )
-    finals = {m: models.unstack() for m, models in params.items()}
-    return rows, accuracy, finals, plan_seconds, plan_iterations
+    return rows, accuracy, params, plan_seconds, plan_iterations
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -733,9 +723,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     rows: dict[str, list[RoundMetrics]] = {m: [] for m in config.methods}
     final_accuracies: dict[str, list[float]] = {m: [] for m in config.methods}
-    final_params: dict[str, list[list[ModelParams]]] = {
-        m: [] for m in config.methods
-    }
+    final_params: dict[str, list[ModelParams]] = {m: [] for m in config.methods}
     plan_seconds: dict[str, float] = {m: 0.0 for m in config.methods}
     plan_iterations: dict[str, int] = {m: 0 for m in config.methods}
     completed: list[int] = []
@@ -951,7 +939,7 @@ def _verify_instance(seed: int, index: int) -> list[tuple[str, bool, str]]:
 
     # Training gradient vs finite differences.
     arch = Architecture(feature_dim=5, hidden_dim=6, num_classes=num_classes)
-    model = init_params(arch, rng)
+    model = init_params(arch, [rng])
     features = rng.standard_normal((12, 5))
     labels = rng.integers(0, num_classes, size=12)
     shared = rng.dirichlet(np.ones(num_classes), size=num_classes)
@@ -963,9 +951,9 @@ def _verify_instance(seed: int, index: int) -> list[tuple[str, bool, str]]:
         )
         return loss[0], grad[0]
 
-    grad = device_loss_and_grad(model.theta)[1]
+    grad = device_loss_and_grad(model.theta[0])[1]
     numeric = finite_difference_gradient(
-        lambda theta: device_loss_and_grad(theta)[0], model.theta
+        lambda theta: device_loss_and_grad(theta)[0], model.theta[0]
     )
     rel = float(
         np.linalg.norm(grad - numeric) / max(np.linalg.norm(numeric), 1e-30)
@@ -988,7 +976,10 @@ def _verify_instance(seed: int, index: int) -> list[tuple[str, bool, str]]:
 
 
 def run_verify(seed: int, trials: int) -> int:
-    """Cross-check the implementation against its independent oracles."""
+    """Cross-check the implementation against its independent oracles on
+    `trials` >= 1 instance batteries."""
+    if trials < 1:
+        raise ValueError("verify needs at least one trial")
     failures = 0
     for index in range(trials):
         for name, ok, detail in _verify_instance(seed, index):

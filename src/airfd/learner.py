@@ -3,23 +3,26 @@ network trained per device on a cross-entropy loss plus a distillation
 regularizer that pulls each sample's output toward the shared per-class
 knowledge vector, under a diminishing step-size schedule.
 
-The forward pass, the loss and gradient, and a training round take every
-device at once, as one ragged batch: the devices' models as a (M, P) stack
-theta, their samples concatenated in device order as (S, F) features and
-(S,) labels, and the (M,) device sizes. Element-wise work (tanh, the
-log-softmax, the softmax, the distillation residual, 1 - h**2) runs once over
-all S rows. Only the matrix products, the bias adds and the per-device
+Models are held one way only: the M devices' models are the rows of one
+(M, P) stack, ModelParams.theta, from init_params to evaluate_accuracy, and
+a single model is a stack of one. The forward pass, the loss and gradient,
+and a training round take every device at once, as one ragged batch: that
+stack, the devices' samples concatenated in device order as (S, F) features
+and (S,) labels, and the (M,) device sizes. Element-wise work (tanh, the
+log-softmax, the softmax, the distillation residual, 1 - h**2) runs once
+over all S rows. Only the matrix products, the bias adds and the per-device
 reductions (loss means, distillation sums, bias gradients) loop, over runs of
 consecutive devices with the same size, as stacked matmuls on (G, B, ...)
 views. numpy's stacked matmul makes the same BLAS call on each slice, and
 each reduction runs per device in the same order, so every device gets the
-bits it would get alone. Test accuracy is measured one model at a time.
+bits it would get alone. evaluate_accuracy scores every model of a stack on
+the same test set, computing one model at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,19 +64,19 @@ class Architecture:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """A flat real parameter vector, or a (M, P) stack of M of them (one per
-    device of a batch), together with their layer sizes."""
+    """The flat real parameter vectors of M >= 1 devices' models as the rows
+    of a (M, P) stack, together with their layer sizes."""
 
     theta: np.ndarray
     arch: Architecture
 
     def __post_init__(self) -> None:
         theta = np.asarray(self.theta, dtype=np.float64)
-        if theta.ndim not in (1, 2):
-            raise ValueError("theta must be a flat vector or a (M, P) stack")
-        if theta.shape[-1] != self.arch.param_count:
+        if theta.ndim != 2 or len(theta) == 0:
+            raise ValueError("theta must be a (M, P) stack of M >= 1 models")
+        if theta.shape[1] != self.arch.param_count:
             raise ValueError(
-                f"theta has {theta.shape[-1]} entries; architecture needs "
+                f"theta has {theta.shape[1]} entries; architecture needs "
                 f"{self.arch.param_count}"
             )
         if not np.all(np.isfinite(theta)):
@@ -81,24 +84,6 @@ class ModelParams:
         theta = theta.copy()
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
-
-    @property
-    def dim(self) -> int:
-        return self.theta.shape[-1]
-
-    def unstack(self) -> list[ModelParams]:
-        """The models of a (M, P) stack, one by one ([self] for one model).
-        Each holds a row of this checked, read-only stack as it is: no copy
-        and no second check."""
-        if self.theta.ndim == 1:
-            return [self]
-        models = []
-        for row in self.theta:
-            model = object.__new__(ModelParams)
-            object.__setattr__(model, "theta", row)
-            object.__setattr__(model, "arch", self.arch)
-            models.append(model)
-        return models
 
 
 @dataclass(frozen=True)
@@ -136,26 +121,30 @@ class LearnerConfig:
 
 
 def _unpack(theta: np.ndarray, arch: Architecture):
-    """Split the flat vector, or each row of a stack, into (W1, b1, W2, b2)."""
+    """Split each row of a (M, P) stack into (W1, b1, W2, b2), as views."""
     f, h, k = arch.feature_dim, arch.hidden_dim, arch.num_classes
-    lead = theta.shape[:-1]
     pos = 0
-    w1 = theta[..., pos : pos + f * h].reshape(*lead, f, h)
+    w1 = theta[:, pos : pos + f * h].reshape(-1, f, h)
     pos += f * h
-    b1 = theta[..., pos : pos + h]
+    b1 = theta[:, pos : pos + h]
     pos += h
-    w2 = theta[..., pos : pos + h * k].reshape(*lead, h, k)
+    w2 = theta[:, pos : pos + h * k].reshape(-1, h, k)
     pos += h * k
-    b2 = theta[..., pos : pos + k]
+    b2 = theta[:, pos : pos + k]
     return w1, b1, w2, b2
 
 
-def init_params(arch: Architecture, rng: np.random.Generator) -> ModelParams:
-    """Gaussian initialization scaled by 1/sqrt(fan-in); biases start at 0."""
+def init_params(
+    arch: Architecture, rngs: Sequence[np.random.Generator]
+) -> ModelParams:
+    """One model per generator, row i drawn from rngs[i]: Gaussian weights
+    scaled by 1/sqrt(fan-in), biases at 0."""
     f, h, k = arch.feature_dim, arch.hidden_dim, arch.num_classes
-    w1 = rng.standard_normal((f, h)) / np.sqrt(f)
-    w2 = rng.standard_normal((h, k)) / np.sqrt(h)
-    theta = np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(k)])
+    theta = np.zeros((len(rngs), arch.param_count))
+    w1, _, w2, _ = _unpack(theta, arch)
+    for i, rng in enumerate(rngs):
+        w1[i] = rng.standard_normal((f, h)) / np.sqrt(f)
+        w2[i] = rng.standard_normal((h, k)) / np.sqrt(h)
     return ModelParams(theta=theta, arch=arch)
 
 
@@ -236,8 +225,8 @@ def _checked_runs(params: ModelParams, sizes: np.ndarray, samples: int) -> list[
     """The runs of a (M, P) stack whose M devices hold sizes[i] >= 1 of the
     batch's samples each, in order."""
     sizes = np.asarray(sizes)
-    if params.theta.ndim != 2 or sizes.shape != params.theta.shape[:1]:
-        raise ValueError("a batch needs a (M, P) theta and (M,) sizes")
+    if sizes.shape != params.theta.shape[:1]:
+        raise ValueError("a batch of M models needs (M,) sizes")
     if not np.issubdtype(sizes.dtype, np.integer) or np.any(sizes < 1):
         raise ValueError("every device must hold at least one sample")
     if sizes.sum() != samples:
@@ -521,20 +510,23 @@ def train_round(
 
 def evaluate_accuracy(
     params: ModelParams, features: np.ndarray, labels: np.ndarray
-) -> float:
-    """Fraction of one model's (B, F) samples whose argmax output matches
-    the label.
+) -> np.ndarray:
+    """Each of the (M, P) models' fraction of the same (B, F) samples whose
+    argmax output matches the label, as a (M,) array.
 
-    Softmax is monotone, so the prediction is the argmax of the logits.
+    Softmax is monotone, so the prediction is the argmax of the logits. The
+    models are computed one at a time, so that one (B, H) hidden layer is
+    held at once rather than a (M, B, H) one.
     """
-    if params.theta.ndim != 1:
-        raise ValueError("evaluate_accuracy takes one model")
     features = _checked_features(params.arch, features)
     labels = _checked_labels(params.arch, labels, len(features))
     w1, b1, w2, b2 = _unpack(params.theta, params.arch)
-    hidden = features @ w1
-    hidden += b1
-    np.tanh(hidden, out=hidden)
-    logits = hidden @ w2
-    logits += b2
-    return float(np.mean(np.argmax(logits, axis=-1) == labels))
+    accuracy = np.empty(len(params.theta))
+    for i in range(len(accuracy)):
+        hidden = features @ w1[i]
+        hidden += b1[i]
+        np.tanh(hidden, out=hidden)
+        logits = hidden @ w2[i]
+        logits += b2[i]
+        accuracy[i] = np.mean(np.argmax(logits, axis=-1) == labels)
+    return accuracy

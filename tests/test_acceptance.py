@@ -16,7 +16,7 @@ from airfd.channel import (
     sample_noise,
 )
 from airfd.knowledge import DatasetPartition, KnowledgeSet, global_target
-from airfd.learner import Architecture, ModelParams, init_params, loss_and_grad
+from airfd.learner import Architecture, init_params, loss_and_grad
 from airfd.metrics import (
     misalignment_vectors,
     p2_objective,
@@ -256,7 +256,7 @@ def test_c07_analytic_gradient_matches_finite_differences():
             num_classes=int(rng.integers(2, 6)),
         )
         assert arch.param_count <= 500
-        params = init_params(arch, rng)
+        params = init_params(arch, [rng])
         batch = int(rng.integers(8, 21))
         features = rng.standard_normal((batch, arch.feature_dim))
         labels = rng.integers(0, arch.num_classes, size=batch)
@@ -272,12 +272,12 @@ def test_c07_analytic_gradient_matches_finite_differences():
             )
             return value[0], grad[0]
 
-        analytic = device_loss_and_grad(params.theta)[1]
+        analytic = device_loss_and_grad(params.theta[0])[1]
 
         def loss_only(theta):
             return device_loss_and_grad(theta)[0]
 
-        numeric = finite_difference_gradient(loss_only, params.theta)
+        numeric = finite_difference_gradient(loss_only, params.theta[0])
         gap = np.linalg.norm(analytic - numeric)
         gap /= max(np.linalg.norm(numeric), 1e-12)
         assert gap <= 1e-4
@@ -416,21 +416,19 @@ def _final_distillation_loss(config, result) -> float:
     aggregation targets for their labels, averaged over devices and trials."""
     per_trial = []
     for j, trial in enumerate(result.completed_trials):
-        params = result.final_params["error_free"][j]
+        models = result.final_params["error_free"][j]
         train = synthesize_dataset(
             config.dataset, substream(config.seed, "data", trial)
         )
-        part, assignment = expcli.partition(
+        part, order = expcli.partition(
             train,
             config.partition_mode,
             config.channel.num_wds,
             config.dirichlet_param,
             substream(config.seed, "partition", trial),
         )
-        order = np.concatenate(assignment)
         feats, labs = train.features[order], train.labels[order]
         sizes = part.per_wd_totals
-        models = ModelParams(np.stack([p.theta for p in params]), params[0].arch)
         knowledge, forward = expcli.generate_knowledge(models, feats, labs, sizes)
         target = global_target(knowledge, part)
         squares = np.sum((forward.probs - target[labs]) ** 2, axis=1)

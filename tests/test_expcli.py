@@ -39,11 +39,6 @@ from airfd.oracles import local_knowledge
 from airfd.rng import substream
 
 
-def one(model):
-    """A single model as a batch of one device."""
-    return ModelParams(theta=model.theta[None], arch=model.arch)
-
-
 def make_spec(**overrides) -> DatasetSpec:
     base = dict(
         num_samples=120,
@@ -54,6 +49,11 @@ def make_spec(**overrides) -> DatasetSpec:
     )
     base.update(overrides)
     return DatasetSpec(**base)
+
+
+def device_indices(part, order):
+    """The dataset indices of each device, from a partition's device order."""
+    return np.split(order, np.cumsum(part.per_wd_totals)[:-1])
 
 
 def small_parser(**section_overrides) -> configparser.ConfigParser:
@@ -127,8 +127,8 @@ def test_zero_separation_accuracy_is_chance_level():
     spec = make_spec(num_samples=6000, separation=0.0)
     data = synthesize_dataset(spec, substream(5, "data", 0))
     arch = Architecture(feature_dim=8, hidden_dim=16, num_classes=3)
-    model = init_params(arch, substream(5, "init", 0))
-    accuracy = evaluate_accuracy(model, data.features, data.labels)
+    model = init_params(arch, [substream(5, "init", 0)])
+    (accuracy,) = evaluate_accuracy(model, data.features, data.labels)
     assert abs(accuracy - 1.0 / 3.0) < 0.03
 
 
@@ -140,14 +140,14 @@ def test_large_separation_centralized_model_learns():
     )
     arch = Architecture(feature_dim=8, hidden_dim=16, num_classes=3)
     config = LearnerConfig(distill_weight=0.0, init_lr=0.2, rounds=100)
-    params = one(init_params(arch, substream(3, "init", 0)))
+    params = init_params(arch, [substream(3, "init", 0)])
     unused = np.full((3, 3), 1.0 / 3.0)
     for t in range(config.rounds):
         params, _ = train_round(
             params, train.features, train.labels, [300], unused, config, t
         )
-    (model,) = params.unstack()
-    assert evaluate_accuracy(model, test.features, test.labels) > 0.95
+    (accuracy,) = evaluate_accuracy(params, test.features, test.labels)
+    assert accuracy > 0.95
 
 
 # ---------------------------------------------------------------------------
@@ -158,26 +158,26 @@ def test_large_separation_centralized_model_learns():
 def test_partition_iid_equal_totals_when_divisible():
     spec = make_spec(num_samples=180)
     data = synthesize_dataset(spec, substream(1, "data", 0))
-    part, assignment = partition(data, "iid", 6, 0.0, substream(1, "p", 0))
+    part, order = partition(data, "iid", 6, 0.0, substream(1, "p", 0))
     assert np.all(part.counts == 10)  # 60 per class over 6 devices
-    assert all(idx.size == 30 for idx in assignment)
+    assert np.all(part.per_wd_totals == 30)
+    assert np.array_equal(np.sort(order), np.arange(180))
 
 
 def test_partition_counts_match_assignment():
     spec = make_spec(num_samples=100)
     data = synthesize_dataset(spec, substream(2, "data", 0))
-    part, assignment = partition(
+    part, order = partition(
         data, "dirichlet", 5, 0.5, substream(2, "p", 0)
     )
     assert int(part.counts.sum()) == 100
     # Class columns add up to the class sizes of the dataset.
     assert np.array_equal(part.counts.sum(axis=0), np.bincount(data.labels))
-    # Assignment is a disjoint, complete, sorted cover of the sample indices.
-    joined = np.concatenate(assignment)
-    assert joined.size == 100 and np.unique(joined).size == 100
-    for i, idx in enumerate(assignment):
+    # The order is a permutation of the sample indices, device by device,
+    # ascending within each device.
+    assert np.array_equal(np.sort(order), np.arange(100))
+    for i, idx in enumerate(device_indices(part, order)):
         assert np.array_equal(idx, np.sort(idx))
-        assert idx.size == int(part.counts[i].sum())
         assert np.array_equal(
             np.bincount(data.labels[idx], minlength=3), part.counts[i]
         )
@@ -186,17 +186,16 @@ def test_partition_counts_match_assignment():
 def test_generate_knowledge_matches_oracle_and_returns_forward_passes():
     spec = make_spec(num_samples=90)
     data = synthesize_dataset(spec, substream(3, "data", 0))
-    part, assignment = partition(data, "dirichlet", 6, 0.1, substream(3, "p", 0))
-    order = np.concatenate(assignment)
+    part, order = partition(data, "dirichlet", 6, 0.1, substream(3, "p", 0))
     feats, labs, sizes = data.features[order], data.labels[order], part.per_wd_totals
     arch = Architecture(feature_dim=8, hidden_dim=5, num_classes=3)
-    thetas = [init_params(arch, substream(3, "init", 0, i)).theta for i in range(6)]
-    params = ModelParams(np.stack(thetas), arch)
+    params = init_params(arch, [substream(3, "init", 0, i) for i in range(6)])
     knowledge, forward = expcli.generate_knowledge(params, feats, labs, sizes)
     assert np.any(part.counts == 0)
     assert np.array_equal(forward.probs, forward_pass(params, feats, sizes).probs)
-    for i, (model, idx) in enumerate(zip(params.unstack(), assignment)):
-        probs = forward_pass(one(model), data.features[idx], [idx.size]).probs
+    for i, idx in enumerate(device_indices(part, order)):
+        model = ModelParams(params.theta[i : i + 1], arch)
+        probs = forward_pass(model, data.features[idx], [idx.size]).probs
         expected = local_knowledge(
             [probs[data.labels[idx] == k] for k in range(3)], part.counts[i]
         )
@@ -228,11 +227,11 @@ def test_partition_extreme_skew_leaves_no_empty_device():
     spec = make_spec(num_samples=64, num_classes=4, test_samples=10)
     data = synthesize_dataset(spec, substream(8, "data", 0))
     for j in range(50):
-        part, assignment = partition(
+        part, order = partition(
             data, "dirichlet", 8, 0.01, substream(8, "p", j)
         )
         assert np.all(part.counts.sum(axis=1) >= 1)
-        assert all(idx.size >= 1 for idx in assignment)
+        assert np.array_equal(np.sort(order), np.arange(64))
 
 
 def reference_partition(labels, mode, num_wds, concentration, rng):
@@ -285,16 +284,17 @@ def test_partition_matches_reference_loops():
             labels = np.sort(labels)  # class-sorted, as synthesize_dataset draws
         data = expcli.Dataset(features=np.zeros((size, 1)), labels=labels)
         concentration = float(10.0 ** rng.uniform(-2.0, 0.5))
-        part, assignment = partition(
+        part, order = partition(
             data, mode, m, concentration, substream(10, "p", case)
         )
         expected, counts, moves = reference_partition(
             labels, mode, m, concentration, substream(10, "p", case)
         )
-        assert len(assignment) == m
-        for got, want in zip(assignment, expected):
-            assert np.array_equal(got, want)
         assert np.array_equal(part.counts, counts)
+        got = device_indices(part, order)
+        assert len(got) == m
+        for mine, want in zip(got, expected):
+            assert np.array_equal(mine, want)
         repaired += moves >= 1
         multiple += moves >= 2
     assert repaired >= 60 and multiple >= 50
@@ -303,11 +303,11 @@ def test_partition_matches_reference_loops():
 def test_partition_repair_moves_donors_highest_index():
     labels = np.repeat(np.arange(3), 4)
     data = expcli.Dataset(features=np.zeros((12, 1)), labels=labels)
-    part, assignment = partition(data, "dirichlet", 5, 0.1, substream(5, "repair", 3))
+    part, order = partition(data, "dirichlet", 5, 0.1, substream(5, "repair", 3))
     # The deal is [0..3], [8..11], [4..7], [], []. Devices 0-2 tie at four
     # samples, so device 0 gives device 3 its highest index, 3; device 1 is
     # then the largest and gives device 4 its highest index, 11.
-    assert [a.tolist() for a in assignment] == [
+    assert [a.tolist() for a in device_indices(part, order)] == [
         [0, 1, 2],
         [8, 9, 10],
         [4, 5, 6, 7],
@@ -453,6 +453,26 @@ def test_config_file_unknown_keys_are_ignored(tmp_path):
     assert "l1" not in dumped and "retired" not in dumped
 
 
+def test_summary_config_reloads_with_a_percent_in_the_output_dir(tmp_path):
+    """The configuration that summary.txt records reloads, through
+    --config, to the configuration of the run."""
+    parser = small_parser(
+        experiment={"methods": "error_free", "output_dir": str(tmp_path / "out%x")},
+        learner={"rounds": "1"},
+    )
+    config = config_from_parser(parser)
+    result = run_experiment(config)
+    assert not result.aborts
+    assert os.path.exists(tmp_path / "out%x" / "error_free.csv")
+    with open(result.summary_path, "r", encoding="utf-8") as handle:
+        summary = handle.read()
+    recorded = summary.split("===========\n\n", 1)[1]
+    recorded = recorded.split("\n\nmodel parameters per device", 1)[0]
+    path = tmp_path / "recorded.ini"
+    path.write_text(recorded, encoding="utf-8")
+    assert config_from_parser(load_config_file(str(path))) == config
+
+
 @pytest.mark.parametrize(
     "section,key,value",
     [
@@ -594,7 +614,8 @@ def test_benchmark_rebinding_points_are_called_by_name(tmp_path, monkeypatch):
         "aggregate_over_air": 2 * method_rounds,
         # One batch of every device per (method, round).
         "train_round": 4 * method_rounds,
-        "evaluate_accuracy": 4 * method_rounds * wds,
+        # Every model of a method is scored in one call per evaluated round.
+        "evaluate_accuracy": 4 * method_rounds,
         "a2_coefficient": 1,
         "phi1": 2 * method_rounds,
         "phi2_sq_all": 2 * method_rounds,
@@ -691,9 +712,9 @@ def test_error_free_matches_direct_reimplementation(tmp_path):
         assert not result.aborts
         reference, sizes = reference_error_free_params(config)
         finals = result.final_params["error_free"][0]
-        assert len(finals) == len(reference) == 4
-        for mine, theirs in zip(reference, finals):
-            assert np.array_equal(mine.theta, theirs.theta)
+        assert finals.theta.shape[0] == len(reference) == 4
+        for mine, theirs in zip(reference, finals.theta):
+            assert np.array_equal(mine, theirs)
     assert sizes == [13, 13, 12, 12]
 
 
@@ -702,22 +723,23 @@ def reference_error_free_params(config):
     devices' sample counts."""
     seed, lrn = config.seed, config.learner
     train = synthesize_dataset(config.dataset, substream(seed, "data", 0))
-    part, assignment = partition(
+    part, order = partition(
         train,
         config.partition_mode,
         config.channel.num_wds,
         config.dirichlet_param,
         substream(seed, "partition", 0),
     )
-    feats = [train.features[idx] for idx in assignment]
-    labs = [train.labels[idx] for idx in assignment]
+    indices = device_indices(part, order)
+    feats = [train.features[idx] for idx in indices]
+    labs = [train.labels[idx] for idx in indices]
     arch = Architecture(
         feature_dim=config.dataset.feature_dim,
         hidden_dim=config.hidden_dim,
         num_classes=config.dataset.num_classes,
     )
     params = [
-        one(init_params(arch, substream(seed, "init", 0, i)))
+        init_params(arch, [substream(seed, "init", 0, i)])
         for i in range(config.channel.num_wds)
     ]
     for t in range(lrn.rounds):
@@ -734,7 +756,7 @@ def reference_error_free_params(config):
                 params[i], feats[i], labs[i], [len(labs[i])], target, lrn, t,
                 batch_rng,
             )
-    return [model.unstack()[0] for model in params], [len(idx) for idx in assignment]
+    return [model.theta[0] for model in params], [len(idx) for idx in indices]
 
 
 def test_noiseless_perfect_csi_superposition_matches_error_free(tmp_path):
@@ -751,11 +773,8 @@ def test_noiseless_perfect_csi_superposition_matches_error_free(tmp_path):
     assert not result.aborts
     proposed = result.final_params["proposed"][0]
     reference = result.final_params["error_free"][0]
-    worst = max(
-        float(np.max(np.abs(a.theta - b.theta)))
-        for a, b in zip(proposed, reference)
-    )
-    assert worst <= 1e-7
+    assert len(proposed.theta) == len(reference.theta) == 3
+    assert float(np.max(np.abs(proposed.theta - reference.theta))) <= 1e-7
 
 
 def test_aborted_trials_are_recorded_and_skipped(tmp_path):
@@ -910,6 +929,17 @@ def test_cli_run_with_overrides(tmp_path, capsys):
     assert (out_dir / "summary.txt").exists()
 
 
+def test_cli_takes_a_percent_in_the_output_dir(tmp_path, capsys):
+    """Config values are read literally: a '%' is an ordinary character,
+    whether a file sets it or a flag does."""
+    ini = tmp_path / "percent.ini"
+    ini.write_text("[experiment]\noutput_dir = f%x\n", encoding="utf-8")
+    assert main(["run", "--config", str(ini), "--dump-effective-config"]) == 0
+    assert "output_dir = f%x\n" in capsys.readouterr().out
+    assert main(["run", "--out", "dir%1", "--dump-effective-config"]) == 0
+    assert "output_dir = dir%1\n" in capsys.readouterr().out
+
+
 def test_cli_run_reports_aborts_with_nonzero_exit(tmp_path, capsys):
     ini = tmp_path / "broken.ini"
     ini.write_text(
@@ -941,3 +971,10 @@ def test_cli_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_cli_verify_rejects_fewer_than_one_trial(trials, capsys):
+    with pytest.raises(ValueError, match="at least one trial"):
+        main(["verify", "--trials", str(trials)])
+    assert "all checks passed" not in capsys.readouterr().out

@@ -25,12 +25,9 @@ ARCH = Architecture(feature_dim=8, hidden_dim=32, num_classes=3)
 
 
 def random_model(rng, arch=ARCH, scale=0.5):
-    return ModelParams(theta=scale * rng.standard_normal(arch.param_count), arch=arch)
-
-
-def one(model):
-    """A single model as a batch of one device."""
-    return ModelParams(theta=model.theta[None], arch=model.arch)
+    """One random model, as a stack of one."""
+    theta = scale * rng.standard_normal((1, arch.param_count))
+    return ModelParams(theta=theta, arch=arch)
 
 
 def random_batch(rng, arch=ARCH, batch=12):
@@ -43,7 +40,7 @@ def random_batch(rng, arch=ARCH, batch=12):
 def loop_forward(params, features):
     """Independent single-sample recomputation with explicit loops."""
     f, h, k = params.arch.feature_dim, params.arch.hidden_dim, params.arch.num_classes
-    theta = params.theta
+    (theta,) = params.theta
     w1 = theta[: f * h].reshape(f, h)
     b1 = theta[f * h : f * h + h]
     w2 = theta[f * h + h : f * h + h + h * k].reshape(h, k)
@@ -145,18 +142,36 @@ class TestArchitectureAndParams:
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="entries"):
-            ModelParams(theta=np.zeros(10), arch=ARCH)
+            ModelParams(theta=np.zeros((1, 10)), arch=ARCH)
 
     def test_nonfinite_rejected(self):
-        theta = np.zeros(ARCH.param_count)
-        theta[0] = np.nan
+        theta = np.zeros((2, ARCH.param_count))
+        theta[1, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             ModelParams(theta=theta, arch=ARCH)
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(0, ARCH.param_count), (ARCH.param_count,), (2, 2, ARCH.param_count)],
+    )
+    def test_only_a_non_empty_stack_is_a_model(self, shape):
+        with pytest.raises(ValueError, match=r"\(M, P\) stack of M >= 1"):
+            ModelParams(theta=np.zeros(shape), arch=ARCH)
+
     def test_init_deterministic(self):
-        a = init_params(ARCH, np.random.default_rng(3))
-        b = init_params(ARCH, np.random.default_rng(3))
+        a = init_params(ARCH, [np.random.default_rng(3)])
+        b = init_params(ARCH, [np.random.default_rng(3)])
+        assert a.theta.shape == (1, ARCH.param_count)
         assert np.array_equal(a.theta, b.theta)
+
+    def test_init_draws_row_i_from_generator_i(self):
+        stack = init_params(ARCH, [np.random.default_rng(i) for i in range(3)])
+        for i, row in enumerate(stack.theta):
+            rng = np.random.default_rng(i)
+            w1 = rng.standard_normal((8, 32)) / np.sqrt(8)
+            w2 = rng.standard_normal((32, 3)) / np.sqrt(32)
+            expected = np.concatenate([w1.ravel(), np.zeros(32), w2.ravel(), np.zeros(3)])
+            assert np.array_equal(row, expected)
 
 
 class TestForward:
@@ -179,7 +194,7 @@ class TestForward:
         for _ in range(3):
             x = rng.standard_normal(8)
             np.testing.assert_allclose(
-                forward_pass(one(params), x[None, :], [1]).probs[0],
+                forward_pass(params, x[None, :], [1]).probs[0],
                 loop_forward(params, x),
                 rtol=1e-12,
             )
@@ -187,7 +202,7 @@ class TestForward:
     def test_valid_probability_rows(self):
         rng = np.random.default_rng(8)
         params = random_model(rng, scale=3.0)
-        fp = forward_pass(one(params), rng.standard_normal((50, 8)), [50])
+        fp = forward_pass(params, rng.standard_normal((50, 8)), [50])
         assert np.all(fp.probs > 0)
         np.testing.assert_allclose(fp.probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.array_equal(fp.probs, np.exp(fp.log_probs))
@@ -195,7 +210,7 @@ class TestForward:
     def test_dimension_mismatch(self):
         params = random_model(np.random.default_rng(9))
         with pytest.raises(ValueError, match="features"):
-            forward_pass(one(params), np.zeros((4, 5)), [4])
+            forward_pass(params, np.zeros((4, 5)), [4])
         with pytest.raises(ValueError, match="features"):
             evaluate_accuracy(params, np.zeros((4, 5)), np.zeros(4, dtype=int))
 
@@ -206,8 +221,8 @@ class TestLossAndGrad:
         params = random_model(rng)
         features, labels, _ = random_batch(rng)
         sizes = [len(labels)]
-        loss, grad = loss_and_grad(one(params), features, labels, sizes, None, 0.0)
-        probs = forward_pass(one(params), features, sizes).probs
+        loss, grad = loss_and_grad(params, features, labels, sizes, None, 0.0)
+        probs = forward_pass(params, features, sizes).probs
         expected = -np.mean(np.log(probs[np.arange(len(labels)), labels]))
         assert loss[0] == pytest.approx(expected, rel=1e-12)
         fd = finite_difference_gradient(
@@ -215,13 +230,13 @@ class TestLossAndGrad:
                 ModelParams(theta=th[None], arch=ARCH), features, labels, sizes,
                 None, 0.0,
             )[0][0],
-            params.theta,
+            params.theta[0],
         )
         assert np.linalg.norm(grad[0] - fd) <= 1e-6 * max(np.linalg.norm(grad), 1.0)
 
     def test_zero_residual_contributes_nothing(self):
         rng = np.random.default_rng(11)
-        params = one(random_model(rng))
+        params = random_model(rng)
         x = rng.standard_normal((1, 8))
         labels = np.array([1])
         knowledge = np.tile(forward_pass(params, x, [1]).probs[0], (3, 1))
@@ -236,27 +251,27 @@ class TestLossAndGrad:
         params = random_model(rng)
         features, labels, knowledge = random_batch(rng)
         with pytest.raises(ValueError, match="distill_weight"):
-            loss_and_grad(one(params), features, labels, [12], knowledge, weight)
+            loss_and_grad(params, features, labels, [12], knowledge, weight)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         for trial in range(3):
             params = random_model(rng)
             features, labels, knowledge = random_batch(rng)
-            _, grad = loss_and_grad(one(params), features, labels, [12], knowledge, 0.7)
+            _, grad = loss_and_grad(params, features, labels, [12], knowledge, 0.7)
             fd = finite_difference_gradient(
                 lambda th: loss_and_grad(
                     ModelParams(theta=th[None], arch=ARCH), features, labels, [12],
                     knowledge, 0.7,
                 )[0][0],
-                params.theta,
+                params.theta[0],
             )
             rel = np.linalg.norm(grad[0] - fd) / np.linalg.norm(grad)
             assert rel <= 1e-4
 
     def test_missing_knowledge_rejected(self):
         rng = np.random.default_rng(13)
-        params = one(random_model(rng))
+        params = random_model(rng)
         features, labels, knowledge = random_batch(rng)
         with pytest.raises(ValueError, match="knowledge"):
             loss_and_grad(params, features, labels, [12], knowledge[:2], 0.5)
@@ -267,7 +282,7 @@ class TestLossAndGrad:
 
     def test_bad_labels_rejected(self):
         rng = np.random.default_rng(14)
-        params = one(random_model(rng))
+        params = random_model(rng)
         features, labels, knowledge = random_batch(rng)
         labels = labels.copy()
         labels[0] = 3
@@ -276,7 +291,7 @@ class TestLossAndGrad:
 
     def test_mismatched_cache_rejected(self):
         rng = np.random.default_rng(15)
-        params = one(random_model(rng))
+        params = random_model(rng)
         features, labels, knowledge = random_batch(rng)
         cache = forward_pass(params, features[:-1], [11])
         with pytest.raises(ValueError, match="cache"):
@@ -328,7 +343,7 @@ class TestLocalUpdate:
 class TestTrainRound:
     def test_full_batch_loss_non_increasing(self):
         rng = np.random.default_rng(30)
-        params = one(random_model(rng))
+        params = random_model(rng)
         features, labels, knowledge = random_batch(rng, batch=40)
         config = LearnerConfig(distill_weight=0.5, init_lr=1e-4, rounds=10)
         losses = []
@@ -344,7 +359,7 @@ class TestTrainRound:
 
     def test_zero_weight_trajectory_is_plain_descent(self):
         rng = np.random.default_rng(31)
-        start = one(random_model(rng))
+        start = random_model(rng)
         features, labels, _ = random_batch(rng, batch=20)
         config = LearnerConfig(distill_weight=0.0, init_lr=0.05, rounds=5)
         params = start
@@ -362,7 +377,7 @@ class TestTrainRound:
         self, monkeypatch, distill_weight
     ):
         rng = np.random.default_rng(35)
-        params = one(random_model(rng))
+        params = random_model(rng)
         features, labels, knowledge = random_batch(rng, batch=30)
         config = LearnerConfig(
             distill_weight=distill_weight, init_lr=0.01, rounds=5, local_epochs=3
@@ -402,7 +417,7 @@ class TestTrainRound:
 
     def test_minibatch_mode_deterministic_and_requires_rng(self):
         rng = np.random.default_rng(32)
-        params = one(random_model(rng))
+        params = random_model(rng)
         features, labels, knowledge = random_batch(rng, batch=30)
         config = LearnerConfig(
             distill_weight=0.3, init_lr=0.01, rounds=5, local_epochs=3
@@ -457,17 +472,25 @@ class TestTrainRound:
         assert np.array_equal(foreign.theta, plain.theta) == (local_epochs > 1)
 
     def test_accuracy_is_argmax_of_softmax_outputs(self):
+        """Every model of a stack, scored on the same samples."""
         rng = np.random.default_rng(34)
-        for _ in range(20):
-            params = random_model(rng, scale=2.0)
+        for models in range(1, 21):
+            thetas = 2.0 * rng.standard_normal((models, ARCH.param_count))
+            params = ModelParams(thetas, ARCH)
             features, labels, _ = random_batch(rng, batch=60)
-            expected = float(
+            expected = [
                 np.mean(
-                    np.argmax(forward_pass(one(params), features, [60]).probs, axis=1)
+                    np.argmax(
+                        forward_pass(ModelParams(row[None], ARCH), features, [60]).probs,
+                        axis=1,
+                    )
                     == labels
                 )
-            )
-            assert evaluate_accuracy(params, features, labels) == expected
+                for row in params.theta
+            ]
+            accuracy = evaluate_accuracy(params, features, labels)
+            assert accuracy.shape == (models,)
+            assert accuracy.tolist() == expected
 
     def test_accuracy_checks_its_labels(self):
         params = random_model(np.random.default_rng(36))
@@ -482,17 +505,17 @@ class TestTrainRound:
         with pytest.raises(ValueError, match="at least one sample"):
             evaluate_accuracy(params, features[:0], labels[:0])
         with pytest.raises(ValueError, match="at least one sample"):
-            loss_and_grad(one(params), features[:0], labels[:0], [0], None, 0.0)
-        with pytest.raises(ValueError, match="one model"):
-            evaluate_accuracy(one(params), features, labels)
+            loss_and_grad(params, features[:0], labels[:0], [0], None, 0.0)
 
     def test_accuracy_on_saturated_model(self):
-        theta = np.zeros(ARCH.param_count)
-        theta[-3] = 50.0
+        theta = np.zeros((2, ARCH.param_count))
+        theta[:, -3] = 50.0  # class 0's logit bias
+        theta[1, -1] = 100.0  # class 2's, larger
         params = ModelParams(theta=theta, arch=ARCH)
         features = np.zeros((5, 8))
-        assert evaluate_accuracy(params, features, np.zeros(5, dtype=int)) == 1.0
-        assert evaluate_accuracy(params, features, np.ones(5, dtype=int)) == 0.0
+        for label, expected in ((0, [1.0, 0.0]), (1, [0.0, 0.0]), (2, [0.0, 1.0])):
+            labels = np.full(5, label)
+            assert evaluate_accuracy(params, features, labels).tolist() == expected
 
 
 def check_against_per_device_loop(rng, sizes, arch, config, seed):
@@ -591,13 +614,14 @@ class TestStack:
         ):
             assert np.array_equal(g, device_pass(theta, ARCH, x, y, knowledge, 0.6)[2])
 
-    def test_unstack_gives_read_only_rows(self):
+    def test_stack_is_a_read_only_copy(self):
         rng = np.random.default_rng(44)
-        stack = ModelParams(theta=rng.standard_normal((3, ARCH.param_count)), arch=ARCH)
-        models = stack.unstack()
-        assert [m.arch for m in models] == [ARCH] * 3
-        assert np.array_equal([m.theta for m in models], stack.theta)
-        assert not any(m.theta.flags.writeable for m in models)
+        thetas = rng.standard_normal((3, ARCH.param_count))
+        stack = ModelParams(theta=thetas, arch=ARCH)
+        assert np.array_equal(stack.theta, thetas)
+        assert not np.shares_memory(stack.theta, thetas)
+        assert not stack.theta.flags.writeable
+        assert not stack.theta[1].flags.writeable
 
     def test_batch_must_match_the_stack(self):
         rng = np.random.default_rng(45)
@@ -611,9 +635,7 @@ class TestStack:
             forward_pass(stack, features, [3, 3, 0])
         with pytest.raises(ValueError, match=r"\(M,\) sizes"):
             forward_pass(stack, features, [3, 3])
-        with pytest.raises(ValueError, match=r"\(M, P\) theta"):
-            forward_pass(stack.unstack()[0], features, [6])
+        with pytest.raises(ValueError, match=r"\(M,\) sizes"):
+            forward_pass(stack, features, [6])
         with pytest.raises(ValueError, match="labels must be"):
             loss_and_grad(stack, features, np.zeros(5, dtype=int), [2, 2, 2], None, 0.0)
-        with pytest.raises(ValueError, match="flat vector or a"):
-            ModelParams(theta=np.zeros((2, 2, ARCH.param_count)), arch=ARCH)

@@ -539,6 +539,30 @@ class TestNewtonSystem:
         assert len(errors) == 2 * len(calls)
         assert max(errors) <= 1e-14
 
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(desk_shaped_problems())
+    def test_every_step_rewrites_its_buffers_structural_zeros(self, drawn):
+        # The last factorization overwrote the triangle that a step fills, so
+        # a step writes all of it again, the structural zeros included:
+        # whatever the buffer held before, the iterates come out the same.
+        cores = []
+
+        def stop_at_the_start(core):
+            cores.append(core)
+            return 0, None, core.residual_report(core.residuals())
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sdp_solver._Core, "iterate", stop_at_the_start)
+            solve(drawn[0])
+            solve(drawn[0])
+        poisoned, twin = cores
+        for _ in range(6):
+            poisoned.kkt.fill(np.nan)
+            poisoned._step(poisoned.residuals())
+            twin._step(twin.residuals())
+            for name in ("x", "s", "e", "z", "big_s", "y"):
+                assert np.array_equal(getattr(poisoned, name), getattr(twin, name))
+
 
 class TestStart:
     @pytest.mark.parametrize("zero_row", [False, True])
