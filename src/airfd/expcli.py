@@ -903,19 +903,13 @@ def _verify_instance(seed: int, index: int) -> list[tuple[str, bool, str]]:
     gap = float(np.max(np.abs(fast - slow)))
     checks.append(("combining_matches_loops", gap <= 1e-9, f"max err {gap:.2e}"))
 
-    # Every class's bottleneck device transmits at exactly its power budget,
+    # Every class's bottleneck device, the one with the largest share
+    # |P_i^k|^2 / P_i of its budget, transmits at exactly its power budget,
     # and nobody exceeds theirs.
     eq = plan.transmit.equalizers
-    power = eq.real**2 + eq.imag**2
-    bottleneck = plan.straggler_indices
-    sat = float(
-        np.max(
-            np.abs(
-                power[bottleneck, np.arange(num_classes)] / peaks[bottleneck] - 1.0
-            )
-        )
-    )
-    over = float(np.max(power / peaks[:, None] - 1.0))
+    share = (eq.real**2 + eq.imag**2) / peaks[:, None]
+    sat = float(np.max(np.abs(share.max(axis=0) - 1.0)))
+    over = float(np.max(share - 1.0))
     ok = sat <= 1e-9 and over <= 1e-9
     checks.append(
         ("power_budget_saturated", ok, f"bottleneck gap {sat:.2e}, excess {over:.2e}")
@@ -1033,11 +1027,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    """The `airfd` command. Invalid arguments, and a config file that cannot
+    be read or holds invalid values, end in a usage error (exit code 2)."""
+    arg_parser = build_arg_parser()
+    args = arg_parser.parse_args(argv)
     if args.command == "verify":
+        if args.trials < 1:
+            arg_parser.error("verify needs at least one trial")
         return run_verify(args.seed, args.trials)
 
-    parser = load_config_file(args.config)
     overrides = {
         ("experiment", "seed"): args.seed,
         ("experiment", "output_dir"): args.out,
@@ -1047,10 +1045,14 @@ def main(argv: list[str] | None = None) -> int:
         ("channel", "csi_quality"): args.zeta,
         ("learner", "distill_weight"): args.gamma,
     }
-    for (section, key), value in overrides.items():
-        if value is not None:
-            parser[section][key] = str(value)
-    config = config_from_parser(parser)
+    try:
+        parser = load_config_file(args.config)
+        for (section, key), value in overrides.items():
+            if value is not None:
+                parser[section][key] = str(value)
+        config = config_from_parser(parser)
+    except (ValueError, OSError, configparser.Error) as error:
+        arg_parser.error(str(error))
     if args.dump_effective_config:
         print(dump_config(config), end="")
         return 0

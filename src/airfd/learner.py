@@ -35,7 +35,6 @@ __all__ = [
     "forward_pass",
     "loss_and_grad",
     "lr_schedule",
-    "local_update",
     "train_round",
     "evaluate_accuracy",
 ]
@@ -427,15 +426,6 @@ def lr_schedule(t: int, config: LearnerConfig) -> float:
     return float(min(config.init_lr / np.sqrt(t + 1.0), config.lr_cap))
 
 
-def local_update(theta: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
-    """One plain gradient step theta - eta * grad."""
-    theta = np.asarray(theta, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    if theta.shape != grad.shape:
-        raise ValueError("theta and grad must have the same shape")
-    return theta - eta * grad
-
-
 def train_round(
     params: ModelParams,
     features: np.ndarray,
@@ -452,15 +442,16 @@ def train_round(
     loss_and_grad); returns the updated (M, P) models and each device's
     full-batch loss measured before the update.
 
-    With local_epochs == 1 each device takes a single full-batch step. With
-    local_epochs E > 1 each device shuffles its samples once, drawing its
-    permutation from rng (required) in device order, and splits them into E
-    near-equal minibatches (np.array_split's), each consuming one step at
-    this round's step size; a device with fewer than E samples takes no step
-    for its empty minibatches. The full-batch loss then needs no gradient.
-    `cache`, the forward pass of `params` on `features`, serves the
-    full-batch loss (and, for a single step, its gradient) in place of a
-    second forward pass; it is spent.
+    A step is theta - eta * grad at this round's step size eta =
+    lr_schedule(round_index, config). With local_epochs == 1 each device
+    takes a single full-batch step. With local_epochs E > 1 each device
+    shuffles its samples once, drawing its permutation from rng (required)
+    in device order, and splits them into E near-equal minibatches
+    (np.array_split's), each consuming one step; a device with fewer than E
+    samples takes no step for its empty minibatches. The full-batch loss
+    then needs no gradient. `cache`, the forward pass of `params` on
+    `features`, serves the full-batch loss (and, for a single step, its
+    gradient) in place of a second forward pass; it is spent.
     """
     eta = lr_schedule(round_index, config)
     if config.local_epochs == 1:
@@ -468,7 +459,7 @@ def train_round(
             params, features, labels, sizes, knowledge, config.distill_weight,
             cache=cache,
         )
-        theta = local_update(params.theta, grad, eta)
+        theta = params.theta - eta * grad
         return ModelParams(theta=theta, arch=params.arch), loss
 
     loss = _loss(
@@ -504,7 +495,7 @@ def train_round(
             knowledge,
             config.distill_weight,
         )
-        theta[stepping] = local_update(theta[stepping], grad, eta)
+        theta[stepping] = theta[stepping] - eta * grad
     return ModelParams(theta=theta, arch=params.arch), loss
 
 

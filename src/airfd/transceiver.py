@@ -52,11 +52,6 @@ _ACTIVE_MARGIN = 1e-4
 _POLISH_STEPS = 4
 # Largest KKT residual, in the polish's O(1) scaled units, taken as roundoff.
 _POLISH_RESIDUAL = 1e-12
-# Relative margin within which a bottleneck expression counts as tied with
-# its class minimum for the straggler label. At the polished optimum, tied
-# bottlenecks agree only to roundoff, so a strict argmin would let the last
-# bits of the channel (its per-device phases, say) pick the label.
-_TIE_MARGIN = 1e-12
 
 
 class PlanDegeneracyError(RuntimeError):
@@ -73,15 +68,11 @@ class PostprocessingResult(NamedTuple):
 
     Attributes:
         denormalizers: (K,) positive per-class scalars lambda^k.
-        straggler_indices: (K,) index of the device attaining each class's
-            bottleneck minimum: the lowest index whose expression lies within
-            a relative _TIE_MARGIN of the minimum.
         equalizers: (M, K) complex channel-inverting transmit equalizers,
             zero where the device does not transmit.
     """
 
     denormalizers: np.ndarray
-    straggler_indices: np.ndarray
     equalizers: np.ndarray
 
 
@@ -142,30 +133,28 @@ class TransmitPlan:
 @dataclass(frozen=True)
 class TransceiverPlan:
     """A complete uplink plan: the devices' transmit equalizers, the server's
-    combining vector, and the denormalizers of its estimator.
+    combining vector, and the denormalizers of its estimator. The device that
+    limits a class is not stored: it is the one whose equalizer sits at its
+    power budget.
 
     Attributes:
         transmit: Per-device, per-class complex equalizers under peak power.
         beamformer: Length-N complex combining vector w, unit 2-norm.
         denormalizers: (K,) positive scalars lambda^k; combined block k is
             divided by denormalizers[k] before the mean offsets are added back.
-        straggler_indices: (K,) bottleneck device per class; -1 where the
-            policy has no bottleneck structure.
         diagnostics: Solver-side facts (eigenvalues, objective, iterations).
     """
 
     transmit: TransmitPlan
     beamformer: np.ndarray
     denormalizers: np.ndarray
-    straggler_indices: np.ndarray
     diagnostics: PlanDiagnostics
 
     def __post_init__(self) -> None:
         # Copies, so that freezing them leaves the caller's arrays writeable.
         w = np.array(self.beamformer, dtype=np.complex128)
         lam = np.array(self.denormalizers, dtype=np.float64)
-        idx = np.array(self.straggler_indices, dtype=np.int64)
-        m, k = self.transmit.equalizers.shape
+        k = self.transmit.equalizers.shape[1]
         if w.ndim != 1:
             raise ValueError("beamformer must be a vector")
         # The value tests are written so that a NaN fails them.
@@ -173,15 +162,7 @@ class TransceiverPlan:
             raise ValueError("beamformer must have unit 2-norm")
         if lam.shape != (k,) or not np.all(np.isfinite(lam) & (lam > 0)):
             raise ValueError(f"denormalizers must be ({k},) finite positive scalars")
-        if idx.shape != (k,):
-            raise ValueError(f"straggler_indices must have shape ({k},)")
-        if np.any(idx < -1) or np.any(idx >= m):
-            raise ValueError("straggler_indices must lie in [-1, M)")
-        for name, arr in (
-            ("beamformer", w),
-            ("denormalizers", lam),
-            ("straggler_indices", idx),
-        ):
+        for name, arr in (("beamformer", w), ("denormalizers", lam)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -391,16 +372,14 @@ def optimal_postprocessing(
         lambda^k = min_i B^k |w^H v_i^k|
                  = min_i B^k |w^H h_i| sqrt(P_i) / (B_i^k q_hat_i^k),
 
-    attained by the class's bottleneck device. Devices whose
-    expressions agree with the minimum to a relative _TIE_MARGIN count as
-    tied, and the lowest index among them is reported as the straggler, so
-    the label does not depend on roundoff. The equalizers invert the
+    attained by the class's bottleneck device. The equalizers invert the
     combined channel onto those denormalizers,
 
         P_i^k = B_i^k lambda^k q_hat_i^k (w^H h_i)^H / (B^k |w^H h_i|^2),
 
-    zero where the device does not transmit: each class's bottleneck device
-    lands exactly on its power budget, and every effective gain
+    zero where the device does not transmit: each class's bottleneck device,
+    and any device tied with it, lands on its power budget (so the bottleneck
+    is the largest |P_i^k|^2 / P_i of the class), and every effective gain
     w^H h_i P_i^k / (lambda^k q_hat_i^k) equals the real weight B_i^k / B^k.
 
     Raises:
@@ -421,7 +400,6 @@ def optimal_postprocessing(
     expr = partition.class_totals[:, None] * np.abs(vecs @ np.conj(beamformer))
     expr = np.where(active.T, expr, np.inf)  # (K, M)
     denormalizers = expr.min(axis=1)
-    tied = expr <= denormalizers[:, None] * (1.0 + _TIE_MARGIN)
     denom = np.where(
         active,
         partition.class_totals[None, :] * power_gain[:, None],
@@ -432,7 +410,6 @@ def optimal_postprocessing(
     )
     return PostprocessingResult(
         denormalizers=denormalizers,
-        straggler_indices=np.argmax(tied, axis=1).astype(np.int64),
         equalizers=np.where(active, numer / denom, 0.0 + 0.0j),
     )
 
@@ -474,7 +451,6 @@ def optimize_round(
         transmit=TransmitPlan(equalizers=post.equalizers, peak_powers=peak_powers),
         beamformer=w,
         denormalizers=post.denormalizers,
-        straggler_indices=post.straggler_indices,
         diagnostics=PlanDiagnostics(
             eig1=pair.value,
             eig2=pair.runner_up,
@@ -519,7 +495,6 @@ def uniform_baseline(
         transmit=TransmitPlan(equalizers=equalizers, peak_powers=peaks),
         beamformer=w,
         denormalizers=denormalizers,
-        straggler_indices=np.full(partition.num_classes, -1, dtype=np.int64),
         diagnostics=PlanDiagnostics(
             eig1=1.0,
             eig2=0.0,

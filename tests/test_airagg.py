@@ -30,7 +30,6 @@ def make_plan(equalizers, beamformer, denormalizers):
         ),
         beamformer=beamformer,
         denormalizers=denormalizers,
-        straggler_indices=np.full(k, -1),
         diagnostics=PlanDiagnostics(1.0, 0.0, 0.0, 0),
     )
 

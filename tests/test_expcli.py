@@ -975,6 +975,43 @@ def test_cli_verify_passes(capsys):
 
 @pytest.mark.parametrize("trials", [0, -2])
 def test_cli_verify_rejects_fewer_than_one_trial(trials, capsys):
-    with pytest.raises(ValueError, match="at least one trial"):
+    with pytest.raises(SystemExit) as stop:
         main(["verify", "--trials", str(trials)])
-    assert "all checks passed" not in capsys.readouterr().out
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert "all checks passed" not in captured.out
+    assert "error: verify needs at least one trial" in captured.err
+    with pytest.raises(ValueError, match="at least one trial"):
+        expcli.run_verify(0, trials)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--trials", "0"], "trials must be >= 1"),
+        (["--methods", "bogus"], "unknown methods"),
+        (["--zeta", "1.5"], "csi_quality must be in [0, 1]"),
+        (["--config", "missing.ini"], "No such file or directory"),
+        (["--config", "headerless.ini"], "no section headers"),
+        (["--config", "not-an-int.ini"], "invalid literal for int()"),
+    ],
+    ids=["trials", "methods", "zeta", "missing", "headerless", "not-an-int"],
+)
+def test_cli_run_reports_invalid_input_as_a_usage_error(
+    tmp_path, monkeypatch, capsys, args, message
+):
+    """An invalid option or config file ends in one usage line and exit code
+    2, not a traceback, and nothing runs."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "headerless.ini").write_text("rounds = 2\n", encoding="utf-8")
+    (tmp_path / "not-an-int.ini").write_text(
+        "[channel]\nnum_wds = many\n", encoding="utf-8"
+    )
+    with pytest.raises(SystemExit) as stop:
+        main(["run", *args, "--out", str(tmp_path / "out")])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: airfd")
+    assert message in captured.err
+    assert not (tmp_path / "out").exists()

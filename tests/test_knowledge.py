@@ -48,7 +48,6 @@ def transmit_signal(q, equalizers):
         ),
         beamformer=np.ones(1),
         denormalizers=np.ones(k),
-        straggler_indices=np.full(k, -1),
         diagnostics=PlanDiagnostics(1.0, 0.0, 0.0, 0),
     )
     estimate = aggregate_over_air(
@@ -420,7 +419,6 @@ class TestPartitionAndPlanTypes:
             ),
             beamformer=np.array([1.0 + 0.0j, 0.0 + 0.0j]),
             denormalizers=np.ones(3),
-            straggler_indices=np.array([0, 1, -1], dtype=np.int64),
             diagnostics=PlanDiagnostics(1.0, 0.0, 0.0, 0),
         ),
         SdpProblem: lambda: dict(
@@ -438,7 +436,6 @@ class TestPartitionAndPlanTypes:
             (TransmitPlan, "equalizers"),
             (TransceiverPlan, "beamformer"),
             (TransceiverPlan, "denormalizers"),
-            (TransceiverPlan, "straggler_indices"),
             (SdpProblem, "class_weights"),
             (SdpProblem, "constraint_vectors"),
             (SdpProblem, "active_mask"),

@@ -14,7 +14,6 @@ from airfd.learner import (
     evaluate_accuracy,
     forward_pass,
     init_params,
-    local_update,
     loss_and_grad,
     lr_schedule,
     train_round,
@@ -322,24 +321,6 @@ class TestSchedule:
             lr_schedule(-1, self.CONFIG)
 
 
-class TestLocalUpdate:
-    def test_zero_step_or_gradient_keeps_theta(self):
-        rng = np.random.default_rng(20)
-        theta = rng.standard_normal(10)
-        grad = rng.standard_normal(10)
-        assert np.array_equal(local_update(theta, grad, 0.0), theta)
-        assert np.array_equal(local_update(theta, np.zeros(10), 0.3), theta)
-
-    def test_matches_elementwise_loop(self):
-        rng = np.random.default_rng(21)
-        theta = rng.standard_normal(17)
-        grad = rng.standard_normal(17)
-        eta = 0.37
-        updated = local_update(theta, grad, eta)
-        for j in range(17):
-            assert updated[j] == theta[j] - eta * grad[j]
-
-
 class TestTrainRound:
     def test_full_batch_loss_non_increasing(self):
         rng = np.random.default_rng(30)
@@ -369,7 +350,7 @@ class TestTrainRound:
             _, grad = loss_and_grad(
                 ModelParams(theta=manual, arch=ARCH), features, labels, [20], None, 0.0
             )
-            manual = local_update(manual, grad, lr_schedule(t, config))
+            manual = manual - lr_schedule(t, config) * grad
             assert np.array_equal(params.theta, manual)
 
     @pytest.mark.parametrize("distill_weight", [0.0, 0.3])
@@ -397,7 +378,7 @@ class TestTrainRound:
                 knowledge,
                 distill_weight,
             )
-            theta = local_update(theta, grad, lr_schedule(2, config))
+            theta = theta - lr_schedule(2, config) * grad
 
         calls = []
         plain = learner.loss_and_grad

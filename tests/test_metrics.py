@@ -62,7 +62,6 @@ def custom_plan(rng, channel, knowledge, partition, peaks):
         transmit=TransmitPlan(equalizers=eq, peak_powers=peaks),
         beamformer=w,
         denormalizers=lams,
-        straggler_indices=np.full(k, -1, dtype=np.int64),
         diagnostics=PlanDiagnostics(
             eig1=1.0,
             eig2=0.0,
