@@ -306,6 +306,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {unknown}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("methods must not repeat")
+        if self.dataset.num_samples < self.channel.num_wds:
+            raise ValueError(
+                f"cannot spread {self.dataset.num_samples} samples over "
+                f"{self.channel.num_wds} devices"
+            )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:

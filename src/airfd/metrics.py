@@ -1,6 +1,8 @@
-"""Per-round error functionals and reporting: the misalignment and noise-error
-measures of the aggregation, the beamformer-selection objectives, and the
-CSV row format every experiment emits: one column per RoundMetrics field.
+"""Per-round error functionals and reporting: the misalignment error phi1 (the
+class-mix-weighted error of the noiseless superposed estimate on the true
+channel, read off the uplink itself), the noise error, the
+beamformer-selection objectives, and the CSV row format every experiment
+emits: one column per RoundMetrics field.
 """
 
 from __future__ import annotations
@@ -9,16 +11,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .airagg import aggregate_over_air
 from .channel import ChannelState
-from .knowledge import DatasetPartition, KnowledgeSet, transmit_active_mask
+from .knowledge import DatasetPartition, KnowledgeSet, global_target
 from .learner import LearnerConfig
 from .transceiver import TransceiverPlan, optimal_postprocessing
 
 __all__ = [
-    "CSV_COLUMNS",
     "RoundMetrics",
     "a2_coefficient",
-    "misalignment_vectors",
     "phi1",
     "phi2_sq_all",
     "phi2_sq_monte_carlo",
@@ -34,54 +35,23 @@ def a2_coefficient(config: LearnerConfig) -> float:
     return 6.0 * config.init_lr * config.distill_weight**2
 
 
-def misalignment_vectors(
-    plan: TransceiverPlan,
-    channel: ChannelState,
-    knowledge: KnowledgeSet,
-    partition: DatasetPartition,
-) -> np.ndarray:
-    """Per-class misalignment of the noiseless aggregation, shape (K, K).
-
-    Row k is the difference between the denormalized signal component the
-    estimator recovers and the ideal weighted knowledge:
-
-        sum_j (g_j^k - B_j^k/B^k) q_j^k + sum_j (a_j^k - g_j^k) q_bar_j^k 1,
-
-    with effective gains g_j^k = w^H h_j P_j^k / (lambda^k q_hat_j^k) for
-    transmitting devices and 0 for silent ones, and the estimator's
-    mean-offset weights a_j^k = B_j^k / B^k. Evaluated on the channel given
-    here — pass the true channel to measure what the aggregation actually
-    commits, regardless of which estimate the plan was optimized on.
-    """
-    if knowledge.num_wds != partition.num_wds:
-        raise ValueError("knowledge and partition disagree on the device count")
-    if channel.num_wds != partition.num_wds:
-        raise ValueError("channel and partition disagree on the device count")
-    combined = channel.coefficients @ np.conj(plan.beamformer)  # (M,)
-    active = transmit_active_mask(partition, knowledge.stds)
-    denom = np.where(active, plan.denormalizers[None, :] * knowledge.stds, 1.0)
-    gains = np.where(
-        active,
-        combined[:, None] * plan.transmit.equalizers / denom,
-        0.0 + 0.0j,
-    )  # (M, K)
-    weights = partition.class_weights()  # (M, K)
-    signal_term = np.einsum("jk,jkd->kd", gains - weights, knowledge.q)
-    offset_coef = np.sum((weights - gains) * knowledge.means, axis=0)  # (K,)
-    return signal_term + offset_coef[:, None]
-
-
 def phi1(
     plan: TransceiverPlan,
     channel: ChannelState,
     knowledge: KnowledgeSet,
     partition: DatasetPartition,
 ) -> np.ndarray:
-    """Per-device misalignment error, shape (M,): the per-class misalignment
-    norms weighted by each device's class mix B_i^k / B_i."""
-    vectors = misalignment_vectors(plan, channel, knowledge, partition)
-    norms = np.linalg.norm(vectors, axis=1)  # (K,)
-    return partition.class_mix() @ norms
+    """Per-device misalignment error, shape (M,): the error of the noiseless
+    superposed estimate (aggregate_over_air with zero noise) against the
+    global target, one norm per class, weighted by each device's class mix
+    B_i^k / B_i. Pass the true channel to measure what the aggregation
+    actually commits, whichever estimate the plan was optimized on."""
+    k = partition.num_classes
+    noise = np.zeros((k * k, channel.num_antennas), dtype=np.complex128)
+    error = aggregate_over_air(
+        knowledge, partition, plan, channel, noise
+    ) - global_target(knowledge, partition)
+    return partition.class_mix() @ np.linalg.norm(error, axis=1)
 
 
 def phi2_sq_all(
@@ -230,8 +200,5 @@ class RoundMetrics:
         )
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(RoundMetrics))
-
-
 def csv_header() -> str:
-    return ",".join(CSV_COLUMNS)
+    return ",".join(f.name for f in fields(RoundMetrics))

@@ -2,6 +2,7 @@
 the experiment loop, and the command-line interface."""
 
 import configparser
+import inspect
 import os
 from dataclasses import replace
 
@@ -651,6 +652,72 @@ def test_benchmark_rebinding_points_are_called_by_name(tmp_path, monkeypatch):
     assert trained_samples == [50] * expected["train_round"]
 
 
+def test_round_measures_read_the_uplink_channel_and_configured_noise(
+    tmp_path, monkeypatch
+):
+    """Every superposed row is filled from the round's uplink: phi1 and
+    p2_objective run on the channel the uplink went through (not the
+    estimate the plan was made on), phi2_sq_all and p2_objective get the
+    configured noise variance, and the row holds phi1's max and mean,
+    phi2_sq_all's mean and p2_objective's value."""
+    records = {name: [] for name in (
+        "optimize_round", "uniform_baseline", "aggregate_over_air", "phi1",
+        "phi2_sq_all", "p2_objective",
+    )}
+
+    def recording(name, target):
+        def record(*args, **kwargs):
+            value = target(*args, **kwargs)
+            bound = inspect.signature(target).bind(*args, **kwargs).arguments
+            records[name].append((bound, value))
+            return value
+
+        return record
+
+    for name in records:
+        monkeypatch.setattr(expcli, name, recording(name, getattr(expcli, name)))
+    parser = small_parser(
+        experiment={"methods": "proposed,uniform", "output_dir": str(tmp_path)},
+        channel={"csi_quality": "0.8", "noise_variance": "1e-10"},
+    )
+    config = config_from_parser(parser)
+    result = run_experiment(config)
+    assert not result.aborts
+    noise_var = config.channel.noise_variance
+    rows = [row for pair in zip(*result.rows.values()) for row in pair]
+    plans = [
+        plan for pair in zip(records["optimize_round"], records["uniform_baseline"])
+        for plan in pair
+    ]
+    assert len(rows) == len(plans) == 2 * config.learner.rounds
+    for name in ("aggregate_over_air", "phi1", "phi2_sq_all", "p2_objective"):
+        assert len(records[name]) == len(rows), name
+    for row, (planned, plan), uplink, phi1_call, phi2_call, p2_call in zip(
+        rows,
+        plans,
+        records["aggregate_over_air"],
+        records["phi1"],
+        records["phi2_sq_all"],
+        records["p2_objective"],
+    ):
+        channel = uplink[0]["channel"]
+        assert uplink[0]["plan"] is plan
+        assert planned["channel"] is not channel  # an estimate at zeta 0.8
+        assert phi1_call[0]["plan"] is plan
+        assert phi1_call[0]["channel"] is channel
+        assert p2_call[0]["beamformer"] is plan.beamformer
+        assert p2_call[0]["channel"] is channel
+        assert phi2_call[0]["denormalizers"] is plan.denormalizers
+        assert phi2_call[0]["noise_variance"] == noise_var
+        assert p2_call[0]["noise_variance"] == noise_var
+        phi1_values = phi1_call[1]
+        assert phi1_values.max() > phi1_values.mean()
+        assert row.phi1_max == phi1_values.max()
+        assert row.phi1_mean == phi1_values.mean()
+        assert row.phi2_sq_mean == phi2_call[1].mean() > 0.0
+        assert row.p2_obj == p2_call[1]
+
+
 @pytest.mark.parametrize("planner", ["optimize_round", "uniform_baseline"])
 def test_benchmark_reads_of_a_plan_resolve(planner):
     """The benchmark reads these fields of the plans the driver makes: the
@@ -777,20 +844,36 @@ def test_noiseless_perfect_csi_superposition_matches_error_free(tmp_path):
     assert float(np.max(np.abs(proposed.theta - reference.theta))) <= 1e-7
 
 
-def test_aborted_trials_are_recorded_and_skipped(tmp_path):
+def test_aborted_trials_are_recorded_and_skipped(tmp_path, monkeypatch):
+    """A failure inside a trial aborts that trial alone: it is recorded with
+    its message, its rows are dropped and the next trial runs. The config
+    rejects what would fail every trial, so the failure is injected into
+    the second trial's partition."""
+    split = expcli.partition
+    calls = []
+
+    def failing_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ValueError("injected partition failure")
+        return split(*args, **kwargs)
+
+    monkeypatch.setattr(expcli, "partition", failing_second)
     parser = small_parser(
         experiment={"methods": "error_free", "output_dir": str(tmp_path)},
-        dataset={"num_samples": "3", "test_samples": "5"},
-        channel={"num_wds": "6"},
     )
-    parser["experiment"]["trials"] = "2"
+    parser["experiment"]["trials"] = "3"
     result = run_experiment(config_from_parser(parser))
-    assert [abort.trial for abort in result.aborts] == [0, 1]
-    assert result.completed_trials == []
+    assert result.aborts == [
+        expcli.TrialAbort(1, "ValueError: injected partition failure")
+    ]
+    assert result.completed_trials == [0, 2]
     with open(result.csv_paths["error_free"], "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
-    assert len(lines) == 1  # header only
-    assert os.path.exists(result.summary_path)
+    assert len(lines) == 1 + 2 * 3  # header and trials 0 and 2
+    assert [line.split(",")[0] for line in lines[1:]] == ["0"] * 3 + ["2"] * 3
+    with open(result.summary_path, "r", encoding="utf-8") as handle:
+        assert "injected partition failure" in handle.read()
 
 
 def test_summary_reports_the_plans_mean_solver_iterations(tmp_path, monkeypatch):
@@ -865,7 +948,8 @@ def test_csv_rows_structure_and_eval_cadence(tmp_path):
         },
         learner={"rounds": "6"},
     )
-    result = run_experiment(config_from_parser(parser))
+    config = config_from_parser(parser)
+    result = run_experiment(config)
     with open(result.csv_paths["error_free"], "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     assert len(lines) == 7
@@ -882,7 +966,16 @@ def test_csv_rows_structure_and_eval_cadence(tmp_path):
     # Accuracy refreshes at rounds 0, 3, and the final round only.
     assert accs[0] == accs[1] == accs[2]
     assert accs[3] == accs[4]
-    assert accs[3] != accs[0] or accs[5] != accs[3]
+    # Round 5 is off the cadence, yet its row scores the final models.
+    spec = config.dataset
+    test = synthesize_dataset(
+        replace(spec, num_samples=spec.test_samples),
+        substream(config.seed, "testdata", 0),
+    )
+    final = evaluate_accuracy(
+        result.final_params["error_free"][0], test.features, test.labels
+    )
+    assert float(accs[5]) == float(np.mean(final))
 
 
 # ---------------------------------------------------------------------------
@@ -940,11 +1033,19 @@ def test_cli_takes_a_percent_in_the_output_dir(tmp_path, capsys):
     assert "output_dir = dir%1\n" in capsys.readouterr().out
 
 
-def test_cli_run_reports_aborts_with_nonzero_exit(tmp_path, capsys):
-    ini = tmp_path / "broken.ini"
+def test_cli_run_reports_aborts_with_nonzero_exit(tmp_path, capsys, monkeypatch):
+    """A trial that fails inside the run is printed and makes the exit code
+    1. The config rejects what would fail every trial, so the failure is
+    injected into the trial's partition."""
+
+    def failing(*args, **kwargs):
+        raise ValueError("injected partition failure")
+
+    monkeypatch.setattr(expcli, "partition", failing)
+    ini = tmp_path / "small.ini"
     ini.write_text(
-        "[dataset]\nnum_samples = 3\ntest_samples = 5\n"
-        "[channel]\nnum_wds = 6\nnum_antennas = 3\n"
+        "[dataset]\nnum_samples = 48\ntest_samples = 40\n"
+        "[channel]\nnum_wds = 4\nnum_antennas = 3\n"
         "[learner]\nrounds = 2\nhidden_dim = 8\n",
         encoding="utf-8",
     )
@@ -962,7 +1063,10 @@ def test_cli_run_reports_aborts_with_nonzero_exit(tmp_path, capsys):
         ]
     )
     assert code == 1
-    assert "ABORTED trial 0" in capsys.readouterr().out
+    assert (
+        "ABORTED trial 0: ValueError: injected partition failure"
+        in capsys.readouterr().out
+    )
 
 
 def test_cli_verify_passes(capsys):
@@ -994,8 +1098,12 @@ def test_cli_verify_rejects_fewer_than_one_trial(trials, capsys):
         (["--config", "missing.ini"], "No such file or directory"),
         (["--config", "headerless.ini"], "no section headers"),
         (["--config", "not-an-int.ini"], "invalid literal for int()"),
+        (["--config", "crowded.ini"], "cannot spread 900 samples over 1000"),
     ],
-    ids=["trials", "methods", "zeta", "missing", "headerless", "not-an-int"],
+    ids=[
+        "trials", "methods", "zeta", "missing", "headerless", "not-an-int",
+        "more-devices-than-samples",
+    ],
 )
 def test_cli_run_reports_invalid_input_as_a_usage_error(
     tmp_path, monkeypatch, capsys, args, message
@@ -1006,6 +1114,9 @@ def test_cli_run_reports_invalid_input_as_a_usage_error(
     (tmp_path / "headerless.ini").write_text("rounds = 2\n", encoding="utf-8")
     (tmp_path / "not-an-int.ini").write_text(
         "[channel]\nnum_wds = many\n", encoding="utf-8"
+    )
+    (tmp_path / "crowded.ini").write_text(
+        "[channel]\nnum_wds = 1000\n", encoding="utf-8"
     )
     with pytest.raises(SystemExit) as stop:
         main(["run", *args, "--out", str(tmp_path / "out")])

@@ -8,11 +8,9 @@ from airfd.channel import ChannelState, perturb_csi
 from airfd.knowledge import DatasetPartition, KnowledgeSet
 from airfd.learner import LearnerConfig
 from airfd.metrics import (
-    CSV_COLUMNS,
     RoundMetrics,
     a2_coefficient,
     csv_header,
-    misalignment_vectors,
     p2_objective,
     phi1,
     phi2_sq_all,
@@ -108,8 +106,6 @@ class TestPhi1:
         for _ in range(5):
             channel, knowledge, partition, peaks = random_instance(rng)
             plan = optimize_round(channel, knowledge.stds, partition, peaks)
-            vectors = misalignment_vectors(plan, channel, knowledge, partition)
-            assert np.max(np.abs(vectors)) <= 1e-9
             assert np.max(phi1(plan, channel, knowledge, partition)) <= 1e-9
 
     def test_matches_loop_oracle_on_arbitrary_plan(self):
@@ -121,6 +117,17 @@ class TestPhi1:
             phi1_loop_oracle(plan, channel, knowledge, partition),
             rtol=1e-10,
         )
+
+    def test_inputs_of_another_device_count_rejected(self):
+        """The uplink that phi1 reads checks the device counts."""
+        rng = np.random.default_rng(105)
+        channel, knowledge, partition, peaks = random_instance(rng)
+        plan = uniform_baseline(channel, knowledge.stds, partition, peaks)
+        for wds in (3, 5):
+            with pytest.raises(ValueError, match="matching the channel's M"):
+                phi1(plan, random_channel(rng, wds, 2), knowledge, partition)
+            with pytest.raises(ValueError, match="partition's \\(M, K\\) shape"):
+                phi1(plan, channel, random_knowledge(rng, wds, 3), partition)
 
     def test_uniform_plan_positive_and_above_optimal(self):
         rng = np.random.default_rng(103)
@@ -310,7 +317,7 @@ class TestCsvFormat:
     def test_row_round_trips(self):
         row = self.make_metrics().to_csv_row()
         fields = row.split(",")
-        assert len(fields) == len(CSV_COLUMNS)
+        assert len(fields) == len(csv_header().split(","))
         assert fields[0] == "2" and fields[1] == "17" and fields[2] == "proposed"
         assert float(fields[6]) == 0.8
         assert float(fields[10]) == 0.125
