@@ -68,6 +68,7 @@ from .metrics import (
     phi2_sq_monte_carlo,
 )
 from .oracles import (
+    accuracy_loop,
     beamformer_grid_search,
     finite_difference_gradient,
     naive_aggregate,
@@ -377,11 +378,20 @@ def default_parser() -> configparser.ConfigParser:
 
 
 def load_config_file(path: str | None) -> configparser.ConfigParser:
-    """Defaults overlaid with the file at `path` (if given)."""
+    """Defaults overlaid with the file at `path` (if given). A key that a
+    section of the defaults does not declare is an error; a section they do
+    not declare is ignored."""
     parser = default_parser()
     if path is not None:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
+        defaults = default_parser()
+        for section in defaults.sections():
+            unknown = sorted(set(parser[section]) - set(defaults[section]))
+            if unknown:
+                raise ValueError(
+                    f"{path}: section [{section}] has no key {unknown[0]!r}"
+                )
     return parser
 
 
@@ -958,6 +968,17 @@ def _verify_instance(seed: int, index: int) -> list[tuple[str, bool, str]]:
         np.linalg.norm(grad - numeric) / max(np.linalg.norm(numeric), 1e-30)
     )
     checks.append(("gradient_matches_numeric", rel <= 1e-4, f"rel err {rel:.2e}"))
+
+    # Test accuracy of a stack of 9 models, one more than a block of
+    # evaluate_accuracy at H = 32 and 600 samples, vs a per-sample loop.
+    arch = Architecture(feature_dim=5, hidden_dim=32, num_classes=num_classes)
+    stack = 2.0 * rng.standard_normal((9, arch.param_count))
+    features = rng.standard_normal((600, 5))
+    labels = rng.integers(0, num_classes, size=600)
+    fast = evaluate_accuracy(ModelParams(theta=stack, arch=arch), features, labels)
+    slow = accuracy_loop(stack, features, labels, arch.hidden_dim, num_classes)
+    wrong = int(np.count_nonzero(fast != slow))
+    checks.append(("accuracy_matches_loop", wrong == 0, f"{wrong} of 9 models differ"))
 
     # Closed-form noise error vs simulation through the receiver.
     analytic = phi2_sq_all(plan.denormalizers, part, 0.05)[0]

@@ -16,7 +16,8 @@ consecutive devices with the same size, as stacked matmuls on (G, B, ...)
 views. numpy's stacked matmul makes the same BLAS call on each slice, and
 each reduction runs per device in the same order, so every device gets the
 bits it would get alone. evaluate_accuracy scores every model of a stack on
-the same test set, computing one model at a time.
+the same test set in blocks of models, with the samples as columns, and
+counts the hits without an argmax (see its docstring).
 """
 
 from __future__ import annotations
@@ -499,25 +500,61 @@ def train_round(
     return ModelParams(theta=theta, arch=params.arch), loss
 
 
+# The bytes of one block's (g, H, B) hidden layer in evaluate_accuracy: 8
+# models at H = 32 and B = 600 test samples.
+_EVAL_BLOCK_BYTES = 1_228_800
+
+
 def evaluate_accuracy(
     params: ModelParams, features: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """Each of the (M, P) models' fraction of the same (B, F) samples whose
     argmax output matches the label, as a (M,) array.
 
-    Softmax is monotone, so the prediction is the argmax of the logits. The
-    models are computed one at a time, so that one (B, H) hidden layer is
-    held at once rather than a (M, B, H) one.
+    Softmax is monotone, so the prediction is the first index of the largest
+    logit, as np.argmax picks it. The models are scored in blocks of g, as
+    many as a hidden layer of _EVAL_BLOCK_BYTES holds, feature-major: a
+    sample is a column. The features are transposed once, with a row of ones
+    appended, so a block's (g, H, B) hidden layer is one stacked product of
+    its models' [W1^T | b1] rows with them, and its (g, K, B) logits one
+    stacked product with W2^T, plus b2 as a column. One hidden and one
+    logits buffer serve every block. A sample is a hit when its label's logit
+    equals its column's maximum. That is argmax's answer when every column of
+    the block has exactly one maximal entry; a block with a tie or a NaN is
+    scored by np.argmax instead.
     """
-    features = _checked_features(params.arch, features)
-    labels = _checked_labels(params.arch, labels, len(features))
-    w1, b1, w2, b2 = _unpack(params.theta, params.arch)
-    accuracy = np.empty(len(params.theta))
-    for i in range(len(accuracy)):
-        hidden = features @ w1[i]
-        hidden += b1[i]
-        np.tanh(hidden, out=hidden)
-        logits = hidden @ w2[i]
-        logits += b2[i]
-        accuracy[i] = np.mean(np.argmax(logits, axis=-1) == labels)
-    return accuracy
+    arch = params.arch
+    features = _checked_features(arch, features)
+    samples = len(features)
+    labels = _checked_labels(arch, labels, samples)
+    f, h, k = arch.feature_dim, arch.hidden_dim, arch.num_classes
+    w1, b1, w2, b2 = _unpack(params.theta, arch)
+    models = len(params.theta)
+    block = min(models, max(1, _EVAL_BLOCK_BYTES // (8 * h * samples)))
+
+    inputs = np.empty((f + 1, samples))
+    inputs[:f] = features.T
+    inputs[f] = 1.0
+    # Each sample's label entry in a flattened (K, B) block of logits.
+    picked = labels * samples + np.arange(samples)
+    weights = np.empty((block, h, f + 1))
+    hidden = np.empty((block, h, samples))
+    logits = np.empty((block, k, samples))
+    hits = np.empty(models, dtype=np.int64)
+    for first in range(0, models, block):
+        end = min(first + block, models)
+        g = end - first
+        weights[:g, :, :f] = w1[first:end].swapaxes(-1, -2)
+        weights[:g, :, f] = b1[first:end]
+        layer = np.matmul(weights[:g], inputs, out=hidden[:g])
+        np.tanh(layer, out=layer)
+        out = np.matmul(w2[first:end].swapaxes(-1, -2), layer, out=logits[:g])
+        out += b2[first:end, :, None]
+        top = out.max(axis=1)
+        maximal = out == top[:, None, :]
+        if np.count_nonzero(maximal) == g * samples and not np.isnan(top).any():
+            hit = np.take(maximal.reshape(g, k * samples), picked, axis=1)
+        else:
+            hit = np.argmax(out, axis=1) == labels
+        hits[first:end] = np.count_nonzero(hit, axis=1)
+    return hits / samples

@@ -16,6 +16,7 @@ __all__ = [
     "naive_aggregate",
     "local_knowledge",
     "finite_difference_gradient",
+    "accuracy_loop",
 ]
 
 
@@ -160,3 +161,41 @@ def finite_difference_gradient(fn, theta: np.ndarray, step: float = 1e-5) -> np.
         bump[idx] = step
         grad[idx] = (fn(theta + bump) - fn(theta - bump)) / (2.0 * step)
     return grad
+
+
+def accuracy_loop(
+    thetas: np.ndarray,
+    features: np.ndarray,
+    labels: np.ndarray,
+    hidden_dim: int,
+    num_classes: int,
+) -> np.ndarray:
+    """Test accuracy of each flat parameter row, sample by sample.
+
+    Each row of the (M, P) `thetas` is laid out as W1 (F x H, row-major),
+    b1 (H), W2 (H x K, row-major), b2 (K), with F the width of the (B, F)
+    `features`. A sample's prediction is the first class whose logit
+    tanh(x W1 + b1) W2 + b2 is the largest; the result is the share of
+    samples whose prediction is their label, one entry per row.
+    """
+    thetas = np.asarray(thetas, dtype=np.float64)
+    features = np.asarray(features, dtype=np.float64)
+    f, h, k = features.shape[1], hidden_dim, num_classes
+    if thetas.shape[1] != f * h + h + h * k + k:
+        raise ValueError("parameter rows do not match the layer sizes")
+    accuracies = np.zeros(len(thetas))
+    for i, theta in enumerate(thetas):
+        w1 = theta[: f * h].reshape(f, h)
+        b1 = theta[f * h : f * h + h]
+        w2 = theta[f * h + h : f * h + h + h * k].reshape(h, k)
+        b2 = theta[f * h + h + h * k :]
+        hits = 0
+        for x, label in zip(features, labels):
+            logits = np.tanh(x @ w1 + b1) @ w2 + b2
+            best = 0
+            for c in range(1, k):
+                if logits[c] > logits[best]:
+                    best = c
+            hits += int(best == label)
+        accuracies[i] = hits / len(features)
+    return accuracies

@@ -454,6 +454,33 @@ def test_config_file_unknown_keys_are_ignored(tmp_path):
     assert "l1" not in dumped and "retired" not in dumped
 
 
+@pytest.mark.parametrize(
+    "text, section, key",
+    [
+        ("[channel]\nnum_wd = 50\n", "channel", "num_wd"),
+        ("[bound]\nl1 = 2.0\n\n[learner]\nround = 7\n", "learner", "round"),
+    ],
+)
+def test_config_file_misspelled_key_is_a_usage_error(
+    tmp_path, capsys, text, section, key
+):
+    path = tmp_path / "typo.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as stop:
+        main(["run", "--config", str(path), "--dump-effective-config"])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"section [{section}] has no key '{key}'" in captured.err
+
+
+def test_config_file_with_known_keys_runs(tmp_path, capsys):
+    path = tmp_path / "known.ini"
+    path.write_text("[bound]\nl1 = 2.0\n\n[channel]\nnum_wds = 7\n", encoding="utf-8")
+    assert main(["run", "--config", str(path), "--dump-effective-config"]) == 0
+    assert "num_wds = 7\n" in capsys.readouterr().out
+
+
 def test_summary_config_reloads_with_a_percent_in_the_output_dir(tmp_path):
     """The configuration that summary.txt records reloads, through
     --config, to the configuration of the run."""

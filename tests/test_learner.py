@@ -2,6 +2,8 @@
 its exact gradient, the step-size schedule, and round-level training of a
 ragged batch of devices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from airfd.learner import (
     lr_schedule,
     train_round,
 )
-from airfd.oracles import finite_difference_gradient, local_knowledge
+from airfd.oracles import accuracy_loop, finite_difference_gradient, local_knowledge
 
 ARCH = Architecture(feature_dim=8, hidden_dim=32, num_classes=3)
 
@@ -620,3 +622,98 @@ class TestStack:
             forward_pass(stack, features, [6])
         with pytest.raises(ValueError, match="labels must be"):
             loss_and_grad(stack, features, np.zeros(5, dtype=int), [2, 2, 2], None, 0.0)
+
+
+# Models in one block of evaluate_accuracy at H = 32 and 600 samples.
+BLOCK = learner._EVAL_BLOCK_BYTES // (8 * 32 * 600)
+
+
+def check_accuracy_against_loop(thetas, arch, features, labels):
+    """evaluate_accuracy against the per-sample oracle, exactly."""
+    accuracy = evaluate_accuracy(ModelParams(thetas, arch), features, labels)
+    expected = accuracy_loop(
+        thetas, features, labels, arch.hidden_dim, arch.num_classes
+    )
+    assert accuracy.shape == (len(thetas),)
+    assert accuracy.tolist() == expected.tolist()
+    return accuracy
+
+
+class TestEvaluateAccuracy:
+    """Scoring in blocks of models against the per-sample loop."""
+
+    def test_block_holds_several_models(self):
+        assert 1 < BLOCK < 50
+
+    def test_zero_model_predicts_class_zero(self):
+        """Every logit ties, so argmax's first index, class 0, is predicted."""
+        rng = np.random.default_rng(60)
+        features, labels, _ = random_batch(rng, batch=600)
+        thetas = np.zeros((BLOCK + 1, ARCH.param_count))
+        accuracy = check_accuracy_against_loop(thetas, ARCH, features, labels)
+        assert np.all(accuracy == np.mean(labels == 0))
+
+    def test_two_way_tie_goes_to_the_lower_class(self):
+        """W2 = 0 and b2 = (1, 5, 5): classes 1 and 2 tie on every sample,
+        in a block whose other models have no tie."""
+        rng = np.random.default_rng(61)
+        features, labels, _ = random_batch(rng, batch=600)
+        thetas = rng.standard_normal((3, ARCH.param_count))
+        thetas[1, -(32 * 3 + 3) :] = 0.0
+        thetas[1, -3:] = (1.0, 5.0, 5.0)
+        accuracy = check_accuracy_against_loop(thetas, ARCH, features, labels)
+        assert accuracy[1] == np.mean(labels == 1)
+
+    def test_nan_sample_follows_argmax(self):
+        """A NaN column has no entry equal to its maximum; beside a tied
+        column the block still counts one maximal entry per column, and its
+        hits are argmax's."""
+        theta = np.zeros((1, ARCH.param_count))
+        theta[0, -3:] = (1.0, 5.0, 5.0)
+        features = np.zeros((2, 8))
+        features[0, 0] = np.nan
+        accuracy = evaluate_accuracy(
+            ModelParams(theta, ARCH), features, np.array([0, 1])
+        )
+        assert accuracy.tolist() == [1.0]
+
+    @pytest.mark.parametrize("models", [1, BLOCK - 1, BLOCK, BLOCK + 1, 50])
+    def test_stacks_across_block_boundaries(self, models):
+        rng = np.random.default_rng([62, models])
+        features, labels, _ = random_batch(rng, batch=600)
+        thetas = 2.0 * rng.standard_normal((models, ARCH.param_count))
+        check_accuracy_against_loop(thetas, ARCH, features, labels)
+
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    def test_class_counts(self, classes):
+        arch = Architecture(feature_dim=16, hidden_dim=32, num_classes=classes)
+        rng = np.random.default_rng([63, classes])
+        features, labels, _ = random_batch(rng, arch, batch=600)
+        thetas = 2.0 * rng.standard_normal((BLOCK + 2, arch.param_count))
+        check_accuracy_against_loop(thetas, arch, features, labels)
+
+    def test_verify_stack_matches_loop(self):
+        """The shape of `airfd verify`'s accuracy_matches_loop: 9 models of
+        five features and three classes on 600 samples."""
+        arch = Architecture(feature_dim=5, hidden_dim=32, num_classes=3)
+        rng = np.random.default_rng(64)
+        thetas = 2.0 * rng.standard_normal((9, arch.param_count))
+        features = rng.standard_normal((600, 5))
+        labels = rng.integers(0, 3, size=600)
+        check_accuracy_against_loop(thetas, arch, features, labels)
+
+    def test_memory_peak_stays_within_the_block_budget(self):
+        """50 fleet-shaped models: a (50, 32, 600) hidden layer would take
+        7.7 MB; the blocks stay within 2.5 MB."""
+        arch = Architecture(feature_dim=16, hidden_dim=32, num_classes=10)
+        rng = np.random.default_rng(65)
+        params = ModelParams(rng.standard_normal((50, arch.param_count)), arch)
+        features, labels, _ = random_batch(rng, arch, batch=600)
+        evaluate_accuracy(params, features, labels)
+        tracemalloc.start()
+        try:
+            evaluate_accuracy(params, features, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
