@@ -969,16 +969,30 @@ def _verify_instance(seed: int, index: int) -> list[tuple[str, bool, str]]:
     )
     checks.append(("gradient_matches_numeric", rel <= 1e-4, f"rel err {rel:.2e}"))
 
-    # Test accuracy of a stack of 9 models, one more than a block of
-    # evaluate_accuracy at H = 32 and 600 samples, vs a per-sample loop.
+    # Test accuracy vs a per-sample loop: a stack of 17 models, one more
+    # than a block of evaluate_accuracy at H = 32 and 600 samples, then 17
+    # with a near tie on every sample, which only its float64 re-score
+    # resolves: class 1's logits are (1 + eps) times class 0's, eps from
+    # 1e-9 to 1e-6, and every other class's are 5 below class 0's.
     arch = Architecture(feature_dim=5, hidden_dim=32, num_classes=num_classes)
-    stack = 2.0 * rng.standard_normal((9, arch.param_count))
+    stack = 2.0 * rng.standard_normal((34, arch.param_count))
+    h, first = arch.hidden_dim, (arch.feature_dim + 1) * arch.hidden_dim
+    w2 = stack[17:, first : first + h * num_classes].reshape(17, h, num_classes)
+    b2 = stack[17:, -num_classes:]
+    w2[:] = w2[:, :, :1]
+    b2[:] = b2[:, :1]
+    b2[:, 2:] -= 5.0
+    eps = np.geomspace(1e-9, 1e-6, 17)[:, None]
+    w2[:, :, 1] *= 1.0 + eps
+    b2[:, 1:2] *= 1.0 + eps
     features = rng.standard_normal((600, 5))
     labels = rng.integers(0, num_classes, size=600)
     fast = evaluate_accuracy(ModelParams(theta=stack, arch=arch), features, labels)
     slow = accuracy_loop(stack, features, labels, arch.hidden_dim, num_classes)
     wrong = int(np.count_nonzero(fast != slow))
-    checks.append(("accuracy_matches_loop", wrong == 0, f"{wrong} of 9 models differ"))
+    checks.append(
+        ("accuracy_matches_loop", wrong == 0, f"{wrong} of {len(stack)} models differ")
+    )
 
     # Closed-form noise error vs simulation through the receiver.
     analytic = phi2_sq_all(plan.denormalizers, part, 0.05)[0]

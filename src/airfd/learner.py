@@ -16,8 +16,10 @@ consecutive devices with the same size, as stacked matmuls on (G, B, ...)
 views. numpy's stacked matmul makes the same BLAS call on each slice, and
 each reduction runs per device in the same order, so every device gets the
 bits it would get alone. evaluate_accuracy scores every model of a stack on
-the same test set in blocks of models, with the samples as columns, and
-counts the hits without an argmax (see its docstring).
+the same test set in blocks of models, with the samples as columns: a
+float32 screen settles each sample whose lead is above a certified margin,
+and only the other samples are scored again in float64, so the hit counts
+are the float64 argmax's (see its docstring).
 """
 
 from __future__ import annotations
@@ -198,12 +200,14 @@ def _stacked(array: np.ndarray, run: _Run) -> np.ndarray:
 
 
 def _checked_features(arch: Architecture, features: np.ndarray) -> np.ndarray:
-    """The samples' features as a (S, F) float64 array."""
+    """The samples' features as a finite (S, F) float64 array."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != arch.feature_dim:
         raise ValueError(
             f"features must be (S, {arch.feature_dim}), got {features.shape}"
         )
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite")
     return features
 
 
@@ -500,9 +504,64 @@ def train_round(
     return ModelParams(theta=theta, arch=params.arch), loss
 
 
-# The bytes of one block's (g, H, B) hidden layer in evaluate_accuracy: 8
-# models at H = 32 and B = 600 test samples.
+# The bytes of one block's (g, H, B) float32 hidden layer in
+# evaluate_accuracy: 16 models at H = 32 and B = 600 test samples. The
+# float64 re-score of a block's unsure columns holds a float64 hidden layer
+# of those columns only.
 _EVAL_BLOCK_BYTES = 1_228_800
+
+# The constants of evaluate_accuracy's margin: float32's unit roundoff u, the
+# absolute error lambda that one float32 rounding may add near underflow
+# (2^-126, the smallest normal, covers gradual underflow and flush-to-zero),
+# the absolute error tau allowed to numpy's float32 tanh (a test pins it),
+# and the safety factor.
+_U32 = 2.0**-24
+_TINY32 = 2.0**-126
+_TANH32 = 8 * _U32
+_SCREEN_SAFETY = 2.0
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u) at float32's unit roundoff."""
+    return n * _U32 / (1.0 - n * _U32)
+
+
+def _screen_margins(
+    theta: np.ndarray, arch: Architecture, inputs: np.ndarray
+) -> np.ndarray:
+    """Each model's margin for the float32 lead, given the (F + 1, B)
+    transposed features with a row of ones (see evaluate_accuracy)."""
+    n1, n2, h = arch.feature_dim + 1, arch.hidden_dim + 1, arch.hidden_dim
+    magnitudes = np.abs(theta)
+    w1, b1, w2, b2 = _unpack(magnitudes, arch)
+    a = np.maximum(w1.max(axis=1), b1)  # (M, H): max_f |[W1 | b1]_fh|
+    xi = np.abs(inputs).sum(axis=0).max()
+    dz = _gamma(n1 + 2) * a * xi + 4 * _TINY32 * (n1 * a + xi + 2 * n1)
+    gamma2 = _gamma(n2 + 1) * (1 + _TANH32)
+    e = np.matmul((dz + _TANH32 + gamma2)[:, None, :], w2)[:, 0]  # (M, K)
+    e += gamma2 * b2 + 8 * _TINY32 * n2
+    margins = 2.0 * (1.0 + 2.0**-23) * _SCREEN_SAFETY * e.max(axis=1)
+    # Past these sizes a float32 sum might overflow. Written so that a NaN
+    # fails it.
+    fits = (np.maximum(a.max(axis=1), 1.0) * xi < 2.0**100) & (
+        np.maximum(magnitudes[:, n1 * h :].max(axis=1), 1.0) * n2 < 2.0**100
+    )
+    margins[~fits] = np.inf
+    return margins
+
+
+def _float64_predictions(
+    theta: np.ndarray, arch: Architecture, inputs: np.ndarray
+) -> np.ndarray:
+    """np.argmax of the float64 logits of a (g, P) block of models on the
+    columns of (F + 1, c) transposed features with a row of ones: (g, c)."""
+    w1, b1, w2, b2 = _unpack(theta, arch)
+    weights = np.concatenate((w1.swapaxes(-1, -2), b1[:, :, None]), axis=2)
+    layer = np.matmul(weights, inputs)
+    np.tanh(layer, out=layer)
+    logits = np.matmul(w2.swapaxes(-1, -2), layer)
+    logits += b2[:, :, None]
+    return np.argmax(logits, axis=1)
 
 
 def evaluate_accuracy(
@@ -512,49 +571,98 @@ def evaluate_accuracy(
     argmax output matches the label, as a (M,) array.
 
     Softmax is monotone, so the prediction is the first index of the largest
-    logit, as np.argmax picks it. The models are scored in blocks of g, as
-    many as a hidden layer of _EVAL_BLOCK_BYTES holds, feature-major: a
-    sample is a column. The features are transposed once, with a row of ones
-    appended, so a block's (g, H, B) hidden layer is one stacked product of
-    its models' [W1^T | b1] rows with them, and its (g, K, B) logits one
-    stacked product with W2^T, plus b2 as a column. One hidden and one
-    logits buffer serve every block. A sample is a hit when its label's logit
-    equals its column's maximum. That is argmax's answer when every column of
-    the block has exactly one maximal entry; a block with a tie or a NaN is
-    scored by np.argmax instead.
+    logit, as np.argmax picks it from the float64 logits. The models are
+    scored in blocks of g, as many as a float32 hidden layer of
+    _EVAL_BLOCK_BYTES holds, feature-major: a sample is a column. The
+    features are transposed once, with a row of ones appended, so a block's
+    (g, H, B) hidden layer is one stacked product of its models' [W1^T | b1]
+    rows with them, and its (g, K, B) logits one stacked product with W2^T,
+    plus b2 as a column. One hidden and one logits buffer serve every block.
+
+    These products and tanh run in float32, as a screen. A sample's lead is
+    its label's float32 logit minus the largest other one. Where |lead| is
+    above the model's margin, the sample is a hit exactly when lead > 0, and
+    that is the float64 argmax's answer. Every other sample (a tie, a near
+    tie, a model whose margin is inf) is unsure, and the block's unsure
+    columns are scored again in float64, with np.argmax, so ties keep its
+    first-index rule.
+
+    The margin bounds the gap between the float32 and the float64 leads.
+    Write u = 2^-24 and gamma_n = n u / (1 - n u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, section 3.1); lambda
+    = 2^-126, the absolute error one float32 rounding may add near
+    underflow; tau = 8u, the absolute error allowed to float32 tanh; and,
+    for one model, a_h = max_f |[W1 | b1]_fh|, the largest weight into
+    hidden unit h, and xi = max_b ||(x_b, 1)||_1.
+
+    - A pre-activation is an (F + 1)-term sum of products of float32
+      roundings of the weights and the inputs. The two casts and the sum's
+      gamma_{F+1} give gamma_{F+3} relative to sum_f |w_fh| |x_f| <= a_h xi.
+      Each rounding's lambda, scaled by what it multiplies and carried
+      through the later roundings, adds at most
+      4 lambda ((F + 1) a_h + xi + 2 (F + 1)). Call the sum dz_h.
+    - tanh is 1-Lipschitz, so activation h errs by at most dz_h + tau, and
+      it is at most 1 + tau in size.
+    - Logit k is an (H + 1)-term sum: the product with W2, then b2. The
+      activations' errors add sum_h |W2_hk| (dz_h + tau). The cast of W2
+      and b2 and the sum's gamma_{H+1} give gamma_{H+2} relative to
+      sum_h |W2_hk| (1 + tau) + |b2_k|, and the lambdas add
+      8 lambda (H + 1). Call the largest total over k e.
+    - The float64 route errs by the same bound with u = 2^-53 and its tanh
+      within 8 of its ulps, and casts nothing: below 2^-28 e.
+
+    The two leads, each a logit minus the largest of the others, are thus
+    within 2 (1 + 2^-28) e of each other, and rounding the float32 lead
+    scales it by at most 1 + u. The margin is 2 (1 + 2^-23) e times a
+    safety factor of 2. If max(max_h a_h, 1) xi or
+    max(max |[W2 | b2]|, 1) (H + 1) reaches 2^100, float32 could overflow
+    and break these bounds; that model's margin is inf, so all its samples
+    are unsure. Every comparison is written so that a NaN fails it.
     """
     arch = params.arch
     features = _checked_features(arch, features)
     samples = len(features)
     labels = _checked_labels(arch, labels, samples)
     f, h, k = arch.feature_dim, arch.hidden_dim, arch.num_classes
-    w1, b1, w2, b2 = _unpack(params.theta, arch)
     models = len(params.theta)
-    block = min(models, max(1, _EVAL_BLOCK_BYTES // (8 * h * samples)))
+    block = min(models, max(1, _EVAL_BLOCK_BYTES // (4 * h * samples)))
 
     inputs = np.empty((f + 1, samples))
     inputs[:f] = features.T
     inputs[f] = 1.0
+    # A finite float64 beyond float32's range casts to inf; such a model's
+    # margin is inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w1, b1, w2, b2 = _unpack(params.theta.astype(np.float32), arch)
+        inputs32 = inputs.astype(np.float32)
+        margins = _screen_margins(params.theta, arch, inputs)
     # Each sample's label entry in a flattened (K, B) block of logits.
     picked = labels * samples + np.arange(samples)
-    weights = np.empty((block, h, f + 1))
-    hidden = np.empty((block, h, samples))
-    logits = np.empty((block, k, samples))
+    weights = np.empty((block, h, f + 1), dtype=np.float32)
+    hidden = np.empty((block, h, samples), dtype=np.float32)
+    logits = np.empty((block, k, samples), dtype=np.float32)
     hits = np.empty(models, dtype=np.int64)
     for first in range(0, models, block):
         end = min(first + block, models)
         g = end - first
         weights[:g, :, :f] = w1[first:end].swapaxes(-1, -2)
         weights[:g, :, f] = b1[first:end]
-        layer = np.matmul(weights[:g], inputs, out=hidden[:g])
-        np.tanh(layer, out=layer)
-        out = np.matmul(w2[first:end].swapaxes(-1, -2), layer, out=logits[:g])
-        out += b2[first:end, :, None]
-        top = out.max(axis=1)
-        maximal = out == top[:, None, :]
-        if np.count_nonzero(maximal) == g * samples and not np.isnan(top).any():
-            hit = np.take(maximal.reshape(g, k * samples), picked, axis=1)
-        else:
-            hit = np.argmax(out, axis=1) == labels
+        with np.errstate(over="ignore", invalid="ignore"):
+            layer = np.matmul(weights[:g], inputs32, out=hidden[:g])
+            np.tanh(layer, out=layer)
+            out = np.matmul(w2[first:end].swapaxes(-1, -2), layer, out=logits[:g])
+            out += b2[first:end, :, None]
+            flat = out.reshape(g, k * samples)
+            lead = np.take(flat, picked, axis=1)
+            flat[:, picked] = -np.inf
+            lead -= out.max(axis=1)
+            sure = np.abs(lead) > margins[first:end, None]
+        hit = lead > 0
+        unsure = np.flatnonzero(~sure.all(axis=0))
+        if unsure.size:
+            predicted = _float64_predictions(
+                params.theta[first:end], arch, inputs[:, unsure]
+            )
+            hit[:, unsure] = predicted == labels[unsure]
         hits[first:end] = np.count_nonzero(hit, axis=1)
     return hits / samples

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airfd import learner
 from airfd.knowledge import knowledge_vectors
@@ -624,8 +626,9 @@ class TestStack:
             loss_and_grad(stack, features, np.zeros(5, dtype=int), [2, 2, 2], None, 0.0)
 
 
-# Models in one block of evaluate_accuracy at H = 32 and 600 samples.
-BLOCK = learner._EVAL_BLOCK_BYTES // (8 * 32 * 600)
+# Models in one block of evaluate_accuracy at H = 32 and 600 samples: its
+# hidden layer is float32.
+BLOCK = learner._EVAL_BLOCK_BYTES // (4 * 32 * 600)
 
 
 def check_accuracy_against_loop(thetas, arch, features, labels):
@@ -637,6 +640,42 @@ def check_accuracy_against_loop(thetas, arch, features, labels):
     assert accuracy.shape == (len(thetas),)
     assert accuracy.tolist() == expected.tolist()
     return accuracy
+
+
+def near_tie_stack(rng, arch, models):
+    """Models with a near tie on every sample: for model i, classes c = i mod K
+    and d = c + 1 mod K have logits y_d = (1 + eps_i) y_c, eps_i from 1e-9 to
+    1e-6 over the stack, and every other class y_c - 5."""
+    f, h, k = arch.feature_dim, arch.hidden_dim, arch.num_classes
+    thetas = 2.0 * rng.standard_normal((models, arch.param_count))
+    w2 = thetas[:, (f + 1) * h : (f + 1) * h + h * k].reshape(models, h, k)
+    b2 = thetas[:, -k:]
+    for i, eps in enumerate(np.geomspace(1e-9, 1e-6, models)):
+        c, d = i % k, (i + 1) % k
+        column, bias = w2[i, :, c].copy(), b2[i, c]
+        w2[i] = column[:, None]
+        b2[i] = bias - 5.0
+        b2[i, c] = bias
+        w2[i, :, d] = (1.0 + eps) * column
+        b2[i, d] = (1.0 + eps) * bias
+    return thetas
+
+
+def float32_accuracy(thetas, arch, features, labels):
+    """Each model's accuracy from logits computed in float32 alone, where
+    entries beyond float32's range are inf."""
+    f, h, k = arch.feature_dim, arch.hidden_dim, arch.num_classes
+    accuracies = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = features.astype(np.float32)
+        for theta in thetas.astype(np.float32):
+            w1 = theta[: f * h].reshape(f, h)
+            b1 = theta[f * h : f * h + h]
+            w2 = theta[f * h + h : f * h + h + h * k].reshape(h, k)
+            b2 = theta[f * h + h + h * k :]
+            logits = np.tanh(x @ w1 + b1) @ w2 + b2
+            accuracies.append(np.mean(np.argmax(logits, axis=1) == labels))
+    return np.array(accuracies)
 
 
 class TestEvaluateAccuracy:
@@ -664,20 +703,111 @@ class TestEvaluateAccuracy:
         accuracy = check_accuracy_against_loop(thetas, ARCH, features, labels)
         assert accuracy[1] == np.mean(labels == 1)
 
-    def test_nan_sample_follows_argmax(self):
-        """A NaN column has no entry equal to its maximum; beside a tied
-        column the block still counts one maximal entry per column, and its
-        hits are argmax's."""
-        theta = np.zeros((1, ARCH.param_count))
-        theta[0, -3:] = (1.0, 5.0, 5.0)
-        features = np.zeros((2, 8))
-        features[0, 0] = np.nan
-        accuracy = evaluate_accuracy(
-            ModelParams(theta, ARCH), features, np.array([0, 1])
-        )
-        assert accuracy.tolist() == [1.0]
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, value):
+        rng = np.random.default_rng(66)
+        params = random_model(rng)
+        features, labels, _ = random_batch(rng, batch=4)
+        features[2, 3] = value
+        with pytest.raises(ValueError, match="finite"):
+            forward_pass(params, features, [4])
+        with pytest.raises(ValueError, match="finite"):
+            loss_and_grad(params, features, labels, [4], None, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_accuracy(params, features, labels)
 
-    @pytest.mark.parametrize("models", [1, BLOCK - 1, BLOCK, BLOCK + 1, 50])
+    def test_float32_tanh_stays_within_the_allowance(self):
+        """The margin allows numpy's float32 tanh an absolute error of
+        learner._TANH32 = 8 * 2^-24: checked on a dense grid over [-20, 20],
+        every 4099th float32 up to the largest and every 97th subnormal, of
+        both signs."""
+        grid = np.linspace(-20.0, 20.0, 1_000_001).astype(np.float32)
+        spread = np.arange(1, 0x7F800000, 4099, dtype=np.uint32).view(np.float32)
+        subnormal = np.arange(1, 0x00800000, 97, dtype=np.uint32).view(np.float32)
+        x = np.concatenate((grid, spread, -spread, subnormal, -subnormal))
+        got = np.tanh(x)
+        error = np.abs(got.astype(np.float64) - np.tanh(x.astype(np.float64)))
+        assert error.max() <= learner._TANH32
+        assert np.abs(got).max() <= 1.0
+
+    @pytest.mark.parametrize("classes, models", [(3, BLOCK + 1), (10, 2 * BLOCK + 3)])
+    def test_near_ties_are_rescored(self, classes, models):
+        """Float32 logits alone get some of these stacks' accuracies wrong,
+        so matching the loop exactly needs the float64 re-score."""
+        arch = Architecture(feature_dim=8, hidden_dim=32, num_classes=classes)
+        rng = np.random.default_rng([67, classes])
+        features, labels, _ = random_batch(rng, arch, batch=600)
+        thetas = near_tie_stack(rng, arch, models)
+        accuracy = check_accuracy_against_loop(thetas, arch, features, labels)
+        assert np.any(float32_accuracy(thetas, arch, features, labels) != accuracy)
+
+    def test_float32_overflow_is_rescored(self):
+        """Entries of about 1e39 are finite in float64 but overflow float32;
+        their models are scored in float64. In model BLOCK, which opens the
+        second block, W1 = 0 and b1 = (1e-10, 20, 0, ...) give hidden units
+        (1e-10, 1, 0, ...), and W2 = 1e39 from unit 0 to class 0 and 1e30
+        from unit 1 to class 1 give logits (1e29, 1e30, 0), so class 1; in
+        float32 class 0's logit is inf, and only the model's inf margin
+        sends its samples to the float64 re-score."""
+        f, h = ARCH.feature_dim, ARCH.hidden_dim
+        rng = np.random.default_rng(68)
+        features, labels, _ = random_batch(rng, batch=600)
+        thetas = 2.0 * rng.standard_normal((BLOCK + 2, ARCH.param_count))
+        thetas[0] *= 1e39  # every layer
+        thetas[1, -(h * 3 + 3) :] *= 1e39  # W2 and b2 only
+        thetas[BLOCK] = 0.0
+        thetas[BLOCK, f * h : f * h + 2] = (1e-10, 20.0)
+        w2 = thetas[BLOCK, (f + 1) * h : (f + 1) * h + 3 * h].reshape(h, 3)
+        w2[0, 0], w2[1, 1] = 1e39, 1e30
+        accuracy = check_accuracy_against_loop(thetas, ARCH, features, labels)
+        assert accuracy[BLOCK] == np.mean(labels == 1)
+        wrong = float32_accuracy(thetas[BLOCK : BLOCK + 1], ARCH, features, labels)
+        assert wrong[0] == np.mean(labels == 0)
+
+    def test_float64_overflow_follows_argmax(self):
+        """Entries of 1e308 overflow float64 too. With W1 at 1e308 and b1 at
+        0, a sample of twos has hidden units tanh(inf) = 1, one of minus twos
+        -1 and one of zeros 0; W2's columns 1 and 2 at 1e308 and column 0 at
+        1 then give logits (32, inf, inf), (-32, -inf, -inf) and b2 =
+        (0, 1, 2), whatever the order of the sums: predictions 1 (the first
+        of two infs), 0 and 2."""
+        f, h = ARCH.feature_dim, ARCH.hidden_dim
+        theta = np.zeros((1, ARCH.param_count))
+        theta[0, : f * h] = 1e308
+        w2 = theta[0, (f + 1) * h : (f + 1) * h + 3 * h].reshape(h, 3)
+        w2[:, 0] = 1.0
+        w2[:, 1:] = 1e308
+        theta[0, -3:] = (0.0, 1.0, 2.0)
+        rng = np.random.default_rng(69)
+        pick = rng.integers(0, 3, size=600)
+        features = np.array([2.0, -2.0, 0.0])[pick, None] * np.ones(f)
+        labels = rng.integers(0, 3, size=600)
+        thetas = np.vstack((2.0 * rng.standard_normal((1, ARCH.param_count)), theta))
+        with np.errstate(over="ignore"):
+            accuracy = check_accuracy_against_loop(thetas, ARCH, features, labels)
+        assert accuracy[1] == np.mean(labels == np.array([1, 0, 2])[pick])
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.floats(-3.0, 3.0),
+        classes=st.sampled_from([2, 3, 10]),
+        models=st.integers(1, BLOCK + 2),
+    )
+    def test_matches_loop_at_every_scale(self, seed, exponent, classes, models):
+        """theta scaled by 1e-3 to 1e3: tiny logits, saturated hidden layers,
+        and margins from far below to far above the logits' spread."""
+        arch = Architecture(feature_dim=8, hidden_dim=32, num_classes=classes)
+        rng = np.random.default_rng(seed)
+        features, labels, _ = random_batch(rng, arch, batch=600)
+        thetas = 10.0**exponent * rng.standard_normal((models, arch.param_count))
+        check_accuracy_against_loop(thetas, arch, features, labels)
+
+    @pytest.mark.parametrize(
+        "models",
+        [1, BLOCK // 2 - 1, BLOCK // 2, BLOCK // 2 + 1]
+        + [BLOCK - 1, BLOCK, BLOCK + 1, 50],
+    )
     def test_stacks_across_block_boundaries(self, models):
         rng = np.random.default_rng([62, models])
         features, labels, _ = random_batch(rng, batch=600)
@@ -693,11 +823,11 @@ class TestEvaluateAccuracy:
         check_accuracy_against_loop(thetas, arch, features, labels)
 
     def test_verify_stack_matches_loop(self):
-        """The shape of `airfd verify`'s accuracy_matches_loop: 9 models of
-        five features and three classes on 600 samples."""
+        """The shape of `airfd verify`'s accuracy_matches_loop: a block and
+        one more model of five features and three classes on 600 samples."""
         arch = Architecture(feature_dim=5, hidden_dim=32, num_classes=3)
         rng = np.random.default_rng(64)
-        thetas = 2.0 * rng.standard_normal((9, arch.param_count))
+        thetas = 2.0 * rng.standard_normal((BLOCK + 1, arch.param_count))
         features = rng.standard_normal((600, 5))
         labels = rng.integers(0, 3, size=600)
         check_accuracy_against_loop(thetas, arch, features, labels)
