@@ -49,6 +49,8 @@ from .knowledge import (
 )
 from .learner import (
     Architecture,
+    Batch,
+    EvalSet,
     ForwardPass,
     LearnerConfig,
     ModelParams,
@@ -473,18 +475,14 @@ def dump_config(config: ExperimentConfig) -> str:
 
 
 def generate_knowledge(
-    params: ModelParams,
-    features: np.ndarray,
-    labels: np.ndarray,
-    sizes: np.ndarray,
+    params: ModelParams, batch: Batch
 ) -> tuple[KnowledgeSet, ForwardPass]:
     """Every device's per-class average soft predictions, from one forward
-    pass of the batch: the (M, P) models, the (S, F) features and (S,)
-    labels of every device's samples in device order, and the (M,) device
-    sizes. Also returns the forward pass, which `train_round` reuses for the
-    full-batch loss while the parameters are unchanged."""
-    forward = forward_pass(params, features, sizes)
-    q = knowledge_vectors(forward.probs, labels, sizes)
+    pass of the (M, P) models on their batch. Also returns the forward
+    pass, which `train_round` reuses for the full-batch loss while the
+    parameters are unchanged."""
+    forward = forward_pass(params, batch)
+    q = knowledge_vectors(forward.probs, batch.cells, batch.counts)
     return KnowledgeSet(q=q), forward
 
 
@@ -572,10 +570,14 @@ def _run_trial(
     rounds, zeta = lrn.rounds, cha.csi_quality
     noise_var = cha.noise_variance
 
+    # Both sets are checked and laid out once, for every round of the trial.
     train = synthesize_dataset(spec, substream(seed, "data", trial))
-    test = synthesize_dataset(
-        replace(spec, num_samples=spec.test_samples),
-        substream(seed, "testdata", trial),
+    test = EvalSet(
+        arch,
+        *synthesize_dataset(
+            replace(spec, num_samples=spec.test_samples),
+            substream(seed, "testdata", trial),
+        ),
     )
     part, order = partition(
         train,
@@ -584,10 +586,10 @@ def _run_trial(
         config.dirichlet_param,
         substream(seed, "partition", trial),
     )
-    # The training set in device order: device i holds the next sizes[i]
-    # samples, as the learner's batches and knowledge_vectors read them.
-    features, labels = train.features[order], train.labels[order]
-    sizes = part.per_wd_totals
+    # The training set in device order: device i holds the next B_i samples.
+    batch = Batch(
+        arch, train.features[order], train.labels[order], part.per_wd_totals
+    )
     distances = sample_distances(cha, substream(seed, "distance", trial))
     amplitudes = np.sqrt([path_loss(d, cha) for d in distances])
     unit_config = replace(
@@ -631,9 +633,7 @@ def _run_trial(
             ).reshape(num_wds, num_classes, num_classes, cha.num_antennas)
 
         for method in config.methods:
-            knowledge, forward = generate_knowledge(
-                params[method], features, labels, sizes
-            )
+            knowledge, forward = generate_knowledge(params[method], batch)
             plan = None
             if method == "error_free":
                 target = global_target(knowledge, part)
@@ -659,9 +659,7 @@ def _run_trial(
             )
             params[method], losses = train_round(
                 params[method],
-                features,
-                labels,
-                sizes,
+                batch,
                 target,
                 lrn,
                 t,
@@ -670,9 +668,7 @@ def _run_trial(
             )
             del forward  # spent by train_round
             if t % config.eval_every == 0 or t == rounds - 1:
-                accuracies = evaluate_accuracy(
-                    params[method], test.features, test.labels
-                )
+                accuracies = evaluate_accuracy(params[method], test)
                 accuracy[method] = float(np.mean(accuracies))
 
             if plan is None:
@@ -953,10 +949,11 @@ def _verify_instance(seed: int, index: int) -> list[tuple[str, bool, str]]:
     labels = rng.integers(0, num_classes, size=12)
     shared = rng.dirichlet(np.ones(num_classes), size=num_classes)
 
+    batch = Batch(arch, features, labels, [12])
+
     def device_loss_and_grad(theta):  # one device holding all 12 samples
         loss, grad = loss_and_grad(
-            ModelParams(theta=theta[None], arch=arch), features, labels, [12],
-            shared, 0.7,
+            ModelParams(theta=theta[None], arch=arch), batch, shared, 0.7
         )
         return loss[0], grad[0]
 
@@ -987,7 +984,9 @@ def _verify_instance(seed: int, index: int) -> list[tuple[str, bool, str]]:
     b2[:, 1:2] *= 1.0 + eps
     features = rng.standard_normal((600, 5))
     labels = rng.integers(0, num_classes, size=600)
-    fast = evaluate_accuracy(ModelParams(theta=stack, arch=arch), features, labels)
+    fast = evaluate_accuracy(
+        ModelParams(theta=stack, arch=arch), EvalSet(arch, features, labels)
+    )
     slow = accuracy_loop(stack, features, labels, arch.hidden_dim, num_classes)
     wrong = int(np.count_nonzero(fast != slow))
     checks.append(

@@ -20,6 +20,7 @@ __all__ = [
     "DatasetPartition",
     "KnowledgeSet",
     "transmit_active_mask",
+    "class_cells",
     "knowledge_vectors",
     "global_target",
 ]
@@ -163,16 +164,54 @@ def transmit_active_mask(
     return partition.active_mask & (stds >= Q_HAT_FLOOR)
 
 
+def class_cells(
+    labels: np.ndarray, sizes: np.ndarray, num_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's (device, class) cell and each cell's sample count.
+
+    Args:
+        labels: (S,) integer labels in [0, K) of every device's samples,
+            device 0's first.
+        sizes: (M,) nonnegative integer sample counts of the devices, in
+            order, adding up to S.
+        num_classes: K.
+
+    Returns:
+        (cells, counts): the (S,) cells i * K + k of device i's class-k
+        samples, and the (M, K) counts B_i^k.
+    """
+    labels, sizes = np.asarray(labels), np.asarray(sizes)
+    if (
+        labels.ndim != 1
+        or sizes.ndim != 1
+        or not np.issubdtype(sizes.dtype, np.integer)
+        or np.any(sizes < 0)
+        or sizes.sum() != labels.size
+    ):
+        raise ValueError(
+            "each device needs a nonnegative integer size, and the sizes "
+            "must add up to the labels"
+        )
+    # Booleans are not integers here: they would count as classes 0 and 1.
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
+    if np.any(labels < 0) or np.any(labels >= num_classes):
+        raise ValueError("labels must lie in [0, K)")
+    cells = np.repeat(np.arange(sizes.size) * num_classes, sizes) + labels
+    counts = np.bincount(cells, minlength=sizes.size * num_classes)
+    return cells, counts.reshape(sizes.size, num_classes)
+
+
 def knowledge_vectors(
-    outputs: np.ndarray, labels: np.ndarray, sizes: np.ndarray
+    outputs: np.ndarray, cells: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
     """Average soft predictions per device and class.
 
     Args:
         outputs: (S, K) softmax outputs of every device's samples, device 0's
             first.
-        labels: (S,) labels, in [0, K), of the same samples in the same order.
-        sizes: (M,) sample counts of the devices, in order, adding up to S.
+        cells, counts: class_cells of the same samples' labels and the
+            devices' sizes.
 
     Returns:
         (M, K, K) array whose [i, k] row is device i's class-k knowledge
@@ -182,27 +221,14 @@ def knowledge_vectors(
         weight).
     """
     outputs = np.asarray(outputs, dtype=np.float64)
-    labels, sizes = np.asarray(labels), np.asarray(sizes)
-    if (
-        outputs.ndim != 2
-        or labels.shape != outputs.shape[:1]
-        or sizes.ndim != 1
-        or np.any(sizes < 0)
-        or sizes.sum() != labels.size
-    ):
-        raise ValueError(
-            "each device needs one K-wide output row per label, and the "
-            "sizes must add up to the labels"
-        )
-    num_wds, num_classes = sizes.size, outputs.shape[1]
-    if np.any(labels < 0) or np.any(labels >= num_classes):
-        raise ValueError("labels must lie in [0, K)")
+    num_wds, num_classes = counts.shape
+    if outputs.shape != (cells.size, num_classes):
+        raise ValueError("each sample's cell needs one K-wide output row")
     # Cell i * K + k holds device i's class-k samples; bincount adds each
     # cell's entries in sample order, starting from 0.0. There is one
     # bincount per output entry: a single one over (cell, entry) bins would
     # need a S*K index array, which made it slower.
-    cells = np.repeat(np.arange(num_wds) * num_classes, sizes) + labels
-    counts = np.bincount(cells, minlength=num_wds * num_classes)
+    counts = counts.reshape(-1)
     sums = np.stack(
         [
             np.bincount(cells, weights=entry, minlength=counts.size)

@@ -5,10 +5,17 @@ knowledge vector, under a diminishing step-size schedule.
 
 Models are held one way only: the M devices' models are the rows of one
 (M, P) stack, ModelParams.theta, from init_params to evaluate_accuracy, and
-a single model is a stack of one. The forward pass, the loss and gradient,
-and a training round take every device at once, as one ragged batch: that
-stack, the devices' samples concatenated in device order as (S, F) features
-and (S,) labels, and the (M,) device sizes. Element-wise work (tanh, the
+a single model is a stack of one. Data are held as checked read-only
+records, built once per trial: a Batch is the training set of every device,
+the devices' samples concatenated in device order as (S, F) features and
+(S,) labels with the (M,) device sizes, and an EvalSet is a test set laid
+out for evaluate_accuracy. Each record checks its arrays once, when it is
+built, and holds what every round would otherwise derive again from them,
+so a round's call checks only what can change between calls: the models
+against the record's architecture, the target and the cache.
+
+The forward pass, the loss and gradient, and a training round take every
+device at once, as one ragged batch. Element-wise work (tanh, the
 log-softmax, the softmax, the distillation residual, 1 - h**2) runs once
 over all S rows. Only the matrix products, the bias adds and the per-device
 reductions (loss means, distillation sums, bias gradients) loop, over runs of
@@ -24,15 +31,19 @@ are the float64 argmax's (see its docstring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .knowledge import class_cells
 
 __all__ = [
     "Architecture",
     "ModelParams",
     "LearnerConfig",
+    "Batch",
+    "EvalSet",
     "ForwardPass",
     "init_params",
     "forward_pass",
@@ -151,8 +162,14 @@ def init_params(
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """The log-softmax of each row, computed in the logits' buffer."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    """The log-softmax of each row, computed in the logits' buffer.
+
+    The row maximum is taken from a column-major copy, along whose rows
+    numpy reduces a narrow (S, K) array several times faster. A maximum is
+    exact in any order, and a tie of +0 and -0 gives the same log-softmax
+    whichever it returns, so the bits do not change. The sum keeps its
+    row-major order, because another order changes its bits."""
+    logits -= np.asfortranarray(logits).max(axis=-1, keepdims=True)
     logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
     return logits
 
@@ -181,7 +198,7 @@ class _Run(NamedTuple):
     size: int  # B
 
 
-def _runs(sizes: np.ndarray) -> list[_Run]:
+def _runs(sizes: np.ndarray) -> tuple[_Run, ...]:
     """The runs of a batch's (M,) sizes, in device order."""
     firsts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist()]
     ends = [*firsts[1:], len(sizes)]
@@ -191,7 +208,7 @@ def _runs(sizes: np.ndarray) -> list[_Run]:
         rows = slice(row, row + count * size)
         runs.append(_Run(slice(first, end), rows, count, size))
         row += count * size
-    return runs
+    return tuple(runs)
 
 
 def _stacked(array: np.ndarray, run: _Run) -> np.ndarray:
@@ -200,63 +217,114 @@ def _stacked(array: np.ndarray, run: _Run) -> np.ndarray:
 
 
 def _checked_features(arch: Architecture, features: np.ndarray) -> np.ndarray:
-    """The samples' features as a finite (S, F) float64 array."""
-    features = np.asarray(features, dtype=np.float64)
+    """A read-only copy of the samples' features as a finite (S, F) float64
+    array."""
+    features = np.array(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != arch.feature_dim:
         raise ValueError(
             f"features must be (S, {arch.feature_dim}), got {features.shape}"
         )
     if not np.isfinite(features).all():
         raise ValueError("features must be finite")
+    features.setflags(write=False)
     return features
 
 
 def _checked_labels(
     arch: Architecture, labels: np.ndarray, samples: int
 ) -> np.ndarray:
-    """One label in [0, K) per sample of a non-empty batch."""
-    labels = np.asarray(labels)
+    """A read-only copy of one integer label in [0, K) per sample of a
+    non-empty set."""
+    labels = np.array(labels)
     if labels.shape != (samples,):
         raise ValueError("labels must be (S,), one per sample")
     if samples == 0:
-        raise ValueError("the batch must hold at least one sample")
+        raise ValueError("the set must hold at least one sample")
+    # Booleans are not integers here: they would be scored as classes 0, 1.
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
     if labels.min() < 0 or labels.max() >= arch.num_classes:
         raise ValueError("labels must lie in [0, K)")
+    labels.setflags(write=False)
     return labels
 
 
-def _checked_runs(params: ModelParams, sizes: np.ndarray, samples: int) -> list[_Run]:
-    """The runs of a (M, P) stack whose M devices hold sizes[i] >= 1 of the
-    batch's samples each, in order."""
-    sizes = np.asarray(sizes)
-    if sizes.shape != params.theta.shape[:1]:
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """The training set of M devices as one checked, read-only ragged batch:
+    their samples concatenated in device order, and what every round reads
+    of them, derived once.
+
+    Attributes:
+        arch: The architecture of the models the batch feeds.
+        features: (S, F) finite float64 features, device 0's first.
+        labels: (S,) integer labels in [0, K) of the same samples.
+        sizes: (M,) sample counts (>= 1) of the devices, in order, adding
+            up to S.
+        runs: The runs of consecutive devices with the same size.
+        picked: Each sample's (row, label) entry of an (S, K) array.
+        cells: (S,) each sample's (device, class) cell, i * K + k, and
+        counts: (M, K) each cell's sample count (knowledge.class_cells).
+    """
+
+    arch: Architecture
+    features: np.ndarray
+    labels: np.ndarray
+    sizes: np.ndarray
+    runs: tuple[_Run, ...] = field(init=False)
+    picked: tuple[np.ndarray, np.ndarray] = field(init=False)
+    cells: np.ndarray = field(init=False)
+    counts: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        features = _checked_features(self.arch, self.features)
+        samples = len(features)
+        labels = _checked_labels(self.arch, self.labels, samples)
+        sizes = np.array(self.sizes)
+        if not np.issubdtype(sizes.dtype, np.integer) or np.any(sizes < 1):
+            raise ValueError("every device must hold at least one sample")
+        # class_cells also checks that the sizes are (M,) and add up to S.
+        cells, counts = class_cells(labels, sizes, self.arch.num_classes)
+        rows = np.arange(samples)
+        for array in (sizes, rows, cells, counts):
+            array.setflags(write=False)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "runs", _runs(sizes))
+        object.__setattr__(self, "picked", (rows, labels))
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "counts", counts)
+
+    def __len__(self) -> int:
+        """The number of samples, S."""
+        return len(self.labels)
+
+
+def _check_models(params: ModelParams, batch: Batch) -> None:
+    """Check that the (M, P) models are M devices of the batch's
+    architecture."""
+    if params.arch != batch.arch:
+        raise ValueError("the models and the batch have different architectures")
+    if len(params.theta) != len(batch.sizes):
         raise ValueError("a batch of M models needs (M,) sizes")
-    if not np.issubdtype(sizes.dtype, np.integer) or np.any(sizes < 1):
-        raise ValueError("every device must hold at least one sample")
-    if sizes.sum() != samples:
-        raise ValueError("the sizes must add up to the batch's samples")
-    return _runs(sizes)
 
 
-def forward_pass(
-    params: ModelParams, features: np.ndarray, sizes: np.ndarray
-) -> ForwardPass:
-    """Hidden activations, log-softmax and softmax outputs of a batch: the
-    (M, P) models of M devices, their (S, F) samples in device order and
-    their (M,) sizes. The softmax rows are positive and sum to 1 within
-    1e-12 for finite parameters."""
-    arch = params.arch
-    features = _checked_features(arch, features)
-    runs = _checked_runs(params, sizes, len(features))
+def forward_pass(params: ModelParams, batch: Batch) -> ForwardPass:
+    """Hidden activations, log-softmax and softmax outputs of the (M, P)
+    models of M devices on their batch. The softmax rows are positive and
+    sum to 1 within 1e-12 for finite parameters."""
+    _check_models(params, batch)
+    arch, features = params.arch, batch.features
     w1, b1, w2, b2 = _unpack(params.theta, arch)
     hidden = np.empty((len(features), arch.hidden_dim))
     logits = np.empty((len(features), arch.num_classes))
-    for run in runs:
+    for run in batch.runs:
         out = _stacked(hidden, run)
         np.matmul(_stacked(features, run), w1[run.devices], out=out)
         out += b1[run.devices, None, :]
     np.tanh(hidden, out=hidden)
-    for run in runs:
+    for run in batch.runs:
         out = _stacked(logits, run)
         np.matmul(_stacked(hidden, run), w2[run.devices], out=out)
         out += b2[run.devices, None, :]
@@ -265,13 +333,9 @@ def forward_pass(
 
 
 class _Loss(NamedTuple):
-    """The per-device mean losses of a checked batch and what its gradient
-    reuses."""
+    """The per-device mean losses of a batch and what its gradient reuses."""
 
     value: np.ndarray  # (M,)
-    features: np.ndarray
-    runs: list[_Run]
-    picked: tuple[np.ndarray, np.ndarray]  # each sample's (row, label) entry
     hidden: np.ndarray
     probs: np.ndarray  # (S, K), in the forward pass's own buffer
     residual: np.ndarray | None  # probs - knowledge[labels]; None if unused
@@ -279,20 +343,15 @@ class _Loss(NamedTuple):
 
 def _loss(
     params: ModelParams,
-    features: np.ndarray,
-    labels: np.ndarray,
-    sizes: np.ndarray,
+    batch: Batch,
     knowledge: np.ndarray,
     distill_weight: float,
     cache: ForwardPass | None,
 ) -> _Loss:
-    """Check the batch and compute each device's mean loss (see
-    loss_and_grad)."""
-    arch = params.arch
-    features = _checked_features(arch, features)
-    samples = len(features)
-    labels = _checked_labels(arch, labels, samples)
-    runs = _checked_runs(params, sizes, samples)
+    """Check the models, the target and the cache against the batch and
+    compute each device's mean loss (see loss_and_grad)."""
+    _check_models(params, batch)
+    arch, samples = params.arch, len(batch)
     if not 0.0 <= distill_weight < np.inf:  # written so that a NaN fails it
         raise ValueError("distill_weight must be finite and nonnegative")
     if distill_weight > 0:
@@ -306,23 +365,23 @@ def _loss(
             raise ValueError("knowledge rows must be finite")
 
     if cache is None:
-        cache = forward_pass(params, features, sizes)
-    elif (cache.hidden.shape, cache.probs.shape) != (
+        cache = forward_pass(params, batch)
+    elif (cache.hidden.shape, cache.log_probs.shape, cache.probs.shape) != (
         (samples, arch.hidden_dim),
+        (samples, arch.num_classes),
         (samples, arch.num_classes),
     ):
         raise ValueError("cache does not match the batch and the architecture")
-    picked = (np.arange(samples), labels)
-    log_likelihood = cache.log_probs[picked]
+    log_likelihood = cache.log_probs[batch.picked]
     residual = None
     if distill_weight > 0:
-        residual = knowledge[labels]
+        residual = knowledge[batch.labels]
         np.subtract(cache.probs, residual, out=residual)  # (S, K)
     # Each device's sums run over its own contiguous entries, as they would
     # for its samples alone; a mean is that sum over the count.
-    sizes = np.asarray(sizes)
+    sizes = batch.sizes
     log_likelihoods = np.empty(sizes.shape)
-    for run in runs:
+    for run in batch.runs:
         log_likelihoods[run.devices] = np.add.reduce(
             _stacked(log_likelihood, run), axis=-1
         )
@@ -330,19 +389,17 @@ def _loss(
     if residual is not None:
         squares = np.square(residual)
         distances = np.empty(sizes.shape)
-        for run in runs:
+        for run in batch.runs:
             distances[run.devices] = np.add.reduce(
                 _stacked(squares, run).reshape(run.count, -1), axis=-1
             )
         loss += distill_weight * (distances / sizes)
-    return _Loss(loss, features, runs, picked, cache.hidden, cache.probs, residual)
+    return _Loss(loss, cache.hidden, cache.probs, residual)
 
 
 def loss_and_grad(
     params: ModelParams,
-    features: np.ndarray,
-    labels: np.ndarray,
-    sizes: np.ndarray,
+    batch: Batch,
     knowledge: np.ndarray,
     distill_weight: float,
     *,
@@ -359,13 +416,11 @@ def loss_and_grad(
 
     Args:
         params: The (M, P) models of M devices.
-        features: (S, F) sample features, device 0's first.
-        labels: (S,) integer labels in [0, K) of the same samples.
-        sizes: (M,) sample counts (>= 1) of the devices, in order.
+        batch: The M devices' samples.
         knowledge: (K, K) real matrix; row v is the shared soft-prediction
             target for class v. Ignored when distill_weight == 0 (may be None).
         distill_weight: Nonnegative regularizer weight.
-        cache: The forward pass of these models on these features, reused
+        cache: The forward pass of these models on this batch, reused
             instead of being recomputed (the result is bit-identical either
             way). Its buffers hold the gradient's intermediates afterwards,
             so it is spent.
@@ -373,7 +428,7 @@ def loss_and_grad(
     Returns:
         (loss, gradient): a (M,) array and a (M, P) array.
     """
-    loss = _loss(params, features, labels, sizes, knowledge, distill_weight, cache)
+    loss = _loss(params, batch, knowledge, distill_weight, cache)
     arch, probs, hidden = params.arch, loss.probs, loss.hidden
 
     if loss.residual is not None:
@@ -383,7 +438,7 @@ def loss_and_grad(
         weighted -= probs * weighted.sum(axis=-1, keepdims=True)
         weighted *= 2.0 * distill_weight
     d_logits = probs  # the softmax outputs are not read again
-    d_logits[loss.picked] -= 1.0
+    d_logits[batch.picked] -= 1.0
     if loss.residual is not None:
         d_logits += weighted
 
@@ -391,7 +446,7 @@ def loss_and_grad(
     grad = np.empty(params.theta.shape)
     grad_w1, grad_b1, grad_w2, grad_b2 = _unpack(grad, arch)
     d_hidden = np.empty(hidden.shape)
-    for run in loss.runs:
+    for run in batch.runs:
         run_d_logits = _stacked(d_logits, run)
         run_d_logits /= run.size
         np.matmul(
@@ -409,10 +464,10 @@ def loss_and_grad(
     np.square(hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     d_hidden *= hidden
-    for run in loss.runs:
+    for run in batch.runs:
         run_d_hidden = _stacked(d_hidden, run)
         np.matmul(
-            _stacked(loss.features, run).swapaxes(-1, -2),
+            _stacked(batch.features, run).swapaxes(-1, -2),
             run_d_hidden,
             out=grad_w1[run.devices],
         )
@@ -433,9 +488,7 @@ def lr_schedule(t: int, config: LearnerConfig) -> float:
 
 def train_round(
     params: ModelParams,
-    features: np.ndarray,
-    labels: np.ndarray,
-    sizes: np.ndarray,
+    batch: Batch,
     knowledge: np.ndarray,
     config: LearnerConfig,
     round_index: int,
@@ -453,27 +506,24 @@ def train_round(
     shuffles its samples once, drawing its permutation from rng (required)
     in device order, and splits them into E near-equal minibatches
     (np.array_split's), each consuming one step; a device with fewer than E
-    samples takes no step for its empty minibatches. The full-batch loss
-    then needs no gradient. `cache`, the forward pass of `params` on
-    `features`, serves the full-batch loss (and, for a single step, its
-    gradient) in place of a second forward pass; it is spent.
+    samples takes no step for its empty minibatches; each step's
+    minibatches are a Batch of their own, checked as any other. The
+    full-batch loss then needs no gradient. `cache`, the forward pass of
+    `params` on `batch`, serves the full-batch loss (and, for a single
+    step, its gradient) in place of a second forward pass; it is spent.
     """
     eta = lr_schedule(round_index, config)
     if config.local_epochs == 1:
         loss, grad = loss_and_grad(
-            params, features, labels, sizes, knowledge, config.distill_weight,
-            cache=cache,
+            params, batch, knowledge, config.distill_weight, cache=cache
         )
         theta = params.theta - eta * grad
         return ModelParams(theta=theta, arch=params.arch), loss
 
-    loss = _loss(
-        params, features, labels, sizes, knowledge, config.distill_weight, cache
-    ).value
+    loss = _loss(params, batch, knowledge, config.distill_weight, cache).value
     if rng is None:
         raise ValueError("minibatch training (local_epochs > 1) requires rng")
-    features, labels = np.asarray(features), np.asarray(labels)
-    sizes = np.asarray(sizes)
+    sizes = batch.sizes
     starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
     # Every device's shuffle as rows of the batch, and each row's place in it.
     shuffled = np.concatenate([rng.permutation(size) for size in sizes]) + starts
@@ -494,9 +544,12 @@ def train_round(
         ]
         _, grad = loss_and_grad(
             ModelParams(theta=theta[stepping], arch=params.arch),
-            features[take],
-            labels[take],
-            chunk[stepping],
+            Batch(
+                params.arch,
+                batch.features[take],
+                batch.labels[take],
+                chunk[stepping],
+            ),
             knowledge,
             config.distill_weight,
         )
@@ -526,16 +579,13 @@ def _gamma(n: int) -> float:
     return n * _U32 / (1.0 - n * _U32)
 
 
-def _screen_margins(
-    theta: np.ndarray, arch: Architecture, inputs: np.ndarray
-) -> np.ndarray:
-    """Each model's margin for the float32 lead, given the (F + 1, B)
-    transposed features with a row of ones (see evaluate_accuracy)."""
+def _screen_margins(theta: np.ndarray, arch: Architecture, xi: float) -> np.ndarray:
+    """Each model's margin for the float32 lead, given the test set's xi
+    (see evaluate_accuracy)."""
     n1, n2, h = arch.feature_dim + 1, arch.hidden_dim + 1, arch.hidden_dim
     magnitudes = np.abs(theta)
     w1, b1, w2, b2 = _unpack(magnitudes, arch)
     a = np.maximum(w1.max(axis=1), b1)  # (M, H): max_f |[W1 | b1]_fh|
-    xi = np.abs(inputs).sum(axis=0).max()
     dz = _gamma(n1 + 2) * a * xi + 4 * _TINY32 * (n1 * a + xi + 2 * n1)
     gamma2 = _gamma(n2 + 1) * (1 + _TANH32)
     e = np.matmul((dz + _TANH32 + gamma2)[:, None, :], w2)[:, 0]  # (M, K)
@@ -564,17 +614,68 @@ def _float64_predictions(
     return np.argmax(logits, axis=1)
 
 
-def evaluate_accuracy(
-    params: ModelParams, features: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Each of the (M, P) models' fraction of the same (B, F) samples whose
+@dataclass(frozen=True, eq=False)
+class EvalSet:
+    """A test set as one checked, read-only record, laid out once for
+    evaluate_accuracy.
+
+    Attributes:
+        arch: The architecture of the models it scores.
+        labels: (B,) integer labels in [0, K).
+        inputs: (F + 1, B) float64: the finite features transposed, with a
+            row of ones appended, so that a sample is a column.
+        inputs32: inputs cast to float32; a feature beyond float32's range
+            is inf there.
+        xi: max_b ||(x_b, 1)||_1, the largest column sum of |inputs|.
+        picked: (B,) each sample's label entry in a flattened (K, B) block
+            of logits.
+    """
+
+    arch: Architecture
+    features: InitVar[np.ndarray]
+    labels: np.ndarray
+    inputs: np.ndarray = field(init=False)
+    inputs32: np.ndarray = field(init=False)
+    xi: float = field(init=False)
+    picked: np.ndarray = field(init=False)
+
+    def __post_init__(self, features: np.ndarray) -> None:
+        features = _checked_features(self.arch, features)
+        samples = len(features)
+        labels = _checked_labels(self.arch, self.labels, samples)
+        inputs = np.empty((self.arch.feature_dim + 1, samples))
+        inputs[:-1] = features.T
+        inputs[-1] = 1.0
+        # A feature beyond float32's range casts to inf, and xi may overflow
+        # to inf; either leaves the samples to the float64 re-score (see
+        # evaluate_accuracy).
+        with np.errstate(over="ignore"):
+            inputs32 = inputs.astype(np.float32)
+            xi = float(np.abs(inputs).sum(axis=0).max())
+        picked = labels * samples + np.arange(samples)
+        for array in (inputs, inputs32, picked):
+            array.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "inputs32", inputs32)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "picked", picked)
+
+    def __len__(self) -> int:
+        """The number of samples, B."""
+        return len(self.labels)
+
+
+def evaluate_accuracy(params: ModelParams, test: EvalSet) -> np.ndarray:
+    """Each of the (M, P) models' fraction of the test set's B samples whose
     argmax output matches the label, as a (M,) array.
 
     Softmax is monotone, so the prediction is the first index of the largest
     logit, as np.argmax picks it from the float64 logits. The models are
     scored in blocks of g, as many as a float32 hidden layer of
     _EVAL_BLOCK_BYTES holds, feature-major: a sample is a column. The
-    features are transposed once, with a row of ones appended, so a block's
+    test set holds its features transposed, with a row of ones appended
+    (EvalSet.inputs), so a block's
     (g, H, B) hidden layer is one stacked product of its models' [W1^T | b1]
     rows with them, and its (g, K, B) logits one stacked product with W2^T,
     plus b2 as a column. One hidden and one logits buffer serve every block.
@@ -620,24 +721,18 @@ def evaluate_accuracy(
     are unsure. Every comparison is written so that a NaN fails it.
     """
     arch = params.arch
-    features = _checked_features(arch, features)
-    samples = len(features)
-    labels = _checked_labels(arch, labels, samples)
+    if arch != test.arch:
+        raise ValueError("the models and the test set have different architectures")
+    samples, picked = len(test), test.picked
     f, h, k = arch.feature_dim, arch.hidden_dim, arch.num_classes
     models = len(params.theta)
     block = min(models, max(1, _EVAL_BLOCK_BYTES // (4 * h * samples)))
 
-    inputs = np.empty((f + 1, samples))
-    inputs[:f] = features.T
-    inputs[f] = 1.0
     # A finite float64 beyond float32's range casts to inf; such a model's
     # margin is inf.
     with np.errstate(over="ignore", invalid="ignore"):
         w1, b1, w2, b2 = _unpack(params.theta.astype(np.float32), arch)
-        inputs32 = inputs.astype(np.float32)
-        margins = _screen_margins(params.theta, arch, inputs)
-    # Each sample's label entry in a flattened (K, B) block of logits.
-    picked = labels * samples + np.arange(samples)
+        margins = _screen_margins(params.theta, arch, test.xi)
     weights = np.empty((block, h, f + 1), dtype=np.float32)
     hidden = np.empty((block, h, samples), dtype=np.float32)
     logits = np.empty((block, k, samples), dtype=np.float32)
@@ -648,7 +743,7 @@ def evaluate_accuracy(
         weights[:g, :, :f] = w1[first:end].swapaxes(-1, -2)
         weights[:g, :, f] = b1[first:end]
         with np.errstate(over="ignore", invalid="ignore"):
-            layer = np.matmul(weights[:g], inputs32, out=hidden[:g])
+            layer = np.matmul(weights[:g], test.inputs32, out=hidden[:g])
             np.tanh(layer, out=layer)
             out = np.matmul(w2[first:end].swapaxes(-1, -2), layer, out=logits[:g])
             out += b2[first:end, :, None]
@@ -661,8 +756,8 @@ def evaluate_accuracy(
         unsure = np.flatnonzero(~sure.all(axis=0))
         if unsure.size:
             predicted = _float64_predictions(
-                params.theta[first:end], arch, inputs[:, unsure]
+                params.theta[first:end], arch, test.inputs[:, unsure]
             )
-            hit[:, unsure] = predicted == labels[unsure]
+            hit[:, unsure] = predicted == test.labels[unsure]
         hits[first:end] = np.count_nonzero(hit, axis=1)
     return hits / samples

@@ -17,7 +17,7 @@ from airfd.channel import (
     sample_noise,
 )
 from airfd.knowledge import DatasetPartition, KnowledgeSet, global_target
-from airfd.learner import Architecture, init_params, loss_and_grad
+from airfd.learner import Architecture, Batch, init_params, loss_and_grad
 from airfd.metrics import (
     p2_objective,
     phi2_sq_all,
@@ -248,12 +248,11 @@ def test_c07_analytic_gradient_matches_finite_differences():
             np.ones(arch.num_classes), size=arch.num_classes
         )
         gamma = float(rng.uniform(0.0, 2.0))
+        samples = Batch(arch, features, labels, [batch])
 
         def device_loss_and_grad(theta):  # one device holding the batch
             model = replace(params, theta=theta[None])
-            value, grad = loss_and_grad(
-                model, features, labels, [batch], knowledge, gamma
-            )
+            value, grad = loss_and_grad(model, samples, knowledge, gamma)
             return value[0], grad[0]
 
         analytic = device_loss_and_grad(params.theta[0])[1]
@@ -411,9 +410,9 @@ def _final_distillation_loss(config, result) -> float:
             config.dirichlet_param,
             substream(config.seed, "partition", trial),
         )
-        feats, labs = train.features[order], train.labels[order]
-        sizes = part.per_wd_totals
-        knowledge, forward = expcli.generate_knowledge(models, feats, labs, sizes)
+        labs, sizes = train.labels[order], part.per_wd_totals
+        batch = Batch(models.arch, train.features[order], labs, sizes)
+        knowledge, forward = expcli.generate_knowledge(models, batch)
         target = global_target(knowledge, part)
         squares = np.sum((forward.probs - target[labs]) ** 2, axis=1)
         per_wd = [

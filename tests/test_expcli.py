@@ -29,6 +29,8 @@ from airfd.channel import ChannelState
 from airfd.knowledge import DatasetPartition, KnowledgeSet, global_target
 from airfd.learner import (
     Architecture,
+    Batch,
+    EvalSet,
     LearnerConfig,
     ModelParams,
     evaluate_accuracy,
@@ -129,7 +131,7 @@ def test_zero_separation_accuracy_is_chance_level():
     data = synthesize_dataset(spec, substream(5, "data", 0))
     arch = Architecture(feature_dim=8, hidden_dim=16, num_classes=3)
     model = init_params(arch, [substream(5, "init", 0)])
-    (accuracy,) = evaluate_accuracy(model, data.features, data.labels)
+    (accuracy,) = evaluate_accuracy(model, EvalSet(arch, *data))
     assert abs(accuracy - 1.0 / 3.0) < 0.03
 
 
@@ -143,11 +145,10 @@ def test_large_separation_centralized_model_learns():
     config = LearnerConfig(distill_weight=0.0, init_lr=0.2, rounds=100)
     params = init_params(arch, [substream(3, "init", 0)])
     unused = np.full((3, 3), 1.0 / 3.0)
+    batch = Batch(arch, train.features, train.labels, [300])
     for t in range(config.rounds):
-        params, _ = train_round(
-            params, train.features, train.labels, [300], unused, config, t
-        )
-    (accuracy,) = evaluate_accuracy(params, test.features, test.labels)
+        params, _ = train_round(params, batch, unused, config, t)
+    (accuracy,) = evaluate_accuracy(params, EvalSet(arch, *test))
     assert accuracy > 0.95
 
 
@@ -188,21 +189,25 @@ def test_generate_knowledge_matches_oracle_and_returns_forward_passes():
     spec = make_spec(num_samples=90)
     data = synthesize_dataset(spec, substream(3, "data", 0))
     part, order = partition(data, "dirichlet", 6, 0.1, substream(3, "p", 0))
-    feats, labs, sizes = data.features[order], data.labels[order], part.per_wd_totals
     arch = Architecture(feature_dim=8, hidden_dim=5, num_classes=3)
+    batch = Batch(
+        arch, data.features[order], data.labels[order], part.per_wd_totals
+    )
+    assert np.array_equal(batch.counts, part.counts)
     params = init_params(arch, [substream(3, "init", 0, i) for i in range(6)])
-    knowledge, forward = expcli.generate_knowledge(params, feats, labs, sizes)
+    knowledge, forward = expcli.generate_knowledge(params, batch)
     assert np.any(part.counts == 0)
-    assert np.array_equal(forward.probs, forward_pass(params, feats, sizes).probs)
+    assert np.array_equal(forward.probs, forward_pass(params, batch).probs)
     for i, idx in enumerate(device_indices(part, order)):
         model = ModelParams(params.theta[i : i + 1], arch)
-        probs = forward_pass(model, data.features[idx], [idx.size]).probs
+        device = Batch(arch, data.features[idx], data.labels[idx], [idx.size])
+        probs = forward_pass(model, device).probs
         expected = local_knowledge(
             [probs[data.labels[idx] == k] for k in range(3)], part.counts[i]
         )
         assert np.array_equal(knowledge.q[i], expected)
-    with pytest.raises(ValueError, match="add up"):
-        expcli.generate_knowledge(params, feats, labs, sizes + 1)
+    with pytest.raises(ValueError, match=r"\(M,\) sizes"):
+        expcli.generate_knowledge(ModelParams(params.theta[:5], arch), batch)
 
 
 def test_partition_huge_concentration_is_near_uniform():
@@ -616,6 +621,32 @@ def test_run_experiment_rerun_is_byte_identical(tmp_path):
         assert bytes_a.count(b"\n") == 1 + 2 * 3  # header + trials * rounds
 
 
+def test_a_trial_run_alone_matches_the_same_trial_of_a_run(tmp_path):
+    """No state outlives a trial: trial 1 of a two-trial run equals that
+    trial run alone, bit for bit, in its rows and its final models."""
+    config = config_from_parser(full_small_parser(str(tmp_path)))
+    result = run_experiment(config)
+    assert result.completed_trials == [0, 1]
+    arch = Architecture(
+        feature_dim=config.dataset.feature_dim,
+        hidden_dim=config.hidden_dim,
+        num_classes=config.dataset.num_classes,
+    )
+    peaks = np.full(config.channel.num_wds, config.peak_power)
+    rows, _, finals, _, _ = expcli._run_trial(
+        config, arch, peaks, expcli.a2_coefficient(config.learner), 1
+    )
+    for method in config.methods:
+        in_run = [row for row in result.rows[method] if row.trial == 1]
+        assert [row.to_csv_row() for row in in_run] == [
+            row.to_csv_row() for row in rows[method]
+        ]
+        assert np.array_equal(
+            result.final_params[method][1].theta.view(np.uint64),
+            finals[method].theta.view(np.uint64),
+        )
+
+
 def test_benchmark_rebinding_points_are_called_by_name(tmp_path, monkeypatch):
     """The benchmark (perfbench/) times and counts a run by rebinding these
     names on airfd.expcli while run_experiment runs. Each must stay a module
@@ -651,13 +682,14 @@ def test_benchmark_rebinding_points_are_called_by_name(tmp_path, monkeypatch):
         "RoundMetrics": 4 * method_rounds,
     }
     calls = dict.fromkeys(expected, 0)
-    # perfbench counts a round's trained samples as len(features).
+    # perfbench counts a round's trained samples as the len() of
+    # train_round's second positional argument.
     trained_samples = []
     train = expcli.train_round
 
-    def recording_train(params, features, *args, **kwargs):
-        trained_samples.append(len(features))
-        return train(params, features, *args, **kwargs)
+    def recording_train(params, batch, *args, **kwargs):
+        trained_samples.append(len(batch))
+        return train(params, batch, *args, **kwargs)
 
     monkeypatch.setattr(expcli, "train_round", recording_train)
 
@@ -836,19 +868,19 @@ def reference_error_free_params(config):
         init_params(arch, [substream(seed, "init", 0, i)])
         for i in range(config.channel.num_wds)
     ]
+    batches = [Batch(arch, x, y, [len(y)]) for x, y in zip(feats, labs)]
     for t in range(lrn.rounds):
         q = np.concatenate(
             [
-                expcli.generate_knowledge(model, x, y, [len(y)])[0].q
-                for model, x, y in zip(params, feats, labs)
+                expcli.generate_knowledge(model, batch)[0].q
+                for model, batch in zip(params, batches)
             ]
         )
         target = global_target(KnowledgeSet(q=q), part)
         batch_rng = substream(seed, "batch", 0, t)
         for i in range(config.channel.num_wds):
             params[i], _ = train_round(
-                params[i], feats[i], labs[i], [len(labs[i])], target, lrn, t,
-                batch_rng,
+                params[i], batches[i], target, lrn, t, batch_rng
             )
     return [model.theta[0] for model in params], [len(idx) for idx in indices]
 
@@ -999,9 +1031,8 @@ def test_csv_rows_structure_and_eval_cadence(tmp_path):
         replace(spec, num_samples=spec.test_samples),
         substream(config.seed, "testdata", 0),
     )
-    final = evaluate_accuracy(
-        result.final_params["error_free"][0], test.features, test.labels
-    )
+    finals = result.final_params["error_free"][0]
+    final = evaluate_accuracy(finals, EvalSet(finals.arch, *test))
     assert float(accs[5]) == float(np.mean(final))
 
 

@@ -11,6 +11,7 @@ from airfd.knowledge import (
     Q_HAT_FLOOR,
     DatasetPartition,
     KnowledgeSet,
+    class_cells,
     global_target,
     knowledge_vectors,
     transmit_active_mask,
@@ -120,11 +121,13 @@ def ragged_devices(rng, num_wds, num_classes, concentration=0.1):
 
 def vectors(outputs_by_wd, labels_by_wd):
     """knowledge_vectors of devices given as per-device lists."""
-    return knowledge_vectors(
-        np.concatenate(outputs_by_wd),
+    outputs = np.concatenate(outputs_by_wd)
+    cells = class_cells(
         np.concatenate(labels_by_wd),
         [len(labels) for labels in labels_by_wd],
+        outputs.shape[1],
     )
+    return knowledge_vectors(outputs, *cells)
 
 
 @st.composite
@@ -190,27 +193,43 @@ class TestKnowledgeVectors:
 
     def test_mismatched_outputs_rejected(self):
         outputs, labels = np.full((3, 2), 0.5), np.array([0, 1, 1])
-        with pytest.raises(ValueError, match="per label"):
-            knowledge_vectors(outputs[:2], labels, [2, 1])
-        with pytest.raises(ValueError, match="per label"):
-            knowledge_vectors(outputs[None], labels, [2, 1])
+        cells = class_cells(labels, [2, 1], 2)
+        with pytest.raises(ValueError, match="output row"):
+            knowledge_vectors(outputs[:2], *cells)
+        with pytest.raises(ValueError, match="output row"):
+            knowledge_vectors(outputs[None], *cells)
+        with pytest.raises(ValueError, match="output row"):
+            knowledge_vectors(np.full((3, 3), 1.0 / 3), *cells)
         with pytest.raises(ValueError, match="add up"):
-            knowledge_vectors(outputs, labels, [2, 2])
+            class_cells(labels, [2, 2], 2)
         with pytest.raises(ValueError, match="add up"):
-            knowledge_vectors(outputs, labels, [4, -1])
+            class_cells(labels, [4, -1], 2)
+        with pytest.raises(ValueError, match="integer size"):
+            class_cells(labels, [2.0, 1.0], 2)
 
     def test_devices_without_samples_keep_the_uniform_placeholder(self):
         outputs = np.array([[0.9, 0.1], [0.2, 0.8]])
-        result = knowledge_vectors(outputs, np.array([0, 1]), [0, 2, 0])
+        cells, counts = class_cells(np.array([0, 1]), [0, 2, 0], 2)
+        assert np.array_equal(counts, [[0, 0], [1, 1], [0, 0]])
+        result = knowledge_vectors(outputs, cells, counts)
         assert np.array_equal(result[[0, 2]], np.full((2, 2, 2), 0.5))
         assert np.array_equal(result[1], outputs)
 
     def test_out_of_range_labels_rejected(self):
-        outputs = np.full((3, 3), 1.0 / 3)
         # Label K of device 0 would otherwise land in device 1's class-0 cell.
         for labels in (np.array([0, 3]), np.array([-1, 0])):
             with pytest.raises(ValueError, match="labels"):
-                knowledge_vectors(outputs, np.append(labels, 1), [2, 1])
+                class_cells(np.append(labels, 1), [2, 1], 3)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [np.array([True, False, True]), np.array([0.0, 1.0, 1.0])],
+        ids=["bool", "float"],
+    )
+    def test_non_integer_labels_rejected(self, labels):
+        """Booleans would count as classes 0 and 1; floats cannot index."""
+        with pytest.raises(ValueError, match="labels must be integers"):
+            class_cells(labels, [2, 1], 3)
 
 
 class TestKnowledgeStats:

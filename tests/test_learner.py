@@ -3,6 +3,7 @@ its exact gradient, the step-size schedule, and round-level training of a
 ragged batch of devices."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from airfd import learner
 from airfd.knowledge import knowledge_vectors
 from airfd.learner import (
     Architecture,
+    Batch,
+    EvalSet,
     LearnerConfig,
     ModelParams,
     evaluate_accuracy,
@@ -40,6 +43,14 @@ def random_batch(rng, arch=ARCH, batch=12):
     return features, labels, knowledge
 
 
+def batch_of(features, sizes, labels=None, arch=ARCH):
+    """A Batch of these samples; the labels default to class 0, which a
+    forward pass does not read."""
+    if labels is None:
+        labels = np.zeros(len(features), dtype=np.int64)
+    return Batch(arch, features, labels, sizes)
+
+
 def loop_forward(params, features):
     """Independent single-sample recomputation with explicit loops."""
     f, h, k = params.arch.feature_dim, params.arch.hidden_dim, params.arch.num_classes
@@ -56,6 +67,19 @@ def loop_forward(params, features):
     )
     shift = logits - logits.max()
     return np.exp(shift) / np.exp(shift).sum()
+
+
+def row_major_log_softmax(logits):
+    """The log-softmax of each row with its maximum read in row-major order:
+    the reference for the column-major read in learner._log_softmax."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    return logits
+
+
+# Output biases that tie with each other (zeros of both signs included) and
+# reach 1e300 in size.
+TIED_BIASES = [0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300, 5e-324]
 
 
 def device_pass(theta, arch, features, labels, knowledge, distill_weight):
@@ -180,14 +204,14 @@ class TestArchitectureAndParams:
 class TestForward:
     def test_zero_weights_uniform(self):
         params = ModelParams(theta=np.zeros((1, ARCH.param_count)), arch=ARCH)
-        out = forward_pass(params, np.ones((1, 8)), [1]).probs[0]
+        out = forward_pass(params, batch_of(np.ones((1, 8)), [1])).probs[0]
         np.testing.assert_allclose(out, np.full(3, 1.0 / 3.0), atol=1e-15)
 
     def test_dominant_logit_saturates(self):
         theta = np.zeros((1, ARCH.param_count))
         theta[0, -3] = 50.0  # bias of class 0's logit; hidden activations are 0
         params = ModelParams(theta=theta, arch=ARCH)
-        out = forward_pass(params, np.zeros((1, 8)), [1]).probs[0]
+        out = forward_pass(params, batch_of(np.zeros((1, 8)), [1])).probs[0]
         assert abs(out[0] - 1.0) <= 1e-10
         assert out[1] <= 1e-10 and out[2] <= 1e-10
 
@@ -197,7 +221,7 @@ class TestForward:
         for _ in range(3):
             x = rng.standard_normal(8)
             np.testing.assert_allclose(
-                forward_pass(params, x[None, :], [1]).probs[0],
+                forward_pass(params, batch_of(x[None, :], [1])).probs[0],
                 loop_forward(params, x),
                 rtol=1e-12,
             )
@@ -205,17 +229,62 @@ class TestForward:
     def test_valid_probability_rows(self):
         rng = np.random.default_rng(8)
         params = random_model(rng, scale=3.0)
-        fp = forward_pass(params, rng.standard_normal((50, 8)), [50])
+        fp = forward_pass(params, batch_of(rng.standard_normal((50, 8)), [50]))
         assert np.all(fp.probs > 0)
         np.testing.assert_allclose(fp.probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.array_equal(fp.probs, np.exp(fp.log_probs))
 
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        data=st.data(),
+        classes=st.sampled_from([2, 3, 10]),
+        sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    )
+    def test_log_probs_match_a_row_major_maximum(self, data, classes, sizes):
+        """Bit for bit, on logits with ties and magnitudes up to 1e300: W2
+        is 0 or small, so each device's output biases, drawn from tied values
+        or from [-1e300, 1e300], set its logits."""
+        arch = Architecture(feature_dim=3, hidden_dim=4, num_classes=classes)
+        f, h, k = arch.feature_dim, arch.hidden_dim, classes
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        theta = rng.standard_normal((len(sizes), arch.param_count))
+        for i in range(len(sizes)):
+            scale = data.draw(st.sampled_from([0.0, -0.0, 1e-3, 1.0]))
+            theta[i, (f + 1) * h : (f + 1) * h + h * k] *= scale
+            theta[i, -k:] = data.draw(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from(TIED_BIASES),
+                        st.floats(-1e300, 1e300, allow_nan=False),
+                    ),
+                    min_size=k,
+                    max_size=k,
+                )
+            )
+        params = ModelParams(theta, arch)
+        batch = batch_of(rng.standard_normal((sum(sizes), f)), sizes, arch=arch)
+        forward = forward_pass(params, batch)
+        with mock.patch.object(learner, "_log_softmax", row_major_log_softmax):
+            reference = forward_pass(params, batch)
+        for ours, theirs in zip(forward[1:], reference[1:]):  # log_probs, probs
+            assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+
     def test_dimension_mismatch(self):
         params = random_model(np.random.default_rng(9))
+        features, labels = np.zeros((4, 5)), np.zeros(4, dtype=int)
         with pytest.raises(ValueError, match="features"):
-            forward_pass(params, np.zeros((4, 5)), [4])
+            Batch(ARCH, features, labels, [4])
         with pytest.raises(ValueError, match="features"):
-            evaluate_accuracy(params, np.zeros((4, 5)), np.zeros(4, dtype=int))
+            EvalSet(ARCH, features, labels)
+        # Records of another architecture do not feed these models.
+        other = Architecture(feature_dim=5, hidden_dim=32, num_classes=3)
+        batch = Batch(other, features, labels, [4])
+        with pytest.raises(ValueError, match="architectures"):
+            forward_pass(params, batch)
+        with pytest.raises(ValueError, match="architectures"):
+            loss_and_grad(params, batch, None, 0.0)
+        with pytest.raises(ValueError, match="architectures"):
+            evaluate_accuracy(params, EvalSet(other, features, labels))
 
 
 class TestLossAndGrad:
@@ -223,15 +292,14 @@ class TestLossAndGrad:
         rng = np.random.default_rng(10)
         params = random_model(rng)
         features, labels, _ = random_batch(rng)
-        sizes = [len(labels)]
-        loss, grad = loss_and_grad(params, features, labels, sizes, None, 0.0)
-        probs = forward_pass(params, features, sizes).probs
+        batch = Batch(ARCH, features, labels, [len(labels)])
+        loss, grad = loss_and_grad(params, batch, None, 0.0)
+        probs = forward_pass(params, batch).probs
         expected = -np.mean(np.log(probs[np.arange(len(labels)), labels]))
         assert loss[0] == pytest.approx(expected, rel=1e-12)
         fd = finite_difference_gradient(
             lambda th: loss_and_grad(
-                ModelParams(theta=th[None], arch=ARCH), features, labels, sizes,
-                None, 0.0,
+                ModelParams(theta=th[None], arch=ARCH), batch, None, 0.0
             )[0][0],
             params.theta[0],
         )
@@ -240,11 +308,10 @@ class TestLossAndGrad:
     def test_zero_residual_contributes_nothing(self):
         rng = np.random.default_rng(11)
         params = random_model(rng)
-        x = rng.standard_normal((1, 8))
-        labels = np.array([1])
-        knowledge = np.tile(forward_pass(params, x, [1]).probs[0], (3, 1))
-        loss_active, grad_active = loss_and_grad(params, x, labels, [1], knowledge, 7.0)
-        loss_off, grad_off = loss_and_grad(params, x, labels, [1], knowledge, 0.0)
+        batch = batch_of(rng.standard_normal((1, 8)), [1], np.array([1]))
+        knowledge = np.tile(forward_pass(params, batch).probs[0], (3, 1))
+        loss_active, grad_active = loss_and_grad(params, batch, knowledge, 7.0)
+        loss_off, grad_off = loss_and_grad(params, batch, knowledge, 0.0)
         assert np.array_equal(loss_active, loss_off)
         np.testing.assert_allclose(grad_active, grad_off, atol=1e-15)
 
@@ -254,18 +321,18 @@ class TestLossAndGrad:
         params = random_model(rng)
         features, labels, knowledge = random_batch(rng)
         with pytest.raises(ValueError, match="distill_weight"):
-            loss_and_grad(params, features, labels, [12], knowledge, weight)
+            loss_and_grad(params, batch_of(features, [12], labels), knowledge, weight)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         for trial in range(3):
             params = random_model(rng)
             features, labels, knowledge = random_batch(rng)
-            _, grad = loss_and_grad(params, features, labels, [12], knowledge, 0.7)
+            batch = batch_of(features, [12], labels)
+            _, grad = loss_and_grad(params, batch, knowledge, 0.7)
             fd = finite_difference_gradient(
                 lambda th: loss_and_grad(
-                    ModelParams(theta=th[None], arch=ARCH), features, labels, [12],
-                    knowledge, 0.7,
+                    ModelParams(theta=th[None], arch=ARCH), batch, knowledge, 0.7
                 )[0][0],
                 params.theta[0],
             )
@@ -276,29 +343,41 @@ class TestLossAndGrad:
         rng = np.random.default_rng(13)
         params = random_model(rng)
         features, labels, knowledge = random_batch(rng)
+        batch = batch_of(features, [12], labels)
         with pytest.raises(ValueError, match="knowledge"):
-            loss_and_grad(params, features, labels, [12], knowledge[:2], 0.5)
+            loss_and_grad(params, batch, knowledge[:2], 0.5)
         bad = knowledge.copy()
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            loss_and_grad(params, features, labels, [12], bad, 0.5)
+            loss_and_grad(params, batch, bad, 0.5)
 
     def test_bad_labels_rejected(self):
         rng = np.random.default_rng(14)
-        params = random_model(rng)
-        features, labels, knowledge = random_batch(rng)
+        features, labels, _ = random_batch(rng)
         labels = labels.copy()
         labels[0] = 3
         with pytest.raises(ValueError, match="labels"):
-            loss_and_grad(params, features, labels, [12], knowledge, 0.5)
+            Batch(ARCH, features, labels, [12])
 
     def test_mismatched_cache_rejected(self):
         rng = np.random.default_rng(15)
         params = random_model(rng)
         features, labels, knowledge = random_batch(rng)
-        cache = forward_pass(params, features[:-1], [11])
+        batch = batch_of(features, [12], labels)
+        cache = forward_pass(params, batch_of(features[:-1], [11]))
         with pytest.raises(ValueError, match="cache"):
-            loss_and_grad(params, features, labels, [12], knowledge, 0.5, cache=cache)
+            loss_and_grad(params, batch, knowledge, 0.5, cache=cache)
+
+    def test_cache_log_probs_are_checked(self):
+        """A cache whose log_probs alone has the wrong shape is rejected: on
+        a 4-sample, K = 3 batch, a (4, 5) log_probs of zeros would otherwise
+        give a loss of 0 without complaint."""
+        rng = np.random.default_rng(16)
+        params = random_model(rng)
+        batch = batch_of(rng.standard_normal((4, 8)), [4], np.array([0, 1, 2, 1]))
+        cache = forward_pass(params, batch)._replace(log_probs=np.zeros((4, 5)))
+        with pytest.raises(ValueError, match="cache"):
+            loss_and_grad(params, batch, None, 0.0, cache=cache)
 
 
 class TestSchedule:
@@ -330,14 +409,13 @@ class TestTrainRound:
         rng = np.random.default_rng(30)
         params = random_model(rng)
         features, labels, knowledge = random_batch(rng, batch=40)
+        batch = batch_of(features, [40], labels)
         config = LearnerConfig(distill_weight=0.5, init_lr=1e-4, rounds=10)
         losses = []
         for t in range(6):
-            params, loss = train_round(
-                params, features, labels, [40], knowledge, config, t
-            )
+            params, loss = train_round(params, batch, knowledge, config, t)
             losses.append(loss[0])
-        final_loss, _ = loss_and_grad(params, features, labels, [40], knowledge, 0.5)
+        final_loss, _ = loss_and_grad(params, batch, knowledge, 0.5)
         losses.append(final_loss[0])
         for a, b in zip(losses, losses[1:]):
             assert b <= a + 1e-12
@@ -346,13 +424,14 @@ class TestTrainRound:
         rng = np.random.default_rng(31)
         start = random_model(rng)
         features, labels, _ = random_batch(rng, batch=20)
+        batch = batch_of(features, [20], labels)
         config = LearnerConfig(distill_weight=0.0, init_lr=0.05, rounds=5)
         params = start
         manual = start.theta
         for t in range(4):
-            params, _ = train_round(params, features, labels, [20], None, config, t)
+            params, _ = train_round(params, batch, None, config, t)
             _, grad = loss_and_grad(
-                ModelParams(theta=manual, arch=ARCH), features, labels, [20], None, 0.0
+                ModelParams(theta=manual, arch=ARCH), batch, None, 0.0
             )
             manual = manual - lr_schedule(t, config) * grad
             assert np.array_equal(params.theta, manual)
@@ -364,21 +443,18 @@ class TestTrainRound:
         rng = np.random.default_rng(35)
         params = random_model(rng)
         features, labels, knowledge = random_batch(rng, batch=30)
+        batch = batch_of(features, [30], labels)
         config = LearnerConfig(
             distill_weight=distill_weight, init_lr=0.01, rounds=5, local_epochs=3
         )
         # Reference: the full-batch loss, then one step per minibatch of the
         # same shuffle.
-        expected_loss, _ = loss_and_grad(
-            params, features, labels, [30], knowledge, distill_weight
-        )
+        expected_loss, _ = loss_and_grad(params, batch, knowledge, distill_weight)
         theta = params.theta
         for chunk in np.array_split(np.random.default_rng(5).permutation(30), 3):
             _, grad = loss_and_grad(
                 ModelParams(theta=theta, arch=ARCH),
-                features[chunk],
-                labels[chunk],
-                [10],
+                batch_of(features[chunk], [10], labels[chunk]),
                 knowledge,
                 distill_weight,
             )
@@ -393,8 +469,7 @@ class TestTrainRound:
 
         monkeypatch.setattr(learner, "loss_and_grad", counted)
         trained, loss = train_round(
-            params, features, labels, [30], knowledge, config, 2,
-            np.random.default_rng(5),
+            params, batch, knowledge, config, 2, np.random.default_rng(5)
         )
         assert calls == [10, 10, 10]  # the minibatch steps only
         assert np.array_equal(loss, expected_loss)
@@ -404,22 +479,21 @@ class TestTrainRound:
         rng = np.random.default_rng(32)
         params = random_model(rng)
         features, labels, knowledge = random_batch(rng, batch=30)
+        batch = batch_of(features, [30], labels)
         config = LearnerConfig(
             distill_weight=0.3, init_lr=0.01, rounds=5, local_epochs=3
         )
         with pytest.raises(ValueError, match="rng"):
-            train_round(params, features, labels, [30], knowledge, config, 0)
+            train_round(params, batch, knowledge, config, 0)
         out_a, _ = train_round(
-            params, features, labels, [30], knowledge, config, 0,
-            rng=np.random.default_rng(99),
+            params, batch, knowledge, config, 0, rng=np.random.default_rng(99)
         )
         out_b, _ = train_round(
-            params, features, labels, [30], knowledge, config, 0,
-            rng=np.random.default_rng(99),
+            params, batch, knowledge, config, 0, rng=np.random.default_rng(99)
         )
         assert np.array_equal(out_a.theta, out_b.theta)
         single, _ = train_round(
-            params, features, labels, [30], knowledge,
+            params, batch, knowledge,
             LearnerConfig(distill_weight=0.3, init_lr=0.01, rounds=5), 0,
         )
         assert not np.array_equal(out_a.theta, single.theta)
@@ -434,14 +508,13 @@ class TestTrainRound:
         for t in range(4):
             params = ModelParams(0.5 * rng.standard_normal((2, ARCH.param_count)), ARCH)
             features, labels, knowledge = random_batch(rng, batch=25)
+            batch = batch_of(features, sizes, labels)
             plain, plain_loss = train_round(
-                params, features, labels, sizes, knowledge, config, t,
-                np.random.default_rng(t),
+                params, batch, knowledge, config, t, np.random.default_rng(t)
             )
             cached, cached_loss = train_round(
-                params, features, labels, sizes, knowledge, config, t,
-                np.random.default_rng(t),
-                cache=forward_pass(params, features, sizes),
+                params, batch, knowledge, config, t, np.random.default_rng(t),
+                cache=forward_pass(params, batch),
             )
             assert np.array_equal(cached.theta, plain.theta)
             assert np.array_equal(cached_loss, plain_loss)
@@ -449,9 +522,8 @@ class TestTrainRound:
         # moves it (and, for a single full-batch step, the update too).
         other = ModelParams(0.5 * rng.standard_normal((2, ARCH.param_count)), ARCH)
         foreign, foreign_loss = train_round(
-            params, features, labels, sizes, knowledge, config, t,
-            np.random.default_rng(t),
-            cache=forward_pass(other, features, sizes),
+            params, batch, knowledge, config, t, np.random.default_rng(t),
+            cache=forward_pass(other, batch),
         )
         assert np.all(foreign_loss != plain_loss)
         assert np.array_equal(foreign.theta, plain.theta) == (local_epochs > 1)
@@ -463,34 +535,48 @@ class TestTrainRound:
             thetas = 2.0 * rng.standard_normal((models, ARCH.param_count))
             params = ModelParams(thetas, ARCH)
             features, labels, _ = random_batch(rng, batch=60)
+            batch = batch_of(features, [60], labels)
             expected = [
                 np.mean(
                     np.argmax(
-                        forward_pass(ModelParams(row[None], ARCH), features, [60]).probs,
+                        forward_pass(ModelParams(row[None], ARCH), batch).probs,
                         axis=1,
                     )
                     == labels
                 )
                 for row in params.theta
             ]
-            accuracy = evaluate_accuracy(params, features, labels)
+            accuracy = evaluate_accuracy(params, EvalSet(ARCH, features, labels))
             assert accuracy.shape == (models,)
             assert accuracy.tolist() == expected
 
     def test_accuracy_checks_its_labels(self):
-        params = random_model(np.random.default_rng(36))
         features = np.random.default_rng(37).standard_normal((6, 8))
         labels = np.arange(6) % 3
         # A (B, 1) column would broadcast into a (B, B) comparison.
         with pytest.raises(ValueError, match="labels must be"):
-            evaluate_accuracy(params, features, labels[:, None])
+            EvalSet(ARCH, features, labels[:, None])
         for bad in (-1, 3):
             with pytest.raises(ValueError, match="labels must lie"):
-                evaluate_accuracy(params, features, np.where(labels == 0, bad, labels))
+                EvalSet(ARCH, features, np.where(labels == 0, bad, labels))
         with pytest.raises(ValueError, match="at least one sample"):
-            evaluate_accuracy(params, features[:0], labels[:0])
+            EvalSet(ARCH, features[:0], labels[:0])
         with pytest.raises(ValueError, match="at least one sample"):
-            loss_and_grad(params, features[:0], labels[:0], [0], None, 0.0)
+            Batch(ARCH, features[:0], labels[:0], [0])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [np.array([True, False, True, True]), np.array([0.0, 1.0, 2.0, 1.0])],
+        ids=["bool", "float"],
+    )
+    def test_non_integer_labels_rejected(self, labels):
+        """Booleans would be scored as classes 0 and 1; floats cannot index.
+        Both records reject them when they are built, before any round."""
+        features = np.random.default_rng(38).standard_normal((4, 8))
+        with pytest.raises(ValueError, match="labels must be integers"):
+            EvalSet(ARCH, features, labels)
+        with pytest.raises(ValueError, match="labels must be integers"):
+            Batch(ARCH, features, labels, [4])
 
     def test_accuracy_on_saturated_model(self):
         theta = np.zeros((2, ARCH.param_count))
@@ -499,8 +585,8 @@ class TestTrainRound:
         params = ModelParams(theta=theta, arch=ARCH)
         features = np.zeros((5, 8))
         for label, expected in ((0, [1.0, 0.0]), (1, [0.0, 0.0]), (2, [0.0, 1.0])):
-            labels = np.full(5, label)
-            assert evaluate_accuracy(params, features, labels).tolist() == expected
+            test = EvalSet(ARCH, features, np.full(5, label))
+            assert evaluate_accuracy(params, test).tolist() == expected
 
 
 def check_against_per_device_loop(rng, sizes, arch, config, seed):
@@ -516,16 +602,16 @@ def check_against_per_device_loop(rng, sizes, arch, config, seed):
         np.random.default_rng(seed),
     )
     params = ModelParams(thetas, arch)
-    forward = forward_pass(params, features, sizes)
+    batch = Batch(arch, features, labels, sizes)
+    forward = forward_pass(params, batch)
     assert np.array_equal(forward.probs, outputs)
-    assert np.array_equal(knowledge_vectors(forward.probs, labels, sizes), q)
-    loss, _ = loss_and_grad(
-        params, features, labels, sizes, knowledge, config.distill_weight
-    )
+    q_batch = knowledge_vectors(forward.probs, batch.cells, batch.counts)
+    assert np.array_equal(q_batch, q)
+    loss, _ = loss_and_grad(params, batch, knowledge, config.distill_weight)
     assert np.array_equal(loss, losses)
     stepped, batch_losses = train_round(
-        params, features, labels, sizes, knowledge, config, 2,
-        np.random.default_rng(seed), cache=forward,
+        params, batch, knowledge, config, 2, np.random.default_rng(seed),
+        cache=forward,
     )
     assert np.array_equal(batch_losses, losses)
     assert np.array_equal(stepped.theta, trained)
@@ -591,7 +677,7 @@ class TestStack:
         thetas = 0.5 * rng.standard_normal((len(sizes), ARCH.param_count))
         features, labels, knowledge = random_batch(rng, batch=int(sizes.sum()))
         _, grad = loss_and_grad(
-            ModelParams(thetas, ARCH), features, labels, sizes, knowledge, 0.6
+            ModelParams(thetas, ARCH), batch_of(features, sizes, labels), knowledge, 0.6
         )
         cuts = np.cumsum(sizes)[:-1]
         for theta, g, x, y in zip(
@@ -613,17 +699,35 @@ class TestStack:
         stack = ModelParams(theta=rng.standard_normal((3, ARCH.param_count)), arch=ARCH)
         features = rng.standard_normal((6, 8))
         with pytest.raises(ValueError, match="features"):
-            forward_pass(stack, rng.standard_normal((3, 2, 8)), [2, 2, 2])
+            batch_of(rng.standard_normal((3, 2, 8)), [2, 2, 2])
         with pytest.raises(ValueError, match="add up"):
-            forward_pass(stack, features, [2, 2, 1])
+            batch_of(features, [2, 2, 1])
         with pytest.raises(ValueError, match="at least one sample"):
-            forward_pass(stack, features, [3, 3, 0])
+            batch_of(features, [3, 3, 0])
+        with pytest.raises(ValueError, match="at least one sample"):
+            batch_of(features, [3.0, 3.0])
         with pytest.raises(ValueError, match=r"\(M,\) sizes"):
-            forward_pass(stack, features, [3, 3])
+            forward_pass(stack, batch_of(features, [3, 3]))
         with pytest.raises(ValueError, match=r"\(M,\) sizes"):
-            forward_pass(stack, features, [6])
+            loss_and_grad(stack, batch_of(features, [6]), None, 0.0)
         with pytest.raises(ValueError, match="labels must be"):
-            loss_and_grad(stack, features, np.zeros(5, dtype=int), [2, 2, 2], None, 0.0)
+            Batch(ARCH, features, np.zeros(5, dtype=int), [2, 2, 2])
+
+    def test_records_are_read_only_copies(self):
+        rng = np.random.default_rng(49)
+        features, labels, _ = random_batch(rng, batch=6)
+        batch = Batch(ARCH, features, labels, [2, 4])
+        test = EvalSet(ARCH, features, labels)
+        assert len(batch) == len(test) == 6
+        assert np.array_equal(batch.counts, [np.bincount(labels[:2], minlength=3),
+                                             np.bincount(labels[2:], minlength=3)])
+        for array in (batch.features, batch.labels, batch.sizes, batch.cells,
+                      batch.counts, *batch.picked, test.labels, test.inputs,
+                      test.inputs32, test.picked):
+            assert not array.flags.writeable
+        assert not np.shares_memory(batch.features, features)
+        assert not np.shares_memory(batch.labels, labels)
+        assert features.flags.writeable and labels.flags.writeable
 
 
 # Models in one block of evaluate_accuracy at H = 32 and 600 samples: its
@@ -633,7 +737,9 @@ BLOCK = learner._EVAL_BLOCK_BYTES // (4 * 32 * 600)
 
 def check_accuracy_against_loop(thetas, arch, features, labels):
     """evaluate_accuracy against the per-sample oracle, exactly."""
-    accuracy = evaluate_accuracy(ModelParams(thetas, arch), features, labels)
+    accuracy = evaluate_accuracy(
+        ModelParams(thetas, arch), EvalSet(arch, features, labels)
+    )
     expected = accuracy_loop(
         thetas, features, labels, arch.hidden_dim, arch.num_classes
     )
@@ -706,15 +812,12 @@ class TestEvaluateAccuracy:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, value):
         rng = np.random.default_rng(66)
-        params = random_model(rng)
         features, labels, _ = random_batch(rng, batch=4)
         features[2, 3] = value
         with pytest.raises(ValueError, match="finite"):
-            forward_pass(params, features, [4])
+            Batch(ARCH, features, labels, [4])
         with pytest.raises(ValueError, match="finite"):
-            loss_and_grad(params, features, labels, [4], None, 0.0)
-        with pytest.raises(ValueError, match="finite"):
-            evaluate_accuracy(params, features, labels)
+            EvalSet(ARCH, features, labels)
 
     def test_float32_tanh_stays_within_the_allowance(self):
         """The margin allows numpy's float32 tanh an absolute error of
@@ -839,10 +942,11 @@ class TestEvaluateAccuracy:
         rng = np.random.default_rng(65)
         params = ModelParams(rng.standard_normal((50, arch.param_count)), arch)
         features, labels, _ = random_batch(rng, arch, batch=600)
-        evaluate_accuracy(params, features, labels)
+        test = EvalSet(arch, features, labels)
+        evaluate_accuracy(params, test)
         tracemalloc.start()
         try:
-            evaluate_accuracy(params, features, labels)
+            evaluate_accuracy(params, test)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
