@@ -482,8 +482,8 @@ def generate_knowledge(
     pass, which `train_round` reuses for the full-batch loss while the
     parameters are unchanged."""
     forward = forward_pass(params, batch)
-    q = knowledge_vectors(forward.probs, batch.cells, batch.counts)
-    return KnowledgeSet(q=q), forward
+    q = knowledge_vectors(forward.probs, batch.bins, batch.counts)
+    return KnowledgeSet.of_averages(q), forward
 
 
 class CommunicationCost(NamedTuple):

@@ -20,7 +20,7 @@ __all__ = [
     "DatasetPartition",
     "KnowledgeSet",
     "transmit_active_mask",
-    "class_cells",
+    "class_bins",
     "knowledge_vectors",
     "global_target",
 ]
@@ -116,6 +116,21 @@ class KnowledgeSet:
             np.all(q >= -1e-12) and np.all(np.abs(q.sum(axis=2) - 1.0) <= 1e-10)
         ):
             raise ValueError("each knowledge vector must be a probability vector")
+        self._derive(q)
+
+    @classmethod
+    def of_averages(cls, q: np.ndarray) -> KnowledgeSet:
+        """The knowledge set of knowledge_vectors' fresh (M, K, K) averages
+        of softmax rows, taken as they are: q is made read-only in place,
+        without the copy and the probability-row check of the constructor.
+        A softmax row that is not a probability vector is NaN, and so is
+        its sample's loss, which metrics.RoundMetrics rejects."""
+        knowledge = object.__new__(cls)
+        knowledge._derive(q)
+        return knowledge
+
+    def _derive(self, q: np.ndarray) -> None:
+        """Hold q, read-only, with the means and stds derived from it."""
         means = q.mean(axis=2)
         stds = np.sqrt(np.mean((q - means[:, :, None]) ** 2, axis=2))
         for arr in (q, means, stds):
@@ -164,10 +179,11 @@ def transmit_active_mask(
     return partition.active_mask & (stds >= Q_HAT_FLOOR)
 
 
-def class_cells(
+def class_bins(
     labels: np.ndarray, sizes: np.ndarray, num_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's (device, class) cell and each cell's sample count.
+    """The knowledge bin of each output entry of every sample, and each
+    (device, class) cell's sample count.
 
     Args:
         labels: (S,) integer labels in [0, K) of every device's samples,
@@ -177,8 +193,9 @@ def class_cells(
         num_classes: K.
 
     Returns:
-        (cells, counts): the (S,) cells i * K + k of device i's class-k
-        samples, and the (M, K) counts B_i^k.
+        (bins, counts): the (S K,) bins (i K + k) K + d of entry d of the
+        output rows of device i's class-k samples, in the order of a
+        flattened (S, K) array, and the (M, K) counts B_i^k.
     """
     labels, sizes = np.asarray(labels), np.asarray(sizes)
     if (
@@ -199,18 +216,19 @@ def class_cells(
         raise ValueError("labels must lie in [0, K)")
     cells = np.repeat(np.arange(sizes.size) * num_classes, sizes) + labels
     counts = np.bincount(cells, minlength=sizes.size * num_classes)
-    return cells, counts.reshape(sizes.size, num_classes)
+    bins = (cells[:, None] * num_classes + np.arange(num_classes)).reshape(-1)
+    return bins, counts.reshape(sizes.size, num_classes)
 
 
 def knowledge_vectors(
-    outputs: np.ndarray, cells: np.ndarray, counts: np.ndarray
+    outputs: np.ndarray, bins: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
     """Average soft predictions per device and class.
 
     Args:
         outputs: (S, K) softmax outputs of every device's samples, device 0's
             first.
-        cells, counts: class_cells of the same samples' labels and the
+        bins, counts: class_bins of the same samples' labels and the
             devices' sizes.
 
     Returns:
@@ -222,23 +240,18 @@ def knowledge_vectors(
     """
     outputs = np.asarray(outputs, dtype=np.float64)
     num_wds, num_classes = counts.shape
-    if outputs.shape != (cells.size, num_classes):
-        raise ValueError("each sample's cell needs one K-wide output row")
-    # Cell i * K + k holds device i's class-k samples; bincount adds each
-    # cell's entries in sample order, starting from 0.0. There is one
-    # bincount per output entry: a single one over (cell, entry) bins would
-    # need a S*K index array, which made it slower.
+    if outputs.shape != (bins.size // num_classes, num_classes):
+        raise ValueError("each sample's bins need one K-wide output row")
+    # Bin (i K + k) K + d holds entry d of device i's class-k samples, and
+    # bincount adds each bin's entries in sample order, starting from 0.0:
+    # the order of a per-entry sum. The S K bins are built once per batch
+    # (class_bins), so one bincount does the work of K.
     counts = counts.reshape(-1)
-    sums = np.stack(
-        [
-            np.bincount(cells, weights=entry, minlength=counts.size)
-            for entry in outputs.T
-        ],
-        axis=1,
-    )
+    sums = np.bincount(
+        bins, weights=outputs.reshape(-1), minlength=counts.size * num_classes
+    ).reshape(counts.size, num_classes)
     result = np.full((counts.size, num_classes), 1.0 / num_classes)
-    held = counts > 0
-    result[held] = sums[held] / counts[held][:, None]
+    np.divide(sums, counts[:, None], out=result, where=counts[:, None] > 0)
     return result.reshape(num_wds, num_classes, num_classes)
 
 

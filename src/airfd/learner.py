@@ -17,16 +17,20 @@ against the record's architecture, the target and the cache.
 The forward pass, the loss and gradient, and a training round take every
 device at once, as one ragged batch. Element-wise work (tanh, the
 log-softmax, the softmax, the distillation residual, 1 - h**2) runs once
-over all S rows. Only the matrix products, the bias adds and the per-device
-reductions (loss means, distillation sums, bias gradients) loop, over runs of
-consecutive devices with the same size, as stacked matmuls on (G, B, ...)
-views. numpy's stacked matmul makes the same BLAS call on each slice, and
-each reduction runs per device in the same order, so every device gets the
-bits it would get alone. evaluate_accuracy scores every model of a stack on
-the same test set in blocks of models, with the samples as columns: a
-float32 screen settles each sample whose lead is above a certified margin,
-and only the other samples are scored again in float64, so the hit counts
-are the float64 argmax's (see its docstring).
+over all S rows, and the sums over a row's K classes run as column adds in
+numpy's own order (_class_sums). Only the matrix products, the bias adds and
+the per-device reductions (loss means, distillation sums, bias gradients)
+loop, over runs of consecutive devices with the same size, as stacked
+matmuls on (G, B, ...) views. Each run's views of the features, and the
+shapes of its views of the other arrays, are laid out once, with the Batch.
+numpy's stacked matmul makes the same BLAS call on each slice, and each
+reduction runs per device in the same order, so every device gets the bits
+it would get alone.
+evaluate_accuracy scores every model of a stack on the same test set in
+blocks of models, with the samples as columns: a float32 screen settles
+each sample whose lead is above a certified margin, and only the other
+samples are scored again in float64, so the hit counts are the float64
+argmax's (see its docstring).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .knowledge import class_cells
+from .knowledge import class_bins
 
 __all__ = [
     "Architecture",
@@ -161,16 +165,51 @@ def init_params(
     return ModelParams(theta=theta, arch=arch)
 
 
+# numpy's contiguous add.reduce sums up to this many terms with its
+# eight-accumulator loop; longer rows are split in two (see _class_sums).
+_PAIRWISE_BLOCK = 128
+
+
+def _class_sums(array: np.ndarray) -> np.ndarray:
+    """np.add.reduce(array, axis=-1, keepdims=True) of a C-ordered (S, K)
+    array, bit for bit, as adds of its columns.
+
+    numpy reduces each contiguous row by pairwise summation, started from
+    +0.0: below 8 terms, in order; up to _PAIRWISE_BLOCK terms, into eight
+    accumulators over strides of 8, combined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), and then the remaining terms in order. The
+    columns make the same adds in the same order for all S rows at once,
+    which is several times faster for narrow rows. Longer rows are left to
+    numpy."""
+    classes = array.shape[1]
+    if classes > _PAIRWISE_BLOCK:
+        return array.sum(axis=-1, keepdims=True)
+    if classes < 8:
+        total = array[:, :1] + 0.0
+        first = 1
+    else:
+        first = classes - classes % 8
+        r = array[:, :8].copy()
+        for start in range(8, first, 8):
+            r += array[:, start : start + 8]
+        total = (r[:, 0:1] + r[:, 1:2]) + (r[:, 2:3] + r[:, 3:4])
+        total += (r[:, 4:5] + r[:, 5:6]) + (r[:, 6:7] + r[:, 7:8])
+        total += 0.0
+    for column in range(first, classes):
+        total += array[:, column : column + 1]
+    return total
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     """The log-softmax of each row, computed in the logits' buffer.
 
     The row maximum is taken from a column-major copy, along whose rows
     numpy reduces a narrow (S, K) array several times faster. A maximum is
     exact in any order, and a tie of +0 and -0 gives the same log-softmax
-    whichever it returns, so the bits do not change. The sum keeps its
-    row-major order, because another order changes its bits."""
+    whichever it returns, so the bits do not change. The sum keeps numpy's
+    row-major order, through _class_sums."""
     logits -= np.asfortranarray(logits).max(axis=-1, keepdims=True)
-    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    logits -= np.log(_class_sums(np.exp(logits)))
     return logits
 
 
@@ -190,30 +229,48 @@ class ForwardPass(NamedTuple):
 
 
 class _Run(NamedTuple):
-    """Consecutive devices that hold the same number of samples."""
+    """Consecutive devices that hold the same number of samples, with the
+    views and shapes that a pass over the batch reads for them."""
 
     devices: slice  # rows of theta
     rows: slice  # rows of the (S, ...) sample arrays
-    count: int  # G
     size: int  # B
+    features: np.ndarray  # (G, B, F) read-only view of the batch's features
+    features_t: np.ndarray  # (G, F, B) the same view, transposed
+    sums: tuple[int, int]  # (G, B): an (S,) array's entries, per device
+    hidden: tuple[int, int, int]  # (G, B, H): an (S, H) array's rows
+    classes: tuple[int, int, int]  # (G, B, K): an (S, K) array's rows
+    entries: tuple[int, int]  # (G, B K): an (S, K) array's entries, per device
 
 
-def _runs(sizes: np.ndarray) -> tuple[_Run, ...]:
-    """The runs of a batch's (M,) sizes, in device order."""
+def _runs(
+    arch: Architecture, features: np.ndarray, sizes: np.ndarray
+) -> tuple[_Run, ...]:
+    """The runs of a batch's (M,) sizes, in device order, laid out over its
+    (S, F) features."""
     firsts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist()]
     ends = [*firsts[1:], len(sizes)]
+    h, k = arch.hidden_dim, arch.num_classes
     runs, row = [], 0
     for first, end, size in zip(firsts, ends, sizes[firsts].tolist()):
         count = end - first
         rows = slice(row, row + count * size)
-        runs.append(_Run(slice(first, end), rows, count, size))
+        stacked = features[rows].reshape(count, size, -1)
+        runs.append(
+            _Run(
+                slice(first, end),
+                rows,
+                size,
+                stacked,
+                stacked.swapaxes(-1, -2),
+                (count, size),
+                (count, size, h),
+                (count, size, k),
+                (count, size * k),
+            )
+        )
         row += count * size
     return tuple(runs)
-
-
-def _stacked(array: np.ndarray, run: _Run) -> np.ndarray:
-    """The run's rows of an (S, ...) array as a (G, B, ...) view."""
-    return array[run.rows].reshape(run.count, run.size, *array.shape[1:])
 
 
 def _checked_features(arch: Architecture, features: np.ndarray) -> np.ndarray:
@@ -261,10 +318,13 @@ class Batch:
         labels: (S,) integer labels in [0, K) of the same samples.
         sizes: (M,) sample counts (>= 1) of the devices, in order, adding
             up to S.
-        runs: The runs of consecutive devices with the same size.
-        picked: Each sample's (row, label) entry of an (S, K) array.
-        cells: (S,) each sample's (device, class) cell, i * K + k, and
-        counts: (M, K) each cell's sample count (knowledge.class_cells).
+        runs: The runs of consecutive devices with the same size, each with
+            its (G, B, F) view of the features.
+        picked: (S,) each sample's label entry in a flattened (S, K) array.
+        bins: (S K,) the knowledge bin of each entry of a flattened (S, K)
+            output array, and
+        counts: (M, K) each device's sample count per class
+            (knowledge.class_bins).
     """
 
     arch: Architecture
@@ -272,29 +332,52 @@ class Batch:
     labels: np.ndarray
     sizes: np.ndarray
     runs: tuple[_Run, ...] = field(init=False)
-    picked: tuple[np.ndarray, np.ndarray] = field(init=False)
-    cells: np.ndarray = field(init=False)
+    picked: np.ndarray = field(init=False)
+    bins: np.ndarray = field(init=False)
     counts: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         features = _checked_features(self.arch, self.features)
-        samples = len(features)
-        labels = _checked_labels(self.arch, self.labels, samples)
+        labels = _checked_labels(self.arch, self.labels, len(features))
         sizes = np.array(self.sizes)
         if not np.issubdtype(sizes.dtype, np.integer) or np.any(sizes < 1):
             raise ValueError("every device must hold at least one sample")
-        # class_cells also checks that the sizes are (M,) and add up to S.
-        cells, counts = class_cells(labels, sizes, self.arch.num_classes)
-        rows = np.arange(samples)
-        for array in (sizes, rows, cells, counts):
+        # class_bins also checks that the sizes are (M,) and add up to S.
+        bins, counts = class_bins(labels, sizes, self.arch.num_classes)
+        for array in (sizes, bins, counts):
             array.setflags(write=False)
+        self._lay_out(features, labels, sizes)
+        object.__setattr__(self, "bins", bins)
+        object.__setattr__(self, "counts", counts)
+
+    def _lay_out(
+        self, features: np.ndarray, labels: np.ndarray, sizes: np.ndarray
+    ) -> None:
+        """Hold these checked, read-only arrays and what a pass reads of
+        them."""
+        picked = np.arange(len(labels)) * self.arch.num_classes + labels
+        picked.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "runs", _runs(sizes))
-        object.__setattr__(self, "picked", (rows, labels))
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "runs", _runs(self.arch, features, sizes))
+        object.__setattr__(self, "picked", picked)
+
+    def _minibatch(self, take: np.ndarray, sizes: np.ndarray) -> Batch:
+        """The samples `take` of this batch, in that order, as the batch of
+        devices of these sizes (>= 1) that one minibatch step trains on.
+        The rows were checked with this batch, so they are gathered without
+        a second check, and the knowledge bins and counts, which a step does
+        not read, are None."""
+        features, labels = self.features[take], self.labels[take]
+        for array in (features, labels, sizes):
+            array.setflags(write=False)
+        batch = object.__new__(Batch)
+        object.__setattr__(batch, "arch", self.arch)
+        batch._lay_out(features, labels, sizes)
+        object.__setattr__(batch, "bins", None)
+        object.__setattr__(batch, "counts", None)
+        return batch
 
     def __len__(self) -> int:
         """The number of samples, S."""
@@ -315,18 +398,18 @@ def forward_pass(params: ModelParams, batch: Batch) -> ForwardPass:
     models of M devices on their batch. The softmax rows are positive and
     sum to 1 within 1e-12 for finite parameters."""
     _check_models(params, batch)
-    arch, features = params.arch, batch.features
+    arch, samples = params.arch, len(batch)
     w1, b1, w2, b2 = _unpack(params.theta, arch)
-    hidden = np.empty((len(features), arch.hidden_dim))
-    logits = np.empty((len(features), arch.num_classes))
+    hidden = np.empty((samples, arch.hidden_dim))
+    logits = np.empty((samples, arch.num_classes))
     for run in batch.runs:
-        out = _stacked(hidden, run)
-        np.matmul(_stacked(features, run), w1[run.devices], out=out)
+        out = hidden[run.rows].reshape(run.hidden)
+        np.matmul(run.features, w1[run.devices], out=out)
         out += b1[run.devices, None, :]
     np.tanh(hidden, out=hidden)
     for run in batch.runs:
-        out = _stacked(logits, run)
-        np.matmul(_stacked(hidden, run), w2[run.devices], out=out)
+        out = logits[run.rows].reshape(run.classes)
+        np.matmul(hidden[run.rows].reshape(run.hidden), w2[run.devices], out=out)
         out += b2[run.devices, None, :]
     log_probs = _log_softmax(logits)
     return ForwardPass(hidden, log_probs, np.exp(log_probs))
@@ -372,7 +455,7 @@ def _loss(
         (samples, arch.num_classes),
     ):
         raise ValueError("cache does not match the batch and the architecture")
-    log_likelihood = cache.log_probs[batch.picked]
+    log_likelihood = cache.log_probs.reshape(-1)[batch.picked]
     residual = None
     if distill_weight > 0:
         residual = knowledge[batch.labels]
@@ -382,16 +465,20 @@ def _loss(
     sizes = batch.sizes
     log_likelihoods = np.empty(sizes.shape)
     for run in batch.runs:
-        log_likelihoods[run.devices] = np.add.reduce(
-            _stacked(log_likelihood, run), axis=-1
+        np.add.reduce(
+            log_likelihood[run.rows].reshape(run.sums),
+            axis=-1,
+            out=log_likelihoods[run.devices],
         )
     loss = -(log_likelihoods / sizes)
     if residual is not None:
         squares = np.square(residual)
         distances = np.empty(sizes.shape)
         for run in batch.runs:
-            distances[run.devices] = np.add.reduce(
-                _stacked(squares, run).reshape(run.count, -1), axis=-1
+            np.add.reduce(
+                squares[run.rows].reshape(run.entries),
+                axis=-1,
+                out=distances[run.devices],
             )
         loss += distill_weight * (distances / sizes)
     return _Loss(loss, cache.hidden, cache.probs, residual)
@@ -435,10 +522,10 @@ def loss_and_grad(
         # Jacobian of softmax applied to the residual:
         # (diag(p) - p p^T) r = p*r - p (p.r)
         weighted = np.multiply(probs, loss.residual, out=loss.residual)
-        weighted -= probs * weighted.sum(axis=-1, keepdims=True)
+        weighted -= probs * _class_sums(weighted)
         weighted *= 2.0 * distill_weight
     d_logits = probs  # the softmax outputs are not read again
-    d_logits[batch.picked] -= 1.0
+    d_logits.reshape(-1)[batch.picked] -= 1.0
     if loss.residual is not None:
         d_logits += weighted
 
@@ -447,31 +534,26 @@ def loss_and_grad(
     grad_w1, grad_b1, grad_w2, grad_b2 = _unpack(grad, arch)
     d_hidden = np.empty(hidden.shape)
     for run in batch.runs:
-        run_d_logits = _stacked(d_logits, run)
+        run_d_logits = d_logits[run.rows].reshape(run.classes)
         run_d_logits /= run.size
+        run_hidden = hidden[run.rows].reshape(run.hidden)
         np.matmul(
-            _stacked(hidden, run).swapaxes(-1, -2),
-            run_d_logits,
-            out=grad_w2[run.devices],
+            run_hidden.swapaxes(-1, -2), run_d_logits, out=grad_w2[run.devices]
         )
-        grad_b2[run.devices] = np.add.reduce(run_d_logits, axis=-2)
+        np.add.reduce(run_d_logits, axis=-2, out=grad_b2[run.devices])
         np.matmul(
             run_d_logits,
             w2[run.devices].swapaxes(-1, -2),
-            out=_stacked(d_hidden, run),
+            out=d_hidden[run.rows].reshape(run.hidden),
         )
     # 1 - hidden**2, in the hidden activations' buffer once grad_w2 has them.
     np.square(hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     d_hidden *= hidden
     for run in batch.runs:
-        run_d_hidden = _stacked(d_hidden, run)
-        np.matmul(
-            _stacked(batch.features, run).swapaxes(-1, -2),
-            run_d_hidden,
-            out=grad_w1[run.devices],
-        )
-        grad_b1[run.devices] = np.add.reduce(run_d_hidden, axis=-2)
+        run_d_hidden = d_hidden[run.rows].reshape(run.hidden)
+        np.matmul(run.features_t, run_d_hidden, out=grad_w1[run.devices])
+        np.add.reduce(run_d_hidden, axis=-2, out=grad_b1[run.devices])
     return loss.value, grad
 
 
@@ -507,7 +589,8 @@ def train_round(
     in device order, and splits them into E near-equal minibatches
     (np.array_split's), each consuming one step; a device with fewer than E
     samples takes no step for its empty minibatches; each step's
-    minibatches are a Batch of their own, checked as any other. The
+    minibatches are a Batch of their own, gathered from `batch` with their
+    own runs but without a second check. The
     full-batch loss then needs no gradient. `cache`, the forward pass of
     `params` on `batch`, serves the full-batch loss (and, for a single
     step, its gradient) in place of a second forward pass; it is spent.
@@ -544,12 +627,7 @@ def train_round(
         ]
         _, grad = loss_and_grad(
             ModelParams(theta=theta[stepping], arch=params.arch),
-            Batch(
-                params.arch,
-                batch.features[take],
-                batch.labels[take],
-                chunk[stepping],
-            ),
+            batch._minibatch(take, chunk[stepping]),
             knowledge,
             config.distill_weight,
         )
@@ -686,7 +764,7 @@ def evaluate_accuracy(params: ModelParams, test: EvalSet) -> np.ndarray:
     that is the float64 argmax's answer. Every other sample (a tie, a near
     tie, a model whose margin is inf) is unsure, and the block's unsure
     columns are scored again in float64, with np.argmax, so ties keep its
-    first-index rule.
+    first-index rule, for the models unsure in at least one of them.
 
     The margin bounds the gap between the float32 and the float64 leads.
     Write u = 2^-24 and gamma_n = n u / (1 - n u) (Higham, Accuracy and
@@ -755,9 +833,12 @@ def evaluate_accuracy(params: ModelParams, test: EvalSet) -> np.ndarray:
         hit = lead > 0
         unsure = np.flatnonzero(~sure.all(axis=0))
         if unsure.size:
+            # Only the models unsure somewhere in these columns; a model's
+            # slice of the stacked products does not depend on the others.
+            rescored = np.flatnonzero(~sure[:, unsure].all(axis=1))
             predicted = _float64_predictions(
-                params.theta[first:end], arch, test.inputs[:, unsure]
+                params.theta[first + rescored], arch, test.inputs[:, unsure]
             )
-            hit[:, unsure] = predicted == test.labels[unsure]
+            hit[rescored[:, None], unsure] = predicted == test.labels[unsure]
         hits[first:end] = np.count_nonzero(hit, axis=1)
     return hits / samples

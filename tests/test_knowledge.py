@@ -11,7 +11,7 @@ from airfd.knowledge import (
     Q_HAT_FLOOR,
     DatasetPartition,
     KnowledgeSet,
-    class_cells,
+    class_bins,
     global_target,
     knowledge_vectors,
     transmit_active_mask,
@@ -122,12 +122,12 @@ def ragged_devices(rng, num_wds, num_classes, concentration=0.1):
 def vectors(outputs_by_wd, labels_by_wd):
     """knowledge_vectors of devices given as per-device lists."""
     outputs = np.concatenate(outputs_by_wd)
-    cells = class_cells(
+    bins = class_bins(
         np.concatenate(labels_by_wd),
         [len(labels) for labels in labels_by_wd],
         outputs.shape[1],
     )
-    return knowledge_vectors(outputs, *cells)
+    return knowledge_vectors(outputs, *bins)
 
 
 @st.composite
@@ -193,25 +193,25 @@ class TestKnowledgeVectors:
 
     def test_mismatched_outputs_rejected(self):
         outputs, labels = np.full((3, 2), 0.5), np.array([0, 1, 1])
-        cells = class_cells(labels, [2, 1], 2)
+        bins = class_bins(labels, [2, 1], 2)
         with pytest.raises(ValueError, match="output row"):
-            knowledge_vectors(outputs[:2], *cells)
+            knowledge_vectors(outputs[:2], *bins)
         with pytest.raises(ValueError, match="output row"):
-            knowledge_vectors(outputs[None], *cells)
+            knowledge_vectors(outputs[None], *bins)
         with pytest.raises(ValueError, match="output row"):
-            knowledge_vectors(np.full((3, 3), 1.0 / 3), *cells)
+            knowledge_vectors(np.full((3, 3), 1.0 / 3), *bins)
         with pytest.raises(ValueError, match="add up"):
-            class_cells(labels, [2, 2], 2)
+            class_bins(labels, [2, 2], 2)
         with pytest.raises(ValueError, match="add up"):
-            class_cells(labels, [4, -1], 2)
+            class_bins(labels, [4, -1], 2)
         with pytest.raises(ValueError, match="integer size"):
-            class_cells(labels, [2.0, 1.0], 2)
+            class_bins(labels, [2.0, 1.0], 2)
 
     def test_devices_without_samples_keep_the_uniform_placeholder(self):
         outputs = np.array([[0.9, 0.1], [0.2, 0.8]])
-        cells, counts = class_cells(np.array([0, 1]), [0, 2, 0], 2)
+        bins, counts = class_bins(np.array([0, 1]), [0, 2, 0], 2)
         assert np.array_equal(counts, [[0, 0], [1, 1], [0, 0]])
-        result = knowledge_vectors(outputs, cells, counts)
+        result = knowledge_vectors(outputs, bins, counts)
         assert np.array_equal(result[[0, 2]], np.full((2, 2, 2), 0.5))
         assert np.array_equal(result[1], outputs)
 
@@ -219,7 +219,7 @@ class TestKnowledgeVectors:
         # Label K of device 0 would otherwise land in device 1's class-0 cell.
         for labels in (np.array([0, 3]), np.array([-1, 0])):
             with pytest.raises(ValueError, match="labels"):
-                class_cells(np.append(labels, 1), [2, 1], 3)
+                class_bins(np.append(labels, 1), [2, 1], 3)
 
     @pytest.mark.parametrize(
         "labels",
@@ -229,7 +229,7 @@ class TestKnowledgeVectors:
     def test_non_integer_labels_rejected(self, labels):
         """Booleans would count as classes 0 and 1; floats cannot index."""
         with pytest.raises(ValueError, match="labels must be integers"):
-            class_cells(labels, [2, 1], 3)
+            class_bins(labels, [2, 1], 3)
 
 
 class TestKnowledgeStats:
@@ -270,6 +270,23 @@ class TestKnowledgeStats:
             KnowledgeSet(q=q, means=np.zeros((1, 2)), stds=np.ones((1, 2)))
         ks = KnowledgeSet(q=q)
         assert not ks.means.flags.writeable and not ks.stds.flags.writeable
+
+
+    def test_fresh_averages_take_the_same_route_without_a_copy(self):
+        """of_averages derives the same bits as the constructor, holds q
+        itself read-only, and leaves the probability check to the
+        constructor."""
+        rng = substream(6, "of-averages")
+        q = rng.dirichlet(np.ones(4), size=(3, 4))
+        checked = KnowledgeSet(q=q)
+        fresh = KnowledgeSet.of_averages(q)
+        assert fresh.q is q and not q.flags.writeable
+        for name in ("q", "means", "stds"):
+            ours, theirs = getattr(fresh, name), getattr(checked, name)
+            assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+            assert not ours.flags.writeable
+        with pytest.raises(ValueError, match="probability"):
+            KnowledgeSet(q=2.0 * q)
 
 
 class TestNormalizeKnowledge:

@@ -287,6 +287,52 @@ class TestForward:
             evaluate_accuracy(params, EvalSet(other, features, labels))
 
 
+# Row sums of any size up to 1e300 (130 of them stay finite), subnormals
+# and zeros of both signs.
+SUMMANDS = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300]),
+    st.sampled_from([-1e300, 1e300, 1.0, -1.0]),
+)
+
+
+def assert_same_bits(ours, theirs):
+    assert ours.shape == theirs.shape
+    assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+
+
+class TestClassSums:
+    """learner._class_sums against numpy's row-major add.reduce."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 4), classes=st.integers(1, 130))
+    def test_matches_add_reduce_bit_for_bit(self, data, rows, classes):
+        """Widths below 8 (in order), 8 to 128 (eight accumulators, one or
+        several passes) and 129, 130 (numpy's own split)."""
+        values = data.draw(
+            st.lists(SUMMANDS, min_size=rows * classes, max_size=rows * classes)
+        )
+        array = np.array(values).reshape(rows, classes)
+        expected = np.add.reduce(array, axis=-1, keepdims=True)
+        assert_same_bits(learner._class_sums(array), expected)
+
+    @pytest.mark.parametrize("classes", range(1, 131))
+    def test_every_width(self, classes):
+        """Every width from 1 to 130, on rows of mixed magnitudes, rows that
+        cancel exactly, and rows of signed zeros."""
+        rng = np.random.default_rng([51, classes])
+        mixed = rng.standard_normal((60, classes)) * 10.0 ** rng.uniform(
+            -300, 300, (60, classes)
+        )
+        cancelling = rng.standard_normal((20, classes))
+        cancelling[:, -1] = -np.add.reduce(cancelling[:, :-1], axis=-1)
+        zeros = rng.choice([0.0, -0.0], size=(20, classes))
+        zeros[0] = -0.0
+        array = np.concatenate((mixed, cancelling, zeros))
+        expected = np.add.reduce(array, axis=-1, keepdims=True)
+        assert_same_bits(learner._class_sums(array), expected)
+
+
 class TestLossAndGrad:
     def test_zero_weight_reduces_to_cross_entropy(self):
         rng = np.random.default_rng(10)
@@ -475,6 +521,41 @@ class TestTrainRound:
         assert np.array_equal(loss, expected_loss)
         assert np.array_equal(trained.theta, theta)
 
+    def test_minibatches_are_gathered_without_a_second_check(self, monkeypatch):
+        """A step's sub-batch reuses the checked rows of its batch: nothing is
+        checked again and no knowledge bins are built, but it has runs of
+        its own (sizes 5, 4 and 1, 1 for the second step here)."""
+        rng = np.random.default_rng(36)
+        sizes = [15, 12, 3]
+        params = ModelParams(0.5 * rng.standard_normal((3, ARCH.param_count)), ARCH)
+        features, labels, knowledge = random_batch(rng, batch=30)
+        batch = batch_of(features, sizes, labels)
+        config = LearnerConfig(
+            distill_weight=0.3, init_lr=0.01, rounds=5, local_epochs=3
+        )
+        steps = []
+        plain = learner.loss_and_grad
+
+        def recorded(params, batch, *args, **kwargs):
+            steps.append(batch)
+            return plain(params, batch, *args, **kwargs)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a checked row was checked again")
+
+        monkeypatch.setattr(learner, "loss_and_grad", recorded)
+        for name in ("_checked_features", "_checked_labels", "class_bins"):
+            monkeypatch.setattr(learner, name, unexpected)
+        train_round(params, batch, knowledge, config, 0, np.random.default_rng(3))
+        assert [step.sizes.tolist() for step in steps] == [[5, 4, 1]] * 3
+        for step in steps:
+            assert step.bins is None and step.counts is None
+            assert [run.features.shape for run in step.runs] == [
+                (1, 5, 8), (1, 4, 8), (1, 1, 8)
+            ]
+            assert not step.features.flags.writeable
+            assert not np.shares_memory(step.features, batch.features)
+
     def test_minibatch_mode_deterministic_and_requires_rng(self):
         rng = np.random.default_rng(32)
         params = random_model(rng)
@@ -605,7 +686,7 @@ def check_against_per_device_loop(rng, sizes, arch, config, seed):
     batch = Batch(arch, features, labels, sizes)
     forward = forward_pass(params, batch)
     assert np.array_equal(forward.probs, outputs)
-    q_batch = knowledge_vectors(forward.probs, batch.cells, batch.counts)
+    q_batch = knowledge_vectors(forward.probs, batch.bins, batch.counts)
     assert np.array_equal(q_batch, q)
     loss, _ = loss_and_grad(params, batch, knowledge, config.distill_weight)
     assert np.array_equal(loss, losses)
@@ -655,14 +736,20 @@ class TestStack:
             rounds=5,
             local_epochs=local_epochs,
         )
+        """Every other seed takes 8, 9, 16 or 20 classes, where the class
+        sums of learner._class_sums take numpy's eight-accumulator loop."""
         seen = {"single": 0, "short": 0, "stacked": 0}
+        wide = {8: 0, 9: 0, 16: 0, 20: 0}
         for seed in range(48):
             rng = np.random.default_rng([seed, local_epochs])
+            classes = (8, 9, 16, 20)[seed // 2 % 4] if seed % 2 else None
             arch = Architecture(
                 feature_dim=int(rng.integers(2, 9)),
                 hidden_dim=int(rng.choice([5, 32])),
-                num_classes=int(rng.integers(2, 11)),
+                num_classes=classes or int(rng.integers(2, 11)),
             )
+            if arch.num_classes in wide:
+                wide[arch.num_classes] += 1
             sizes = ragged_sizes(rng, local_epochs)
             seen["single"] += int(np.sum(sizes == 1))
             seen["short"] += int(np.sum(sizes < local_epochs))
@@ -670,6 +757,7 @@ class TestStack:
             check_against_per_device_loop(rng, sizes, arch, config, seed)
         assert seen["single"] > 0 and seen["stacked"] > 0
         assert local_epochs == 1 or seen["short"] > 0
+        assert all(count >= 6 for count in wide.values())
 
     def test_gradient_matches_per_device_loop(self):
         rng = np.random.default_rng(46)
@@ -721,13 +809,34 @@ class TestStack:
         assert len(batch) == len(test) == 6
         assert np.array_equal(batch.counts, [np.bincount(labels[:2], minlength=3),
                                              np.bincount(labels[2:], minlength=3)])
-        for array in (batch.features, batch.labels, batch.sizes, batch.cells,
-                      batch.counts, *batch.picked, test.labels, test.inputs,
+        for array in (batch.features, batch.labels, batch.sizes, batch.bins,
+                      batch.counts, batch.picked, test.labels, test.inputs,
                       test.inputs32, test.picked):
             assert not array.flags.writeable
         assert not np.shares_memory(batch.features, features)
         assert not np.shares_memory(batch.labels, labels)
         assert features.flags.writeable and labels.flags.writeable
+
+    def test_runs_view_the_batch_features(self):
+        """Each run holds (G, B, F) and (G, F, B) read-only views of the
+        record's own features, not copies."""
+        rng = np.random.default_rng(50)
+        sizes = np.array([3, 3, 1, 4, 2, 2, 2])
+        features, labels, _ = random_batch(rng, batch=int(sizes.sum()))
+        batch = Batch(ARCH, features, labels, sizes)
+        assert [(run.devices, run.features.shape) for run in batch.runs] == [
+            (slice(0, 2), (2, 3, 8)),
+            (slice(2, 3), (1, 1, 8)),
+            (slice(3, 4), (1, 4, 8)),
+            (slice(4, 7), (3, 2, 8)),
+        ]
+        for run in batch.runs:
+            for view in (run.features, run.features_t):
+                assert view.base is not None
+                assert np.shares_memory(view, batch.features)
+                assert not view.flags.writeable
+            assert np.array_equal(run.features.reshape(-1, 8), batch.features[run.rows])
+            assert np.array_equal(run.features_t, run.features.swapaxes(1, 2))
 
 
 # Models in one block of evaluate_accuracy at H = 32 and 600 samples: its
@@ -843,6 +952,31 @@ class TestEvaluateAccuracy:
         thetas = near_tie_stack(rng, arch, models)
         accuracy = check_accuracy_against_loop(thetas, arch, features, labels)
         assert np.any(float32_accuracy(thetas, arch, features, labels) != accuracy)
+
+    def test_only_unsure_models_are_rescored(self):
+        """A block of models whose logits are at least 4 apart on every
+        sample, but for one with a near tie on every sample: only that model
+        goes to the float64 re-score, and every model's hits equal the
+        loop's."""
+        f, h = ARCH.feature_dim, ARCH.hidden_dim
+        rng = np.random.default_rng(70)
+        features, labels, _ = random_batch(rng, batch=600)
+        thetas = 2.0 * rng.standard_normal((BLOCK, ARCH.param_count))
+        thetas[:, (f + 1) * h : -3] *= 0.01  # W2: logits within 1 of b2
+        thetas[:, -3:] = [rng.permutation([0.0, 6.0, 12.0]) for _ in range(BLOCK)]
+        thetas[5] = near_tie_stack(rng, ARCH, 1)[0]
+        rescored = []
+        original = learner._float64_predictions
+
+        def recording(theta, arch, inputs):
+            rescored.append((theta.copy(), inputs.shape[1]))
+            return original(theta, arch, inputs)
+
+        with mock.patch.object(learner, "_float64_predictions", recording):
+            check_accuracy_against_loop(thetas, ARCH, features, labels)
+        ((theta, columns),) = rescored
+        assert np.array_equal(theta, thetas[5:6])
+        assert columns > 0
 
     def test_float32_overflow_is_rescored(self):
         """Entries of about 1e39 are finite in float64 but overflow float32;
