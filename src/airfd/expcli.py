@@ -483,7 +483,7 @@ def generate_knowledge(
     parameters are unchanged."""
     forward = forward_pass(params, batch)
     q = knowledge_vectors(forward.probs, batch.bins, batch.counts)
-    return KnowledgeSet.of_averages(q), forward
+    return KnowledgeSet(q=q), forward
 
 
 class CommunicationCost(NamedTuple):

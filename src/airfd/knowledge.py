@@ -116,23 +116,9 @@ class KnowledgeSet:
             np.all(q >= -1e-12) and np.all(np.abs(q.sum(axis=2) - 1.0) <= 1e-10)
         ):
             raise ValueError("each knowledge vector must be a probability vector")
-        self._derive(q)
-
-    @classmethod
-    def of_averages(cls, q: np.ndarray) -> KnowledgeSet:
-        """The knowledge set of knowledge_vectors' fresh (M, K, K) averages
-        of softmax rows, taken as they are: q is made read-only in place,
-        without the copy and the probability-row check of the constructor.
-        A softmax row that is not a probability vector is NaN, and so is
-        its sample's loss, which metrics.RoundMetrics rejects."""
-        knowledge = object.__new__(cls)
-        knowledge._derive(q)
-        return knowledge
-
-    def _derive(self, q: np.ndarray) -> None:
-        """Hold q, read-only, with the means and stds derived from it."""
-        means = q.mean(axis=2)
-        stds = np.sqrt(np.mean((q - means[:, :, None]) ** 2, axis=2))
+        entries = q.shape[2]
+        means = q.sum(axis=2) / entries
+        stds = np.sqrt(((q - means[:, :, None]) ** 2).sum(axis=2) / entries)
         for arr in (q, means, stds):
             arr.setflags(write=False)
         object.__setattr__(self, "q", q)

@@ -17,15 +17,14 @@ against the record's architecture, the target and the cache.
 The forward pass, the loss and gradient, and a training round take every
 device at once, as one ragged batch. Element-wise work (tanh, the
 log-softmax, the softmax, the distillation residual, 1 - h**2) runs once
-over all S rows, and the sums over a row's K classes run as column adds in
-numpy's own order (_class_sums). Only the matrix products, the bias adds and
-the per-device reductions (loss means, distillation sums, bias gradients)
-loop, over runs of consecutive devices with the same size, as stacked
-matmuls on (G, B, ...) views. Each run's views of the features, and the
-shapes of its views of the other arrays, are laid out once, with the Batch.
-numpy's stacked matmul makes the same BLAS call on each slice, and each
-reduction runs per device in the same order, so every device gets the bits
-it would get alone.
+over all S rows, and so do numpy's sums over each row's K classes. Only
+the matrix products, the bias adds and the per-device reductions (loss
+means, distillation sums, bias gradients) loop, over runs of consecutive
+devices with the same size, as stacked matmuls on (G, B, ...) views. Each
+run's views of the features, and the shapes of its views of the other
+arrays, are laid out once, with the Batch. numpy's stacked matmul makes
+the same BLAS call on each slice, and each reduction runs per device in
+the same order, so every device gets the bits it would get alone.
 evaluate_accuracy scores every model of a stack on the same test set in
 blocks of models, with the samples as columns: a float32 screen settles
 each sample whose lead is above a certified margin, and only the other
@@ -165,51 +164,16 @@ def init_params(
     return ModelParams(theta=theta, arch=arch)
 
 
-# numpy's contiguous add.reduce sums up to this many terms with its
-# eight-accumulator loop; longer rows are split in two (see _class_sums).
-_PAIRWISE_BLOCK = 128
-
-
-def _class_sums(array: np.ndarray) -> np.ndarray:
-    """np.add.reduce(array, axis=-1, keepdims=True) of a C-ordered (S, K)
-    array, bit for bit, as adds of its columns.
-
-    numpy reduces each contiguous row by pairwise summation, started from
-    +0.0: below 8 terms, in order; up to _PAIRWISE_BLOCK terms, into eight
-    accumulators over strides of 8, combined as ((r0 + r1) + (r2 + r3)) +
-    ((r4 + r5) + (r6 + r7)), and then the remaining terms in order. The
-    columns make the same adds in the same order for all S rows at once,
-    which is several times faster for narrow rows. Longer rows are left to
-    numpy."""
-    classes = array.shape[1]
-    if classes > _PAIRWISE_BLOCK:
-        return array.sum(axis=-1, keepdims=True)
-    if classes < 8:
-        total = array[:, :1] + 0.0
-        first = 1
-    else:
-        first = classes - classes % 8
-        r = array[:, :8].copy()
-        for start in range(8, first, 8):
-            r += array[:, start : start + 8]
-        total = (r[:, 0:1] + r[:, 1:2]) + (r[:, 2:3] + r[:, 3:4])
-        total += (r[:, 4:5] + r[:, 5:6]) + (r[:, 6:7] + r[:, 7:8])
-        total += 0.0
-    for column in range(first, classes):
-        total += array[:, column : column + 1]
-    return total
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     """The log-softmax of each row, computed in the logits' buffer.
 
     The row maximum is taken from a column-major copy, along whose rows
     numpy reduces a narrow (S, K) array several times faster. A maximum is
     exact in any order, and a tie of +0 and -0 gives the same log-softmax
-    whichever it returns, so the bits do not change. The sum keeps numpy's
-    row-major order, through _class_sums."""
+    whichever it returns, so the bits do not change. The sum is numpy's,
+    along the rows."""
     logits -= np.asfortranarray(logits).max(axis=-1, keepdims=True)
-    logits -= np.log(_class_sums(np.exp(logits)))
+    logits -= np.log(np.exp(logits).sum(axis=-1, keepdims=True))
     return logits
 
 
@@ -344,40 +308,16 @@ class Batch:
             raise ValueError("every device must hold at least one sample")
         # class_bins also checks that the sizes are (M,) and add up to S.
         bins, counts = class_bins(labels, sizes, self.arch.num_classes)
-        for array in (sizes, bins, counts):
-            array.setflags(write=False)
-        self._lay_out(features, labels, sizes)
-        object.__setattr__(self, "bins", bins)
-        object.__setattr__(self, "counts", counts)
-
-    def _lay_out(
-        self, features: np.ndarray, labels: np.ndarray, sizes: np.ndarray
-    ) -> None:
-        """Hold these checked, read-only arrays and what a pass reads of
-        them."""
         picked = np.arange(len(labels)) * self.arch.num_classes + labels
-        picked.setflags(write=False)
+        for array in (sizes, picked, bins, counts):
+            array.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "runs", _runs(self.arch, features, sizes))
         object.__setattr__(self, "picked", picked)
-
-    def _minibatch(self, take: np.ndarray, sizes: np.ndarray) -> Batch:
-        """The samples `take` of this batch, in that order, as the batch of
-        devices of these sizes (>= 1) that one minibatch step trains on.
-        The rows were checked with this batch, so they are gathered without
-        a second check, and the knowledge bins and counts, which a step does
-        not read, are None."""
-        features, labels = self.features[take], self.labels[take]
-        for array in (features, labels, sizes):
-            array.setflags(write=False)
-        batch = object.__new__(Batch)
-        object.__setattr__(batch, "arch", self.arch)
-        batch._lay_out(features, labels, sizes)
-        object.__setattr__(batch, "bins", None)
-        object.__setattr__(batch, "counts", None)
-        return batch
+        object.__setattr__(self, "bins", bins)
+        object.__setattr__(self, "counts", counts)
 
     def __len__(self) -> int:
         """The number of samples, S."""
@@ -522,7 +462,7 @@ def loss_and_grad(
         # Jacobian of softmax applied to the residual:
         # (diag(p) - p p^T) r = p*r - p (p.r)
         weighted = np.multiply(probs, loss.residual, out=loss.residual)
-        weighted -= probs * _class_sums(weighted)
+        weighted -= probs * weighted.sum(axis=-1, keepdims=True)
         weighted *= 2.0 * distill_weight
     d_logits = probs  # the softmax outputs are not read again
     d_logits.reshape(-1)[batch.picked] -= 1.0
@@ -589,8 +529,7 @@ def train_round(
     in device order, and splits them into E near-equal minibatches
     (np.array_split's), each consuming one step; a device with fewer than E
     samples takes no step for its empty minibatches; each step's
-    minibatches are a Batch of their own, gathered from `batch` with their
-    own runs but without a second check. The
+    minibatches are a Batch of their own, gathered from `batch`. The
     full-batch loss then needs no gradient. `cache`, the forward pass of
     `params` on `batch`, serves the full-batch loss (and, for a single
     step, its gradient) in place of a second forward pass; it is spent.
@@ -627,7 +566,12 @@ def train_round(
         ]
         _, grad = loss_and_grad(
             ModelParams(theta=theta[stepping], arch=params.arch),
-            batch._minibatch(take, chunk[stepping]),
+            Batch(
+                params.arch,
+                batch.features[take],
+                batch.labels[take],
+                chunk[stepping],
+            ),
             knowledge,
             config.distill_weight,
         )

@@ -167,6 +167,20 @@ class TransceiverPlan:
             object.__setattr__(self, name, arr)
 
 
+def _checked_peaks(
+    channel: ChannelState, partition: DatasetPartition, peak_powers: np.ndarray
+) -> np.ndarray:
+    """The (M,) peak powers as float64, once the channel's device count and
+    the powers are checked against the partition."""
+    if channel.num_wds != partition.num_wds:
+        raise ValueError("channel and partition disagree on the device count")
+    peaks = np.asarray(peak_powers, dtype=np.float64)
+    peaks_ok = np.isfinite(peaks) & (peaks > 0)  # false for NaN
+    if peaks.shape != (partition.num_wds,) or not np.all(peaks_ok):
+        raise ValueError("peak_powers must be (M,) positive and finite")
+    return peaks
+
+
 def _scaled_channels(
     channel: ChannelState,
     knowledge_stds: np.ndarray,
@@ -178,14 +192,9 @@ def _scaled_channels(
         v_j^k = (sqrt(P_j) / (B_j^k q_hat_j^k)) h_j,
 
     zero where device j does not transmit class k. Every planner's round
-    inputs are checked here: the channel's device count, the peak powers and
-    the shape of the knowledge stds."""
-    if channel.num_wds != partition.num_wds:
-        raise ValueError("channel and partition disagree on the device count")
-    peaks = np.asarray(peak_powers, dtype=np.float64)
-    peaks_ok = np.isfinite(peaks) & (peaks > 0)  # false for NaN
-    if peaks.shape != (partition.num_wds,) or not np.all(peaks_ok):
-        raise ValueError("peak_powers must be (M,) positive and finite")
+    inputs are checked here: the channel's device count and the peak powers
+    (_checked_peaks), and the shape of the knowledge stds."""
+    peaks = _checked_peaks(channel, partition, peak_powers)
     active = transmit_active_mask(partition, knowledge_stds)
     denom = np.where(active, partition.counts * knowledge_stds, 1.0)
     scale = np.where(active, np.sqrt(peaks)[:, None] / denom, 0.0)  # (M, K)
@@ -531,16 +540,12 @@ def orthogonal_receive(
     Returns:
         (K, K) complex array; row k estimates the global class-k knowledge.
     """
-    peaks = np.asarray(peak_powers, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.complex128)
     m, k = partition.counts.shape
     n = channel.num_antennas
     if knowledge.num_wds != m or knowledge.num_classes != k:
         raise ValueError("knowledge and partition disagree on (M, K)")
-    if channel.num_wds != m:
-        raise ValueError("channel and partition disagree on the device count")
-    if peaks.shape != (m,) or not np.all(np.isfinite(peaks) & (peaks > 0)):
-        raise ValueError("peak_powers must be (M,) positive and finite")
+    peaks = _checked_peaks(channel, partition, peak_powers)
     if noise.shape != (m, k, k, n):
         raise ValueError(f"noise must have shape ({m}, {k}, {k}, {n})")
 

@@ -210,6 +210,26 @@ def test_generate_knowledge_matches_oracle_and_returns_forward_passes():
         expcli.generate_knowledge(ModelParams(params.theta[:5], arch), batch)
 
 
+def test_generate_knowledge_rejects_outputs_that_are_not_probabilities(
+    monkeypatch,
+):
+    """The knowledge set checks its rows where it is made: softmax rows
+    scaled by 2 average to vectors that sum to 2."""
+    data = synthesize_dataset(make_spec(num_samples=30), substream(3, "data", 1))
+    arch = Architecture(feature_dim=8, hidden_dim=5, num_classes=3)
+    batch = Batch(arch, data.features, data.labels, [10, 20])
+    params = init_params(arch, [substream(3, "init", 1, i) for i in range(2)])
+    plain = expcli.forward_pass
+
+    def doubled(params, batch):
+        forward = plain(params, batch)
+        return forward._replace(probs=2.0 * forward.probs)
+
+    monkeypatch.setattr(expcli, "forward_pass", doubled)
+    with pytest.raises(ValueError, match="probability"):
+        expcli.generate_knowledge(params, batch)
+
+
 def test_partition_huge_concentration_is_near_uniform():
     spec = make_spec(num_samples=10_000, test_samples=10)
     data = synthesize_dataset(spec, substream(4, "data", 0))

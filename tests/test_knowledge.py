@@ -272,23 +272,6 @@ class TestKnowledgeStats:
         assert not ks.means.flags.writeable and not ks.stds.flags.writeable
 
 
-    def test_fresh_averages_take_the_same_route_without_a_copy(self):
-        """of_averages derives the same bits as the constructor, holds q
-        itself read-only, and leaves the probability check to the
-        constructor."""
-        rng = substream(6, "of-averages")
-        q = rng.dirichlet(np.ones(4), size=(3, 4))
-        checked = KnowledgeSet(q=q)
-        fresh = KnowledgeSet.of_averages(q)
-        assert fresh.q is q and not q.flags.writeable
-        for name in ("q", "means", "stds"):
-            ours, theirs = getattr(fresh, name), getattr(checked, name)
-            assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
-            assert not ours.flags.writeable
-        with pytest.raises(ValueError, match="probability"):
-            KnowledgeSet(q=2.0 * q)
-
-
 class TestNormalizeKnowledge:
     """KnowledgeSet.normalized_blocks, the blocks both uplinks send."""
 

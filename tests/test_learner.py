@@ -287,39 +287,20 @@ class TestForward:
             evaluate_accuracy(params, EvalSet(other, features, labels))
 
 
-# Row sums of any size up to 1e300 (130 of them stay finite), subnormals
-# and zeros of both signs.
-SUMMANDS = st.one_of(
-    st.floats(-1e300, 1e300, allow_nan=False),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300]),
-    st.sampled_from([-1e300, 1e300, 1.0, -1.0]),
-)
-
-
 def assert_same_bits(ours, theirs):
     assert ours.shape == theirs.shape
     assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
 
 
 class TestClassSums:
-    """learner._class_sums against numpy's row-major add.reduce."""
-
-    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
-    @given(data=st.data(), rows=st.integers(1, 4), classes=st.integers(1, 130))
-    def test_matches_add_reduce_bit_for_bit(self, data, rows, classes):
-        """Widths below 8 (in order), 8 to 128 (eight accumulators, one or
-        several passes) and 129, 130 (numpy's own split)."""
-        values = data.draw(
-            st.lists(SUMMANDS, min_size=rows * classes, max_size=rows * classes)
-        )
-        array = np.array(values).reshape(rows, classes)
-        expected = np.add.reduce(array, axis=-1, keepdims=True)
-        assert_same_bits(learner._class_sums(array), expected)
+    """learner._log_softmax, which reads the maximum over each row's
+    classes from a column-major copy, against the row-major reference."""
 
     @pytest.mark.parametrize("classes", range(1, 131))
     def test_every_width(self, classes):
         """Every width from 1 to 130, on rows of mixed magnitudes, rows that
-        cancel exactly, and rows of signed zeros."""
+        cancel exactly, and rows of signed zeros: the column-major maximum
+        gives the row-major maximum's bits."""
         rng = np.random.default_rng([51, classes])
         mixed = rng.standard_normal((60, classes)) * 10.0 ** rng.uniform(
             -300, 300, (60, classes)
@@ -329,8 +310,8 @@ class TestClassSums:
         zeros = rng.choice([0.0, -0.0], size=(20, classes))
         zeros[0] = -0.0
         array = np.concatenate((mixed, cancelling, zeros))
-        expected = np.add.reduce(array, axis=-1, keepdims=True)
-        assert_same_bits(learner._class_sums(array), expected)
+        expected = row_major_log_softmax(array.copy())
+        assert_same_bits(learner._log_softmax(array), expected)
 
 
 class TestLossAndGrad:
@@ -521,10 +502,9 @@ class TestTrainRound:
         assert np.array_equal(loss, expected_loss)
         assert np.array_equal(trained.theta, theta)
 
-    def test_minibatches_are_gathered_without_a_second_check(self, monkeypatch):
-        """A step's sub-batch reuses the checked rows of its batch: nothing is
-        checked again and no knowledge bins are built, but it has runs of
-        its own (sizes 5, 4 and 1, 1 for the second step here)."""
+    def test_minibatch_steps_are_batches_of_their_own(self, monkeypatch):
+        """A step's sub-batch is a Batch with runs of its own (sizes 5, 4
+        and 1 at every step here) and its own copy of the features."""
         rng = np.random.default_rng(36)
         sizes = [15, 12, 3]
         params = ModelParams(0.5 * rng.standard_normal((3, ARCH.param_count)), ARCH)
@@ -540,16 +520,10 @@ class TestTrainRound:
             steps.append(batch)
             return plain(params, batch, *args, **kwargs)
 
-        def unexpected(*args, **kwargs):
-            raise AssertionError("a checked row was checked again")
-
         monkeypatch.setattr(learner, "loss_and_grad", recorded)
-        for name in ("_checked_features", "_checked_labels", "class_bins"):
-            monkeypatch.setattr(learner, name, unexpected)
         train_round(params, batch, knowledge, config, 0, np.random.default_rng(3))
         assert [step.sizes.tolist() for step in steps] == [[5, 4, 1]] * 3
         for step in steps:
-            assert step.bins is None and step.counts is None
             assert [run.features.shape for run in step.runs] == [
                 (1, 5, 8), (1, 4, 8), (1, 1, 8)
             ]
@@ -730,14 +704,14 @@ class TestStack:
     @pytest.mark.parametrize("distill_weight", [0.0, 0.6])
     @pytest.mark.parametrize("local_epochs", [1, 3])
     def test_ragged_batch_matches_per_device_loop(self, distill_weight, local_epochs):
+        """Every other seed takes 8, 9, 16 or 20 classes, where numpy's
+        pairwise sum over a row's classes takes its eight-accumulator loop."""
         config = LearnerConfig(
             distill_weight=distill_weight,
             init_lr=0.05,
             rounds=5,
             local_epochs=local_epochs,
         )
-        """Every other seed takes 8, 9, 16 or 20 classes, where the class
-        sums of learner._class_sums take numpy's eight-accumulator loop."""
         seen = {"single": 0, "short": 0, "stacked": 0}
         wide = {8: 0, 9: 0, 16: 0, 20: 0}
         for seed in range(48):
