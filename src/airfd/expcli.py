@@ -196,13 +196,13 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
 
 
 def partition(
-    dataset: Dataset,
+    labels: np.ndarray,
     mode: str,
     num_wds: int,
     concentration: float,
     rng: np.random.Generator,
-) -> tuple[DatasetPartition, np.ndarray]:
-    """Assign every sample to one of `num_wds` devices.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assign the samples of the (S,) integer labels to `num_wds` devices.
 
     Modes:
         "iid"       — per class, shuffled samples are dealt round-robin with a
@@ -219,13 +219,12 @@ def partition(
     the highest label the donor holds, whichever class it holds most.
 
     Returns:
-        (DatasetPartition, order) where order lists the dataset indices in
-        device order, ascending within each device: device i holds the next
-        counts[i].sum() of them.
+        (order, sizes): the dataset indices in device order, ascending
+        within each device, of which device i holds the next sizes[i].
+        learner.Batch counts each device's classes from this layout.
     """
     if mode not in ("iid", "dirichlet"):
         raise ValueError(f"unknown partition mode: {mode!r}")
-    labels = dataset.labels
     num_classes = int(labels.max()) + 1
     if labels.shape[0] < num_wds:
         raise ValueError(
@@ -251,11 +250,7 @@ def partition(
         owner[np.flatnonzero(owner == donor)[-1]] = empty
         sizes[donor] -= 1
         sizes[empty] = 1
-
-    counts = np.bincount(
-        owner * num_classes + labels, minlength=num_wds * num_classes
-    ).reshape(num_wds, num_classes)
-    return DatasetPartition(counts=counts), np.argsort(owner, kind="stable")
+    return np.argsort(owner, kind="stable"), sizes
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +574,17 @@ def _run_trial(
             substream(seed, "testdata", trial),
         ),
     )
-    part, order = partition(
-        train,
+    order, sizes = partition(
+        train.labels,
         config.partition_mode,
         num_wds,
         config.dirichlet_param,
         substream(seed, "partition", trial),
     )
     # The training set in device order: device i holds the next B_i samples.
-    batch = Batch(
-        arch, train.features[order], train.labels[order], part.per_wd_totals
-    )
+    # The uplink weighs knowledge by the counts that its averages divide by.
+    batch = Batch(arch, train.features[order], train.labels[order], sizes)
+    part = DatasetPartition(counts=batch.counts)
     distances = sample_distances(cha, substream(seed, "distance", trial))
     amplitudes = np.sqrt([path_loss(d, cha) for d in distances])
     unit_config = replace(
@@ -1010,9 +1005,11 @@ def _verify_instance(seed: int, index: int) -> list[tuple[str, bool, str]]:
 
 def run_verify(seed: int, trials: int) -> int:
     """Cross-check the implementation against its independent oracles on
-    `trials` >= 1 instance batteries."""
+    `trials` >= 1 instance batteries drawn from a nonnegative `seed`."""
     if trials < 1:
         raise ValueError("verify needs at least one trial")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     failures = 0
     for index in range(trials):
         for name, ok, detail in _verify_instance(seed, index):
@@ -1066,13 +1063,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """The `airfd` command. Invalid arguments, and a config file that cannot
-    be read or holds invalid values, end in a usage error (exit code 2)."""
+    """The `airfd` command. Invalid arguments, config files and output paths
+    end in a usage error (exit code 2), not a traceback."""
     arg_parser = build_arg_parser()
     args = arg_parser.parse_args(argv)
     if args.command == "verify":
         if args.trials < 1:
             arg_parser.error("verify needs at least one trial")
+        if args.seed < 0:
+            arg_parser.error("seed must be nonnegative")
         return run_verify(args.seed, args.trials)
 
     overrides = {
@@ -1090,11 +1089,12 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None:
                 parser[section][key] = str(value)
         config = config_from_parser(parser)
+        if args.dump_effective_config:
+            print(dump_config(config), end="")
+            return 0
+        os.makedirs(config.output_dir, exist_ok=True)
     except (ValueError, OSError, configparser.Error) as error:
         arg_parser.error(str(error))
-    if args.dump_effective_config:
-        print(dump_config(config), end="")
-        return 0
 
     result = run_experiment(config)
     for method in config.methods:

@@ -21,10 +21,11 @@ over all S rows, and so do numpy's sums over each row's K classes. Only
 the matrix products, the bias adds and the per-device reductions (loss
 means, distillation sums, bias gradients) loop, over runs of consecutive
 devices with the same size, as stacked matmuls on (G, B, ...) views. Each
-run's views of the features, and the shapes of its views of the other
-arrays, are laid out once, with the Batch. numpy's stacked matmul makes
-the same BLAS call on each slice, and each reduction runs per device in
-the same order, so every device gets the bits it would get alone.
+run's (G, B, F) view of the features is laid out once, with the Batch;
+the round's other arrays are reshaped by the run's count G and size B.
+numpy's stacked matmul makes the same BLAS call on each slice, and each
+reduction runs per device in the same order, so every device gets the bits
+it would get alone.
 evaluate_accuracy scores every model of a stack on the same test set in
 blocks of models, with the samples as columns: a float32 screen settles
 each sample whose lead is above a certified margin, and only the other
@@ -194,45 +195,26 @@ class ForwardPass(NamedTuple):
 
 class _Run(NamedTuple):
     """Consecutive devices that hold the same number of samples, with the
-    views and shapes that a pass over the batch reads for them."""
+    view of the features that a pass over the batch reads for them."""
 
     devices: slice  # rows of theta
     rows: slice  # rows of the (S, ...) sample arrays
+    count: int  # G
     size: int  # B
     features: np.ndarray  # (G, B, F) read-only view of the batch's features
-    features_t: np.ndarray  # (G, F, B) the same view, transposed
-    sums: tuple[int, int]  # (G, B): an (S,) array's entries, per device
-    hidden: tuple[int, int, int]  # (G, B, H): an (S, H) array's rows
-    classes: tuple[int, int, int]  # (G, B, K): an (S, K) array's rows
-    entries: tuple[int, int]  # (G, B K): an (S, K) array's entries, per device
 
 
-def _runs(
-    arch: Architecture, features: np.ndarray, sizes: np.ndarray
-) -> tuple[_Run, ...]:
+def _runs(features: np.ndarray, sizes: np.ndarray) -> tuple[_Run, ...]:
     """The runs of a batch's (M,) sizes, in device order, laid out over its
     (S, F) features."""
     firsts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist()]
     ends = [*firsts[1:], len(sizes)]
-    h, k = arch.hidden_dim, arch.num_classes
     runs, row = [], 0
     for first, end, size in zip(firsts, ends, sizes[firsts].tolist()):
         count = end - first
         rows = slice(row, row + count * size)
-        stacked = features[rows].reshape(count, size, -1)
-        runs.append(
-            _Run(
-                slice(first, end),
-                rows,
-                size,
-                stacked,
-                stacked.swapaxes(-1, -2),
-                (count, size),
-                (count, size, h),
-                (count, size, k),
-                (count, size * k),
-            )
-        )
+        view = features[rows].reshape(count, size, -1)
+        runs.append(_Run(slice(first, end), rows, count, size, view))
         row += count * size
     return tuple(runs)
 
@@ -283,12 +265,13 @@ class Batch:
         sizes: (M,) sample counts (>= 1) of the devices, in order, adding
             up to S.
         runs: The runs of consecutive devices with the same size, each with
-            its (G, B, F) view of the features.
+            its count G, size B and (G, B, F) view of the features.
         picked: (S,) each sample's label entry in a flattened (S, K) array.
         bins: (S K,) the knowledge bin of each entry of a flattened (S, K)
             output array, and
         counts: (M, K) each device's sample count per class
-            (knowledge.class_bins).
+            (knowledge.class_bins), which both its knowledge averages and
+            its uplink weights B_i^k / B^k (DatasetPartition) read.
     """
 
     arch: Architecture
@@ -314,7 +297,7 @@ class Batch:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "runs", _runs(self.arch, features, sizes))
+        object.__setattr__(self, "runs", _runs(features, sizes))
         object.__setattr__(self, "picked", picked)
         object.__setattr__(self, "bins", bins)
         object.__setattr__(self, "counts", counts)
@@ -343,13 +326,14 @@ def forward_pass(params: ModelParams, batch: Batch) -> ForwardPass:
     hidden = np.empty((samples, arch.hidden_dim))
     logits = np.empty((samples, arch.num_classes))
     for run in batch.runs:
-        out = hidden[run.rows].reshape(run.hidden)
+        out = hidden[run.rows].reshape(run.count, run.size, -1)
         np.matmul(run.features, w1[run.devices], out=out)
         out += b1[run.devices, None, :]
     np.tanh(hidden, out=hidden)
     for run in batch.runs:
-        out = logits[run.rows].reshape(run.classes)
-        np.matmul(hidden[run.rows].reshape(run.hidden), w2[run.devices], out=out)
+        layer = hidden[run.rows].reshape(run.count, run.size, -1)
+        out = logits[run.rows].reshape(run.count, run.size, -1)
+        np.matmul(layer, w2[run.devices], out=out)
         out += b2[run.devices, None, :]
     log_probs = _log_softmax(logits)
     return ForwardPass(hidden, log_probs, np.exp(log_probs))
@@ -406,7 +390,7 @@ def _loss(
     log_likelihoods = np.empty(sizes.shape)
     for run in batch.runs:
         np.add.reduce(
-            log_likelihood[run.rows].reshape(run.sums),
+            log_likelihood[run.rows].reshape(run.count, -1),
             axis=-1,
             out=log_likelihoods[run.devices],
         )
@@ -416,7 +400,7 @@ def _loss(
         distances = np.empty(sizes.shape)
         for run in batch.runs:
             np.add.reduce(
-                squares[run.rows].reshape(run.entries),
+                squares[run.rows].reshape(run.count, -1),
                 axis=-1,
                 out=distances[run.devices],
             )
@@ -474,9 +458,9 @@ def loss_and_grad(
     grad_w1, grad_b1, grad_w2, grad_b2 = _unpack(grad, arch)
     d_hidden = np.empty(hidden.shape)
     for run in batch.runs:
-        run_d_logits = d_logits[run.rows].reshape(run.classes)
+        run_d_logits = d_logits[run.rows].reshape(run.count, run.size, -1)
         run_d_logits /= run.size
-        run_hidden = hidden[run.rows].reshape(run.hidden)
+        run_hidden = hidden[run.rows].reshape(run.count, run.size, -1)
         np.matmul(
             run_hidden.swapaxes(-1, -2), run_d_logits, out=grad_w2[run.devices]
         )
@@ -484,15 +468,16 @@ def loss_and_grad(
         np.matmul(
             run_d_logits,
             w2[run.devices].swapaxes(-1, -2),
-            out=d_hidden[run.rows].reshape(run.hidden),
+            out=d_hidden[run.rows].reshape(run.count, run.size, -1),
         )
     # 1 - hidden**2, in the hidden activations' buffer once grad_w2 has them.
     np.square(hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     d_hidden *= hidden
     for run in batch.runs:
-        run_d_hidden = d_hidden[run.rows].reshape(run.hidden)
-        np.matmul(run.features_t, run_d_hidden, out=grad_w1[run.devices])
+        run_d_hidden = d_hidden[run.rows].reshape(run.count, run.size, -1)
+        features_t = run.features.swapaxes(-1, -2)
+        np.matmul(features_t, run_d_hidden, out=grad_w1[run.devices])
         np.add.reduce(run_d_hidden, axis=-2, out=grad_b1[run.devices])
     return loss.value, grad
 

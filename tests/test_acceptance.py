@@ -403,17 +403,17 @@ def _final_distillation_loss(config, result) -> float:
         train = synthesize_dataset(
             config.dataset, substream(config.seed, "data", trial)
         )
-        part, order = expcli.partition(
-            train,
+        order, sizes = expcli.partition(
+            train.labels,
             config.partition_mode,
             config.channel.num_wds,
             config.dirichlet_param,
             substream(config.seed, "partition", trial),
         )
-        labs, sizes = train.labels[order], part.per_wd_totals
+        labs = train.labels[order]
         batch = Batch(models.arch, train.features[order], labs, sizes)
         knowledge, forward = expcli.generate_knowledge(models, batch)
-        target = global_target(knowledge, part)
+        target = global_target(knowledge, DatasetPartition(counts=batch.counts))
         squares = np.sum((forward.probs - target[labs]) ** 2, axis=1)
         per_wd = [
             float(np.mean(device))

@@ -54,9 +54,21 @@ def make_spec(**overrides) -> DatasetSpec:
     return DatasetSpec(**base)
 
 
-def device_indices(part, order):
-    """The dataset indices of each device, from a partition's device order."""
-    return np.split(order, np.cumsum(part.per_wd_totals)[:-1])
+def device_indices(sizes, order):
+    """The dataset indices of each device, from a partition's device order
+    and sizes."""
+    return np.split(order, np.cumsum(sizes)[:-1])
+
+
+def device_counts(labels, order, sizes, num_classes):
+    """Each device's (M, K) sample count per class, from the labels in
+    device order split by the sizes."""
+    return np.array(
+        [
+            np.bincount(labels[idx], minlength=num_classes)
+            for idx in device_indices(sizes, order)
+        ]
+    )
 
 
 def small_parser(**section_overrides) -> configparser.ConfigParser:
@@ -160,50 +172,49 @@ def test_large_separation_centralized_model_learns():
 def test_partition_iid_equal_totals_when_divisible():
     spec = make_spec(num_samples=180)
     data = synthesize_dataset(spec, substream(1, "data", 0))
-    part, order = partition(data, "iid", 6, 0.0, substream(1, "p", 0))
-    assert np.all(part.counts == 10)  # 60 per class over 6 devices
-    assert np.all(part.per_wd_totals == 30)
+    order, sizes = partition(data.labels, "iid", 6, 0.0, substream(1, "p", 0))
+    # 60 per class over 6 devices
+    assert np.all(device_counts(data.labels, order, sizes, 3) == 10)
+    assert np.all(sizes == 30)
     assert np.array_equal(np.sort(order), np.arange(180))
 
 
 def test_partition_counts_match_assignment():
     spec = make_spec(num_samples=100)
     data = synthesize_dataset(spec, substream(2, "data", 0))
-    part, order = partition(
-        data, "dirichlet", 5, 0.5, substream(2, "p", 0)
+    order, sizes = partition(
+        data.labels, "dirichlet", 5, 0.5, substream(2, "p", 0)
     )
-    assert int(part.counts.sum()) == 100
+    assert sizes.shape == (5,) and int(sizes.sum()) == 100
+    counts = device_counts(data.labels, order, sizes, 3)
     # Class columns add up to the class sizes of the dataset.
-    assert np.array_equal(part.counts.sum(axis=0), np.bincount(data.labels))
+    assert np.array_equal(counts.sum(axis=0), np.bincount(data.labels))
     # The order is a permutation of the sample indices, device by device,
     # ascending within each device.
     assert np.array_equal(np.sort(order), np.arange(100))
-    for i, idx in enumerate(device_indices(part, order)):
+    for idx in device_indices(sizes, order):
         assert np.array_equal(idx, np.sort(idx))
-        assert np.array_equal(
-            np.bincount(data.labels[idx], minlength=3), part.counts[i]
-        )
 
 
 def test_generate_knowledge_matches_oracle_and_returns_forward_passes():
     spec = make_spec(num_samples=90)
     data = synthesize_dataset(spec, substream(3, "data", 0))
-    part, order = partition(data, "dirichlet", 6, 0.1, substream(3, "p", 0))
-    arch = Architecture(feature_dim=8, hidden_dim=5, num_classes=3)
-    batch = Batch(
-        arch, data.features[order], data.labels[order], part.per_wd_totals
+    order, sizes = partition(
+        data.labels, "dirichlet", 6, 0.1, substream(3, "p", 0)
     )
-    assert np.array_equal(batch.counts, part.counts)
+    arch = Architecture(feature_dim=8, hidden_dim=5, num_classes=3)
+    batch = Batch(arch, data.features[order], data.labels[order], sizes)
     params = init_params(arch, [substream(3, "init", 0, i) for i in range(6)])
     knowledge, forward = expcli.generate_knowledge(params, batch)
-    assert np.any(part.counts == 0)
+    counts = device_counts(data.labels, order, sizes, 3)
+    assert np.any(counts == 0)
     assert np.array_equal(forward.probs, forward_pass(params, batch).probs)
-    for i, idx in enumerate(device_indices(part, order)):
+    for i, idx in enumerate(device_indices(sizes, order)):
         model = ModelParams(params.theta[i : i + 1], arch)
         device = Batch(arch, data.features[idx], data.labels[idx], [idx.size])
         probs = forward_pass(model, device).probs
         expected = local_knowledge(
-            [probs[data.labels[idx] == k] for k in range(3)], part.counts[i]
+            [probs[data.labels[idx] == k] for k in range(3)], counts[i]
         )
         assert np.array_equal(knowledge.q[i], expected)
     with pytest.raises(ValueError, match=r"\(M,\) sizes"):
@@ -233,8 +244,8 @@ def test_generate_knowledge_rejects_outputs_that_are_not_probabilities(
 def test_partition_huge_concentration_is_near_uniform():
     spec = make_spec(num_samples=10_000, test_samples=10)
     data = synthesize_dataset(spec, substream(4, "data", 0))
-    part, _ = partition(data, "dirichlet", 10, 1e6, substream(4, "p", 0))
-    shares = part.counts.sum(axis=1) / 10_000.0
+    _, sizes = partition(data.labels, "dirichlet", 10, 1e6, substream(4, "p", 0))
+    shares = sizes / 10_000.0
     assert np.all(np.abs(shares - 0.1) < 0.001)
 
 
@@ -244,8 +255,10 @@ def test_partition_dirichlet_mean_share_is_one_over_m():
     draws = 2500
     shares = np.empty(draws)
     for j in range(draws):
-        part, _ = partition(data, "dirichlet", 10, 0.5, substream(6, "p", j))
-        shares[j] = part.counts[0].sum() / 600.0
+        _, sizes = partition(
+            data.labels, "dirichlet", 10, 0.5, substream(6, "p", j)
+        )
+        shares[j] = sizes[0] / 600.0
     assert abs(shares.mean() - 0.1) < 0.01
 
 
@@ -253,10 +266,10 @@ def test_partition_extreme_skew_leaves_no_empty_device():
     spec = make_spec(num_samples=64, num_classes=4, test_samples=10)
     data = synthesize_dataset(spec, substream(8, "data", 0))
     for j in range(50):
-        part, order = partition(
-            data, "dirichlet", 8, 0.01, substream(8, "p", j)
+        order, sizes = partition(
+            data.labels, "dirichlet", 8, 0.01, substream(8, "p", j)
         )
-        assert np.all(part.counts.sum(axis=1) >= 1)
+        assert np.all(sizes >= 1)
         assert np.array_equal(np.sort(order), np.arange(64))
 
 
@@ -308,16 +321,15 @@ def test_partition_matches_reference_loops():
         labels = np.concatenate([np.arange(k), rng.integers(0, k, size - k)])
         if case % 4 < 2:
             labels = np.sort(labels)  # class-sorted, as synthesize_dataset draws
-        data = expcli.Dataset(features=np.zeros((size, 1)), labels=labels)
         concentration = float(10.0 ** rng.uniform(-2.0, 0.5))
-        part, order = partition(
-            data, mode, m, concentration, substream(10, "p", case)
+        order, sizes = partition(
+            labels, mode, m, concentration, substream(10, "p", case)
         )
         expected, counts, moves = reference_partition(
             labels, mode, m, concentration, substream(10, "p", case)
         )
-        assert np.array_equal(part.counts, counts)
-        got = device_indices(part, order)
+        assert np.array_equal(device_counts(labels, order, sizes, k), counts)
+        got = device_indices(sizes, order)
         assert len(got) == m
         for mine, want in zip(got, expected):
             assert np.array_equal(mine, want)
@@ -328,19 +340,20 @@ def test_partition_matches_reference_loops():
 
 def test_partition_repair_moves_donors_highest_index():
     labels = np.repeat(np.arange(3), 4)
-    data = expcli.Dataset(features=np.zeros((12, 1)), labels=labels)
-    part, order = partition(data, "dirichlet", 5, 0.1, substream(5, "repair", 3))
+    order, sizes = partition(
+        labels, "dirichlet", 5, 0.1, substream(5, "repair", 3)
+    )
     # The deal is [0..3], [8..11], [4..7], [], []. Devices 0-2 tie at four
     # samples, so device 0 gives device 3 its highest index, 3; device 1 is
     # then the largest and gives device 4 its highest index, 11.
-    assert [a.tolist() for a in device_indices(part, order)] == [
+    assert [a.tolist() for a in device_indices(sizes, order)] == [
         [0, 1, 2],
         [8, 9, 10],
         [4, 5, 6, 7],
         [3],
         [11],
     ]
-    assert part.counts.tolist() == [
+    assert device_counts(labels, order, sizes, 3).tolist() == [
         [3, 0, 0],
         [0, 0, 3],
         [0, 4, 0],
@@ -378,9 +391,9 @@ def test_partition_rejections():
     spec = make_spec(num_samples=4, test_samples=4)
     data = synthesize_dataset(spec, substream(9, "data", 0))
     with pytest.raises(ValueError):
-        partition(data, "dirichlet", 6, 0.5, substream(9, "p", 0))
+        partition(data.labels, "dirichlet", 6, 0.5, substream(9, "p", 0))
     with pytest.raises(ValueError):
-        partition(data, "striped", 2, 0.5, substream(9, "p", 0))
+        partition(data.labels, "striped", 2, 0.5, substream(9, "p", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -869,14 +882,19 @@ def reference_error_free_params(config):
     devices' sample counts."""
     seed, lrn = config.seed, config.learner
     train = synthesize_dataset(config.dataset, substream(seed, "data", 0))
-    part, order = partition(
-        train,
+    order, sizes = partition(
+        train.labels,
         config.partition_mode,
         config.channel.num_wds,
         config.dirichlet_param,
         substream(seed, "partition", 0),
     )
-    indices = device_indices(part, order)
+    part = DatasetPartition(
+        counts=device_counts(
+            train.labels, order, sizes, config.dataset.num_classes
+        )
+    )
+    indices = device_indices(sizes, order)
     feats = [train.features[idx] for idx in indices]
     labs = [train.labels[idx] for idx in indices]
     arch = Architecture(
@@ -1165,6 +1183,39 @@ def test_cli_verify_rejects_fewer_than_one_trial(trials, capsys):
     assert "error: verify needs at least one trial" in captured.err
     with pytest.raises(ValueError, match="at least one trial"):
         expcli.run_verify(0, trials)
+
+
+def test_cli_verify_rejects_a_negative_seed(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "--seed", "-1"])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "airfd: error: seed must be nonnegative"
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        expcli.run_verify(-1, 1)
+
+
+def test_cli_run_rejects_an_output_path_that_is_a_file(
+    tmp_path, monkeypatch, capsys
+):
+    """An output path that names a regular file is a usage error, reported
+    before any trial runs."""
+    taken = tmp_path / "afile"
+    taken.write_text("not a directory\n", encoding="utf-8")
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(expcli, "_run_trial", no_trial)
+    with pytest.raises(SystemExit) as stop:
+        main(["run", "--trials", "1", "--out", str(taken)])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("airfd: error: ")
+    assert "File exists" in captured.err
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
 @pytest.mark.parametrize(
