@@ -67,13 +67,13 @@ from .metrics import (
     p2_objective,
     phi1,
     phi2_sq_all,
-    phi2_sq_monte_carlo,
 )
 from .oracles import (
     accuracy_loop,
     beamformer_grid_search,
     finite_difference_gradient,
     naive_aggregate,
+    phi2_sq_monte_carlo,
 )
 from .rng import substream
 from .transceiver import (
@@ -496,17 +496,19 @@ def communication_accounting(
 
     Superposed methods spend K^2 channel uses per round regardless of the
     device count, plus 2MK error-free statistic scalars (means and stds) and
-    MK signaling scalars. The orthogonal method spends M*K^2 uses; a
-    parameter-averaging scheme would spend M*model_dim (reported for scale
-    only); the error-free method is a hypothetical with no uplink.
+    MK signaling scalars. The orthogonal method spends M*K^2 uses and, since
+    its receiver reads the same statistics and counts, the same 3MK side
+    scalars; a parameter-averaging scheme would spend M*model_dim (reported
+    for scale only); the error-free method is a hypothetical with no uplink.
     """
     m, k, d = int(num_wds), int(num_classes), int(model_dim)
+    side = 2 * m * k + m * k
     if method in ("proposed", "uniform"):
         uses = k * k
-        scalars = k * k + 2 * m * k + m * k
+        scalars = uses + side
     elif method == "orthogonal":
         uses = m * k * k
-        scalars = uses
+        scalars = uses + side
     elif method == "error_free":
         uses = 0
         scalars = 0

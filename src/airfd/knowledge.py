@@ -20,7 +20,6 @@ __all__ = [
     "DatasetPartition",
     "KnowledgeSet",
     "transmit_active_mask",
-    "class_bins",
     "knowledge_vectors",
     "global_target",
 ]
@@ -165,11 +164,12 @@ def transmit_active_mask(
     return partition.active_mask & (stds >= Q_HAT_FLOOR)
 
 
-def class_bins(
+def _class_bins(
     labels: np.ndarray, sizes: np.ndarray, num_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The knowledge bin of each output entry of every sample, and each
-    (device, class) cell's sample count.
+    (device, class) cell's sample count. The inputs are not checked: the
+    caller (learner.Batch) has checked them.
 
     Args:
         labels: (S,) integer labels in [0, K) of every device's samples,
@@ -184,22 +184,6 @@ def class_bins(
         flattened (S, K) array, and the (M, K) counts B_i^k.
     """
     labels, sizes = np.asarray(labels), np.asarray(sizes)
-    if (
-        labels.ndim != 1
-        or sizes.ndim != 1
-        or not np.issubdtype(sizes.dtype, np.integer)
-        or np.any(sizes < 0)
-        or sizes.sum() != labels.size
-    ):
-        raise ValueError(
-            "each device needs a nonnegative integer size, and the sizes "
-            "must add up to the labels"
-        )
-    # Booleans are not integers here: they would count as classes 0 and 1.
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError(f"labels must be integers, got {labels.dtype}")
-    if np.any(labels < 0) or np.any(labels >= num_classes):
-        raise ValueError("labels must lie in [0, K)")
     cells = np.repeat(np.arange(sizes.size) * num_classes, sizes) + labels
     counts = np.bincount(cells, minlength=sizes.size * num_classes)
     bins = (cells[:, None] * num_classes + np.arange(num_classes)).reshape(-1)
@@ -214,8 +198,8 @@ def knowledge_vectors(
     Args:
         outputs: (S, K) softmax outputs of every device's samples, device 0's
             first.
-        bins, counts: class_bins of the same samples' labels and the
-            devices' sizes.
+        bins, counts: a `Batch`'s bins and counts (learner.Batch), of the
+            same samples.
 
     Returns:
         (M, K, K) array whose [i, k] row is device i's class-k knowledge
@@ -231,7 +215,7 @@ def knowledge_vectors(
     # Bin (i K + k) K + d holds entry d of device i's class-k samples, and
     # bincount adds each bin's entries in sample order, starting from 0.0:
     # the order of a per-entry sum. The S K bins are built once per batch
-    # (class_bins), so one bincount does the work of K.
+    # (_class_bins), so one bincount does the work of K.
     counts = counts.reshape(-1)
     sums = np.bincount(
         bins, weights=outputs.reshape(-1), minlength=counts.size * num_classes

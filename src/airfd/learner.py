@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .knowledge import class_bins
+from .knowledge import _class_bins
 
 __all__ = [
     "Architecture",
@@ -269,9 +269,10 @@ class Batch:
         picked: (S,) each sample's label entry in a flattened (S, K) array.
         bins: (S K,) the knowledge bin of each entry of a flattened (S, K)
             output array, and
-        counts: (M, K) each device's sample count per class
-            (knowledge.class_bins), which both its knowledge averages and
-            its uplink weights B_i^k / B^k (DatasetPartition) read.
+        counts: (M, K) each device's sample count per class. A `Batch`'s
+            bins and counts are what knowledge.knowledge_vectors averages
+            over, and its counts give the uplink weights B_i^k / B^k
+            (DatasetPartition).
     """
 
     arch: Architecture
@@ -287,10 +288,17 @@ class Batch:
         features = _checked_features(self.arch, self.features)
         labels = _checked_labels(self.arch, self.labels, len(features))
         sizes = np.array(self.sizes)
-        if not np.issubdtype(sizes.dtype, np.integer) or np.any(sizes < 1):
-            raise ValueError("every device must hold at least one sample")
-        # class_bins also checks that the sizes are (M,) and add up to S.
-        bins, counts = class_bins(labels, sizes, self.arch.num_classes)
+        if (
+            sizes.ndim != 1
+            or not np.issubdtype(sizes.dtype, np.integer)
+            or np.any(sizes < 1)
+            or sizes.sum() != len(labels)
+        ):
+            raise ValueError(
+                "every device must hold at least one sample, and the (M,) "
+                "integer sizes must add up to the samples"
+            )
+        bins, counts = _class_bins(labels, sizes, self.arch.num_classes)
         picked = np.arange(len(labels)) * self.arch.num_classes + labels
         for array in (sizes, picked, bins, counts):
             array.setflags(write=False)
@@ -531,24 +539,17 @@ def train_round(
     if rng is None:
         raise ValueError("minibatch training (local_epochs > 1) requires rng")
     sizes = batch.sizes
-    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    # Every device's shuffle as rows of the batch, and each row's place in it.
-    shuffled = np.concatenate([rng.permutation(size) for size in sizes]) + starts
-    place = np.arange(len(shuffled)) - starts
-    # Minibatch e of a device holds the places [cut_e, cut_e+1) of its shuffle.
-    whole, extra = np.divmod(sizes, config.local_epochs)
-    cuts = [
-        e * whole + np.minimum(e, extra) for e in range(config.local_epochs + 1)
+    splits = [
+        np.array_split(rng.permutation(size) + start, config.local_epochs)
+        for size, start in zip(sizes, np.cumsum(sizes) - sizes)
     ]
     theta = params.theta.copy()
-    for low, high in zip(cuts, cuts[1:]):
-        chunk = high - low
+    for step in zip(*splits):
+        chunk = np.array([len(rows) for rows in step])
         stepping = chunk > 0
         if not stepping.any():
             break
-        take = shuffled[
-            (place >= np.repeat(low, sizes)) & (place < np.repeat(high, sizes))
-        ]
+        take = np.concatenate(step)
         _, grad = loss_and_grad(
             ModelParams(theta=theta[stepping], arch=params.arch),
             Batch(

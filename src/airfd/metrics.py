@@ -22,12 +22,9 @@ __all__ = [
     "a2_coefficient",
     "phi1",
     "phi2_sq_all",
-    "phi2_sq_monte_carlo",
     "p2_objective",
     "csv_header",
 ]
-
-_NOISE_DRAWS_PER_BATCH = 1000  # per pass of phi2_sq_monte_carlo; bounds memory
 
 
 def a2_coefficient(config: LearnerConfig) -> float:
@@ -73,44 +70,6 @@ def phi2_sq_all(
         raise ValueError(f"denormalizers must be ({k},) finite positive scalars")
     mix = partition.class_mix()
     return (mix * k * noise_variance / lams[None, :] ** 2).sum(axis=1)
-
-
-def phi2_sq_monte_carlo(
-    beamformer: np.ndarray,
-    denormalizers: np.ndarray,
-    counts_row: np.ndarray,
-    noise_variance: float,
-    rng: np.random.Generator,
-    draws: int = 100_000,
-) -> float:
-    """Monte-Carlo estimate of the squared noise error: simulates receiver
-    noise through the combining vector and the denormalizers.
-
-    Draw noise with fresh sub-streams, never the streams driving a learning
-    run, so the estimate stays independent of the simulation it checks.
-    """
-    w = np.asarray(beamformer, dtype=np.complex128)
-    lams = np.asarray(denormalizers, dtype=np.float64)
-    counts_row = np.asarray(counts_row, dtype=np.float64)
-    k = lams.shape[0]
-    n = w.shape[0]
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    mix = counts_row / counts_row.sum()
-    total = 0.0
-    done = 0
-    scale = np.sqrt(noise_variance * 0.5)
-    while done < draws:
-        batch = min(_NOISE_DRAWS_PER_BATCH, draws - done)
-        parts = rng.standard_normal((batch, k, k, n, 2)) * scale
-        noise = parts[..., 0] + 1j * parts[..., 1]
-        combined = noise @ np.conj(w)  # (batch, K, K)
-        block_norms_sq = np.sum(
-            combined.real**2 + combined.imag**2, axis=2
-        )  # (batch, K)
-        total += float(np.sum(block_norms_sq @ (mix / lams**2)))
-        done += batch
-    return total / draws
 
 
 def p2_objective(

@@ -216,8 +216,13 @@ def build_relaxation(
 
     so that |w^H v_j^k|^2 is the squared bottleneck gain the class-k
     denormalizer is limited by. Class k is weighted by
-    (sum_i B_i^k / B_i) / B^k, the weight its inverse squared denormalizer
-    carries in the aggregation-error objective.
+    c_k = (sum_i B_i^k / B_i) / B^k, and the relaxation maximizes
+
+        sum_k c_k min_j |w^H v_j^k|^2 = sum_k c_k (lambda^k / B^k)^2,
+
+    where lambda^k are the denormalizers optimal_postprocessing completes w
+    with. This is not the logged noise error (metrics.phi2_sq_all), which
+    weighs 1 / (lambda^k)^2 by sum_i B_i^k / B_i.
     """
     active, vecs = _scaled_channels(channel, knowledge_stds, partition, peak_powers)
     class_weights = partition.class_mix().sum(axis=0) / partition.class_totals

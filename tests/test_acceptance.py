@@ -18,12 +18,12 @@ from airfd.channel import (
 )
 from airfd.knowledge import DatasetPartition, KnowledgeSet, global_target
 from airfd.learner import Architecture, Batch, init_params, loss_and_grad
-from airfd.metrics import (
-    p2_objective,
-    phi2_sq_all,
+from airfd.metrics import p2_objective, phi2_sq_all
+from airfd.oracles import (
+    beamformer_grid_search,
+    finite_difference_gradient,
     phi2_sq_monte_carlo,
 )
-from airfd.oracles import beamformer_grid_search, finite_difference_gradient
 from airfd.rng import substream
 from airfd.transceiver import build_relaxation, optimize_round
 from airfd.expcli import (

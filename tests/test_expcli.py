@@ -613,7 +613,13 @@ def test_accounting_parameter_upload_reference():
 def test_accounting_orthogonal_and_error_free():
     orth = communication_accounting("orthogonal", 10, 5, 100, 2)
     assert orth.channel_uses_per_round == 250
-    assert orth.total_scalars == 500
+    assert orth.total_scalars == 800
+    # The side scalars (statistics and signalling) are the superposed ones.
+    superposed = communication_accounting("proposed", 10, 5, 100, 2)
+    assert (
+        orth.scalars_per_round - orth.channel_uses_per_round
+        == superposed.scalars_per_round - superposed.channel_uses_per_round
+    )
     free = communication_accounting("error_free", 10, 5, 100, 2)
     assert free == (0, 0, 0)
     with pytest.raises(ValueError):

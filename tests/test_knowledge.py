@@ -11,11 +11,12 @@ from airfd.knowledge import (
     Q_HAT_FLOOR,
     DatasetPartition,
     KnowledgeSet,
-    class_bins,
+    _class_bins,
     global_target,
     knowledge_vectors,
     transmit_active_mask,
 )
+from airfd.learner import Architecture, Batch
 from airfd.oracles import local_knowledge
 from airfd.rng import substream
 from airfd.sdp_solver import SdpProblem
@@ -122,12 +123,20 @@ def ragged_devices(rng, num_wds, num_classes, concentration=0.1):
 def vectors(outputs_by_wd, labels_by_wd):
     """knowledge_vectors of devices given as per-device lists."""
     outputs = np.concatenate(outputs_by_wd)
-    bins = class_bins(
+    bins = _class_bins(
         np.concatenate(labels_by_wd),
         [len(labels) for labels in labels_by_wd],
         outputs.shape[1],
     )
     return knowledge_vectors(outputs, *bins)
+
+
+def labelled_batch(labels, sizes, num_classes):
+    """A Batch of one-feature samples with these labels and device sizes:
+    the record whose bins and counts knowledge_vectors reads, and which
+    checks them."""
+    arch = Architecture(feature_dim=1, hidden_dim=1, num_classes=num_classes)
+    return Batch(arch, np.zeros((len(labels), 1)), labels, sizes)
 
 
 @st.composite
@@ -193,23 +202,21 @@ class TestKnowledgeVectors:
 
     def test_mismatched_outputs_rejected(self):
         outputs, labels = np.full((3, 2), 0.5), np.array([0, 1, 1])
-        bins = class_bins(labels, [2, 1], 2)
+        bins = _class_bins(labels, [2, 1], 2)
         with pytest.raises(ValueError, match="output row"):
             knowledge_vectors(outputs[:2], *bins)
         with pytest.raises(ValueError, match="output row"):
             knowledge_vectors(outputs[None], *bins)
         with pytest.raises(ValueError, match="output row"):
             knowledge_vectors(np.full((3, 3), 1.0 / 3), *bins)
-        with pytest.raises(ValueError, match="add up"):
-            class_bins(labels, [2, 2], 2)
-        with pytest.raises(ValueError, match="add up"):
-            class_bins(labels, [4, -1], 2)
-        with pytest.raises(ValueError, match="integer size"):
-            class_bins(labels, [2.0, 1.0], 2)
+        # The bins come from a Batch, which checks the sizes.
+        for sizes in ([2, 2], [4, -1], [2.0, 1.0]):
+            with pytest.raises(ValueError, match="add up"):
+                labelled_batch(labels, sizes, 2)
 
     def test_devices_without_samples_keep_the_uniform_placeholder(self):
         outputs = np.array([[0.9, 0.1], [0.2, 0.8]])
-        bins, counts = class_bins(np.array([0, 1]), [0, 2, 0], 2)
+        bins, counts = _class_bins(np.array([0, 1]), [0, 2, 0], 2)
         assert np.array_equal(counts, [[0, 0], [1, 1], [0, 0]])
         result = knowledge_vectors(outputs, bins, counts)
         assert np.array_equal(result[[0, 2]], np.full((2, 2, 2), 0.5))
@@ -219,7 +226,7 @@ class TestKnowledgeVectors:
         # Label K of device 0 would otherwise land in device 1's class-0 cell.
         for labels in (np.array([0, 3]), np.array([-1, 0])):
             with pytest.raises(ValueError, match="labels"):
-                class_bins(np.append(labels, 1), [2, 1], 3)
+                labelled_batch(np.append(labels, 1), [2, 1], 3)
 
     @pytest.mark.parametrize(
         "labels",
@@ -229,7 +236,7 @@ class TestKnowledgeVectors:
     def test_non_integer_labels_rejected(self, labels):
         """Booleans would count as classes 0 and 1; floats cannot index."""
         with pytest.raises(ValueError, match="labels must be integers"):
-            class_bins(labels, [2, 1], 3)
+            labelled_batch(labels, [2, 1], 3)
 
 
 class TestKnowledgeStats:

@@ -14,8 +14,8 @@ from airfd.metrics import (
     p2_objective,
     phi1,
     phi2_sq_all,
-    phi2_sq_monte_carlo,
 )
+from airfd.oracles import phi2_sq_monte_carlo
 from airfd.transceiver import (
     PlanDiagnostics,
     TransceiverPlan,

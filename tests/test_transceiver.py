@@ -219,6 +219,31 @@ class TestBuildRelaxation:
             expected += problem.class_weights[kk] * (-worst)
         assert relaxation_objective(w, problem) == pytest.approx(expected, rel=1e-12)
 
+    def test_objective_is_the_weighted_squared_bottleneck_denormalizers(self):
+        """The relaxation maximizes sum_k c_k (lambda^k / B^k)^2, with
+        lambda^k the denormalizers that optimal_postprocessing completes the
+        beamformer with: the planners' beamformers and random ones, on desk
+        and field rounds."""
+        rounds = [desk_round(seed)[1:] for seed in range(6)]
+        rounds += [field_instance(2, "objective", index) for index in range(2)]
+        rng = np.random.default_rng(14)
+        for channel, stds, partition, peaks in rounds:
+            problem = build_relaxation(channel, stds, partition, peaks)
+            beamformers = [
+                optimize_round(channel, stds, partition, peaks).beamformer,
+                uniform_baseline(channel, stds, partition, peaks).beamformer,
+            ]
+            beamformers += [
+                random_beamformer(rng, channel.num_antennas) for _ in range(3)
+            ]
+            for w in beamformers:
+                post = optimal_postprocessing(w, channel, stds, partition, peaks)
+                ratios = post.denormalizers / partition.class_totals
+                expected = -(problem.class_weights @ ratios**2)
+                assert relaxation_objective(w, problem) == pytest.approx(
+                    expected, rel=1e-12
+                )
+
 
 class TestOptimalPostprocessing:
     def test_single_wd(self):
