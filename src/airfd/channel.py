@@ -137,9 +137,10 @@ def sample_distances(config: ChannelConfig, rng: np.random.Generator) -> np.ndar
 
 
 def _standard_complex(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """IID entries ~ CN(0, 1): real/imag parts each N(0, 1/2)."""
+    """IID entries ~ CN(0, 1): real/imag parts each N(0, 1/2), drawn as
+    consecutive (real, imag) pairs and read as complex in place."""
     parts = rng.standard_normal(size=shape + (2,)) * np.sqrt(0.5)
-    return parts[..., 0] + 1j * parts[..., 1]
+    return parts.view(np.complex128)[..., 0]
 
 
 def sample_channel(

@@ -5,6 +5,11 @@ uploads, and a fully orthogonal per-device uplink combined digitally at the
 server. The estimator's mean-offset weights are the partition's aggregation
 weights, so a plan does not store them.
 
+The superposed planners scale the channels once a round (_scaled_channels).
+The relaxation stores those vectors as its constraint factors; the uniform
+baseline, which solves nothing, completes its plan and scores its fixed
+beamformer from the same vectors without building a relaxation.
+
 The planning channel may be an imperfect estimate; the resulting plan is
 applied to whatever true channel the aggregation step actually sees.
 """
@@ -193,12 +198,20 @@ def _scaled_channels(
 
     zero where device j does not transmit class k. Every planner's round
     inputs are checked here: the channel's device count and the peak powers
-    (_checked_peaks), and the shape of the knowledge stds."""
+    (_checked_peaks), the shape of the knowledge stds, that every class has
+    a transmitting device, and that the active vectors are finite."""
     peaks = _checked_peaks(channel, partition, peak_powers)
     active = transmit_active_mask(partition, knowledge_stds)
+    if not np.all(active.any(axis=0)):
+        raise ValueError("infeasible mask: some class has no active device")
     denom = np.where(active, partition.counts * knowledge_stds, 1.0)
     scale = np.where(active, np.sqrt(peaks)[:, None] / denom, 0.0)  # (M, K)
-    return active, scale.T[:, :, None] * channel.coefficients[None, :, :]
+    vecs = scale.T[:, :, None] * channel.coefficients[None, :, :]
+    # Inactive vectors are zero multiples of the (finite) channel, so
+    # checking every vector checks the active ones.
+    if not np.all(np.isfinite(vecs)):
+        raise ValueError("active constraint vectors must be finite")
+    return active, vecs
 
 
 def build_relaxation(
@@ -225,21 +238,26 @@ def build_relaxation(
     weighs 1 / (lambda^k)^2 by sum_i B_i^k / B_i.
     """
     active, vecs = _scaled_channels(channel, knowledge_stds, partition, peak_powers)
-    class_weights = partition.class_mix().sum(axis=0) / partition.class_totals
     return SdpProblem(
         dim=channel.num_antennas,
-        class_weights=class_weights,
+        class_weights=_class_weights(partition),
         constraint_vectors=vecs,
         active_mask=active.T.copy(),
     )
 
 
-def _constraint_gains(w: np.ndarray, problem: SdpProblem) -> np.ndarray:
-    """(K, M) squared gains |w^H v_j^k|^2; +inf where the device does not
-    take part in the class."""
-    projections = np.conj(problem.constraint_vectors) @ w
+def _class_weights(partition: DatasetPartition) -> np.ndarray:
+    """The (K,) objective weights c_k = (sum_i B_i^k / B_i) / B^k."""
+    return partition.class_mix().sum(axis=0) / partition.class_totals
+
+
+def _constraint_gains(w: np.ndarray, vecs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(K, M) squared gains |w^H v_j^k|^2 of the (K, M, N) scaled channel
+    vectors; +inf where the (K, M) mask is False (the device does not take
+    part in the class)."""
+    projections = np.conj(vecs) @ w
     gains = projections.real**2 + projections.imag**2
-    return np.where(problem.active_mask, gains, np.inf)
+    return np.where(mask, gains, np.inf)
 
 
 def relaxation_objective(beamformer: np.ndarray, problem: SdpProblem) -> float:
@@ -248,8 +266,8 @@ def relaxation_objective(beamformer: np.ndarray, problem: SdpProblem) -> float:
     w = np.asarray(beamformer, dtype=np.complex128)
     if w.shape != (problem.dim,):
         raise ValueError(f"beamformer must have shape ({problem.dim},)")
-    worst = _constraint_gains(w, problem).min(axis=1)
-    return float(problem.class_weights @ (-worst))
+    gains = _constraint_gains(w, problem.constraint_vectors, problem.active_mask)
+    return float(problem.class_weights @ (-gains.min(axis=1)))
 
 
 def _polish_beamformer(w: np.ndarray, problem: SdpProblem) -> np.ndarray:
@@ -279,7 +297,7 @@ def _polish_beamformer(w: np.ndarray, problem: SdpProblem) -> np.ndarray:
     returns `w` unchanged.
     """
     n, num_classes = problem.dim, problem.num_classes
-    gains = _constraint_gains(w, problem)
+    gains = _constraint_gains(w, problem.constraint_vectors, problem.active_mask)
     level = gains.min(axis=1)
     if not np.all(level > 0.0):
         return w
@@ -353,7 +371,9 @@ def _polish_beamformer(w: np.ndarray, problem: SdpProblem) -> np.ndarray:
     if np.any(mu < 0.0):
         return w
     polished = canonical_phase(x)
-    new_gains = _constraint_gains(polished, problem)
+    new_gains = _constraint_gains(
+        polished, problem.constraint_vectors, problem.active_mask
+    )
     held = np.where(active, new_gains, np.inf).min(axis=1)
     if np.any(new_gains.min(axis=1) < held):
         return w
@@ -399,8 +419,9 @@ def optimal_postprocessing(
     Raises:
         PlanDegeneracyError: some transmitting device has w^H h_i = 0.
         ValueError: the inputs disagree on the device count, the peak powers
-            are not (M,) positive and finite, the stds are not (M, K), or the
-            beamformer's length is not the antenna count.
+            are not (M,) positive and finite, the stds are not (M, K), some
+            class has no transmitting device, an active scaled channel is not
+            finite, or the beamformer's length is not the antenna count.
     """
     stds = np.asarray(knowledge_stds, dtype=np.float64)
     active, vecs = _scaled_channels(channel, stds, partition, peak_powers)
@@ -484,13 +505,25 @@ def uniform_baseline(
     transmitting device at peak power with its phase aligned to the combined
     channel, and per-class denormalizers set to the mean (rather than the
     minimum) of the per-device bottleneck expressions.
+
+    The plan is completed from the scaled channel vectors (_scaled_channels)
+    without building the relaxation; its diagnostics' relaxation_objective
+    is the value the uniform beamformer achieves in it (what
+    relaxation_objective(w, build_relaxation(...)) returns), computed from
+    the same vectors.
+
+    Raises:
+        ValueError: the inputs disagree on the device count, the peak powers
+            are not (M,) positive and finite, the stds are not (M, K), some
+            class has no transmitting device, or an active scaled channel is
+            not finite.
     """
-    stds = np.asarray(knowledge_stds, dtype=np.float64)
     peaks = np.asarray(peak_powers, dtype=np.float64)
+    # _scaled_channels checks that every class has a transmitting device,
+    # so the mean below divides by no zero.
+    active, vecs = _scaled_channels(channel, knowledge_stds, partition, peaks)
     n = channel.num_antennas
     w = np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
-    problem = build_relaxation(channel, stds, partition, peaks)
-    active = transmit_active_mask(partition, stds)
     combined = _combined_gains(channel, w)
     gains = np.abs(combined)
     # Phase-align each upload so contributions add constructively; a zero
@@ -500,11 +533,10 @@ def uniform_baseline(
 
     # Bottleneck expressions B^k |w^H v_i^k|, (K, M). `active` is C-ordered:
     # the order of the sum below depends on the memory order of `finite`.
-    expr = partition.class_totals[:, None] * np.abs(
-        problem.constraint_vectors @ np.conj(w)
-    )
+    expr = partition.class_totals[:, None] * np.abs(vecs @ np.conj(w))
     finite = np.where(active, expr.T, 0.0)
     denormalizers = finite.sum(axis=0) / active.sum(axis=0)
+    worst = _constraint_gains(w, vecs, active.T).min(axis=1)
     return TransceiverPlan(
         transmit=TransmitPlan(equalizers=equalizers, peak_powers=peaks),
         beamformer=w,
@@ -512,7 +544,7 @@ def uniform_baseline(
         diagnostics=PlanDiagnostics(
             eig1=1.0,
             eig2=0.0,
-            relaxation_objective=relaxation_objective(w, problem),
+            relaxation_objective=float(_class_weights(partition) @ (-worst)),
             solver_iterations=0,
         ),
     )

@@ -670,6 +670,87 @@ class TestUniformBaseline:
                 expressions.mean(), rel=1e-12
             )
 
+    @staticmethod
+    def relaxation_route(channel, stds, partition, peaks):
+        """Reference: the uniform plan's denormalizers and objective through
+        the relaxation, from its constraint vectors and relaxation_objective."""
+        problem = build_relaxation(channel, stds, partition, peaks)
+        n = channel.num_antennas
+        w = np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128)
+        active = transmit_active_mask(partition, stds)
+        expr = partition.class_totals[:, None] * np.abs(
+            problem.constraint_vectors @ np.conj(w)
+        )
+        finite = np.where(active, expr.T, 0.0)
+        denormalizers = finite.sum(axis=0) / active.sum(axis=0)
+        return denormalizers, relaxation_objective(w, problem)
+
+    @pytest.mark.parametrize("shape", ["desk", "field"])
+    def test_matches_the_relaxation_route(self, shape):
+        # Devices without samples of a class, and one std below the floor
+        # in a class that keeps another transmitting device.
+        for seed in range(30 if shape == "desk" else 3):
+            if shape == "desk":
+                rng, channel, stds, partition, peaks = desk_round(seed)
+            else:
+                channel, stds, partition, peaks = field_instance(5, "uniform", seed)
+                rng = np.random.default_rng(seed)
+            m, k = partition.counts.shape
+            counts = partition.counts * (rng.random((m, k)) < 0.7)
+            counts[np.arange(m), np.arange(m) % k] += 1
+            counts[np.arange(k) % m, np.arange(k)] += 1
+            partition = DatasetPartition(counts=counts)
+            stds = stds.copy()
+            active = transmit_active_mask(partition, stds)
+            spare = np.argwhere(active & (active.sum(axis=0) > 1))
+            stds[tuple(spare[rng.integers(len(spare))])] = 0.5 * Q_HAT_FLOOR
+            assert not transmit_active_mask(partition, stds).all()
+            plan = uniform_baseline(channel, stds, partition, peaks)
+            denormalizers, objective = self.relaxation_route(
+                channel, stds, partition, peaks
+            )
+            assert np.array_equal(plan.denormalizers, denormalizers)
+            assert plan.diagnostics.relaxation_objective == objective
+
+    @staticmethod
+    def call(function, channel, stds, partition, peaks):
+        if function is optimal_postprocessing:
+            w = random_beamformer(np.random.default_rng(0), channel.num_antennas)
+            return optimal_postprocessing(w, channel, stds, partition, peaks)
+        return function(channel, stds, partition, peaks)
+
+    @pytest.mark.parametrize(
+        "function", [build_relaxation, optimal_postprocessing, uniform_baseline]
+    )
+    def test_class_without_transmitting_device_rejected(self, function):
+        # Class 1 is held by every device, but every one of its stds lies
+        # below the floor, so no device transmits it.
+        rng = np.random.default_rng(56)
+        channel = random_channel(rng, 3, 2)
+        partition = random_partition(rng, 3, 2)
+        stds = random_knowledge(rng, 3, 2).stds.copy()
+        stds[:, 1] = 0.5 * Q_HAT_FLOOR
+        with pytest.raises(ValueError, match="infeasible mask"):
+            self.call(function, channel, stds, partition, np.ones(3))
+
+    @pytest.mark.parametrize(
+        "function", [build_relaxation, optimal_postprocessing, uniform_baseline]
+    )
+    def test_overflowing_scaled_channel_rejected(self, function):
+        # Finite inputs whose scaled vectors overflow: device 0's
+        # sqrt(P_0) |h_0| / (B_0^k q_hat_0^k) is about 1e150 * 1e200 / 1e-8.
+        rng = np.random.default_rng(57)
+        coefficients = random_channel(rng, 3, 2).coefficients * 1e200
+        channel = ChannelState(coefficients=coefficients)
+        partition = random_partition(rng, 3, 2)
+        stds = random_knowledge(rng, 3, 2).stds.copy()
+        stds[0] = Q_HAT_FLOOR
+        peaks = np.array([1e300, 1.0, 1.0])
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="active constraint vectors must be finite"
+        ):
+            self.call(function, channel, stds, partition, peaks)
+
 
 class TestOrthogonalBaseline:
     def test_noiseless_exact_recovery(self):
@@ -811,7 +892,8 @@ class TestPeakPowerChecks:
         return function(channel, knowledge.stds, partition, peaks)
 
     @pytest.mark.parametrize(
-        "function", [build_relaxation, optimal_postprocessing, orthogonal_receive]
+        "function",
+        [build_relaxation, optimal_postprocessing, uniform_baseline, orthogonal_receive],
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-3])
     def test_non_finite_or_non_positive_peak_rejected(self, function, bad):
