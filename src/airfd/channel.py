@@ -190,14 +190,12 @@ def perturb_csi(
 ) -> ChannelState:
     """Additive channel-estimation error: h_hat = sqrt(zeta) h + sqrt(1-zeta) n.
 
-    The error n has IID CN(0, 1) entries (unit variance per complex entry),
-    independent of the truth. zeta = 1 returns an identical state; zeta = 0
-    returns pure noise. The input state is not modified.
+    The error n has IID CN(0, 1) entries, independent of the truth, drawn at
+    every zeta: zeta = 1 keeps the truth's bits (0 * n adds signed zeros) and
+    zeta = 0 returns pure noise. The input state is not modified.
     """
     if not 0.0 <= zeta <= 1.0:
         raise ValueError(f"zeta must be in [0, 1], got {zeta}")
-    if zeta == 1.0:
-        return ChannelState(coefficients=truth.coefficients)
     error = _standard_complex(rng, truth.coefficients.shape)
     perturbed = np.sqrt(zeta) * truth.coefficients + np.sqrt(1.0 - zeta) * error
     return ChannelState(coefficients=perturbed)
@@ -209,13 +207,11 @@ def sample_noise(
     noise_variance: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Receiver noise for `count` time slots: entries IID CN(0, noise_variance).
+    """Receiver noise for `count` slots: sqrt(noise_variance) * CN(0, 1) draws.
 
     Returns:
-        (count, num_antennas) complex array; all-zero when noise_variance is 0.
+        (count, num_antennas) complex array; zeros when noise_variance is 0.
     """
     if not 0.0 <= noise_variance < np.inf:  # written so that a NaN fails it
         raise ValueError("noise_variance must be finite and nonnegative")
-    if noise_variance == 0.0:
-        return np.zeros((count, num_antennas), dtype=np.complex128)
     return np.sqrt(noise_variance) * _standard_complex(rng, (count, num_antennas))

@@ -5,10 +5,10 @@ uploads, and a fully orthogonal per-device uplink combined digitally at the
 server. The estimator's mean-offset weights are the partition's aggregation
 weights, so a plan does not store them.
 
-The superposed planners scale the channels once a round (_scaled_channels).
-The relaxation stores those vectors as its constraint factors; the uniform
-baseline, which solves nothing, completes its plan and scores its fixed
-beamformer from the same vectors without building a relaxation.
+optimize_round scales the channels (_scaled_channels) twice a round, in
+build_relaxation, whose relaxation stores the vectors as constraint factors,
+and in optimal_postprocessing; metrics.p2_objective scales them once more. The
+uniform baseline scales them once and builds its plan without a relaxation.
 
 The planning channel may be an imperfect estimate; the resulting plan is
 applied to whatever true channel the aggregation step actually sees.

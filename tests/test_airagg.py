@@ -106,6 +106,17 @@ class TestSuperposeAndCombine:
                 np.zeros((4, 3), dtype=complex),
             )
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_beamformer_of_another_length_rejected(self, n):
+        channel = ChannelState(coefficients=np.ones((2, 3), dtype=complex))
+        w = np.zeros(n, dtype=complex)
+        w[0] = 1.0
+        with pytest.raises(ValueError, match="beamformer length"):
+            superpose_and_combine(
+                np.zeros((2, 4), dtype=complex), channel, w,
+                np.zeros((4, 3), dtype=complex),
+            )
+
 
 class TestEstimateGlobal:
     """The global-knowledge estimate of aggregate_over_air."""

@@ -105,12 +105,19 @@ class TestSampleChannel:
 
 class TestPerturbCsi:
     def test_zeta_one_is_identity(self):
-        config = make_config(num_wds=5, num_antennas=4)
-        state = sample_channel(
-            config, np.linspace(100, 400, 5), substream(2, "truth")
-        )
-        out = perturb_csi(state, 1.0, substream(2, "csi"))
-        assert np.array_equal(out.coefficients, state.coefficients)
+        """At zeta = 1 the error is drawn and scaled by zero, and the estimate
+        keeps the truth's bits, path-loss scaled or unit fading alike."""
+        for seed in range(6):
+            m, n = 1 + seed, 1 + (3 * seed) % 7
+            exponent = 4.0 if seed % 2 else 0.0
+            config = make_config(num_wds=m, num_antennas=n, pathloss_exponent=exponent)
+            state = sample_channel(
+                config, np.linspace(100, 400, m), substream(seed, "truth")
+            )
+            out = perturb_csi(state, 1.0, substream(seed, "csi"))
+            assert np.array_equal(
+                out.coefficients.view(np.uint64), state.coefficients.view(np.uint64)
+            )
 
     def test_zeta_zero_independent_of_input(self):
         # Correlation between input and output entries should vanish.
@@ -196,6 +203,27 @@ class TestHelpers:
         scaled = scale_coefficients(state, np.array([2.0, 0.5]))
         assert np.allclose(scaled.coefficients[0], 2.0 * state.coefficients[0])
         assert np.allclose(scaled.coefficients[1], 0.5 * state.coefficients[1])
+
+    @pytest.mark.parametrize("scale", [[2.0], [2.0, 0.5, 1.0]])
+    def test_scale_of_another_length_rejected(self, scale):
+        # A length-1 scale would broadcast over every row.
+        state = ChannelState(coefficients=np.ones((2, 3), dtype=complex))
+        with pytest.raises(ValueError, match=r"per_wd_scale must have shape \(2,\)"):
+            scale_coefficients(state, np.array(scale))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 1)])
+    def test_state_of_another_rank_rejected(self, shape):
+        with pytest.raises(ValueError, match="coefficients must be 2-D"):
+            ChannelState(coefficients=np.ones(shape, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)]
+    )
+    def test_non_finite_state_rejected(self, bad):
+        coefficients = np.ones((2, 3), dtype=complex)
+        coefficients[1, 2] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            ChannelState(coefficients=coefficients)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

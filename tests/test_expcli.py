@@ -109,6 +109,33 @@ def test_class_means_pairwise_distances(num_classes, feature_dim):
     assert np.all(means[:, num_classes - 1 :] == 0.0)
 
 
+def helmert_loop_means(num_classes, feature_dim, separation):
+    """The simplex means from a Helmert basis written out row by row."""
+    k = num_classes
+    basis = np.zeros((k - 1, k))
+    for j in range(1, k):
+        basis[j - 1, :j] = 1.0
+        basis[j - 1, j] = -float(j)
+        basis[j - 1] /= np.sqrt(j * (j + 1.0))
+    means = np.zeros((k, feature_dim))
+    means[:, : k - 1] = (separation / np.sqrt(2.0)) * basis.T
+    return means
+
+
+@pytest.mark.parametrize("separation", [0.0, 0.37, 2.5, 1e3])
+def test_class_means_match_a_helmert_loop_bit_for_bit(separation):
+    for k in range(2, 41):
+        for f in (k - 1, k + 5):
+            spec = make_spec(
+                num_classes=k, feature_dim=f, separation=separation,
+                num_samples=k, test_samples=k,
+            )
+            ours = class_means(spec)
+            theirs = helmert_loop_means(k, f, separation)
+            assert ours.shape == theirs.shape
+            assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+
+
 def test_class_means_zero_separation():
     means = class_means(make_spec(separation=0.0))
     assert np.all(means == 0.0)
@@ -117,6 +144,11 @@ def test_class_means_zero_separation():
 def test_dataset_spec_rejects_low_feature_dim():
     with pytest.raises(ValueError):
         make_spec(feature_dim=1, num_classes=3)
+
+
+def test_dataset_spec_rejects_fewer_samples_than_classes():
+    with pytest.raises(ValueError, match="at least one sample per class"):
+        make_spec(num_samples=2, num_classes=3)
 
 
 def test_synthesize_deterministic():
@@ -569,6 +601,14 @@ def test_summary_config_reloads_with_a_percent_in_the_output_dir(tmp_path):
         ("channel", "pathloss_exponent", "-1"),
         ("channel", "antenna_gain_ps", "inf"),
         ("channel", "distance_max", "inf"),
+        ("partition", "mode", "random"),
+        ("experiment", "methods", ""),
+        ("experiment", "seed", "-1"),
+        ("learner", "hidden_dim", "0"),
+        ("learner", "rounds", "0"),
+        ("learner", "local_epochs", "0"),
+        ("channel", "num_antennas", "0"),
+        ("dataset", "num_samples", "2"),
     ],
 )
 def test_config_validation_rejects(section, key, value):

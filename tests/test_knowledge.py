@@ -397,6 +397,17 @@ class TestGlobalTarget:
         target_perm = global_target(ks_perm, DatasetPartition(counts=counts[perm]))
         assert np.allclose(target, target_perm, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "m, k, match",
+        [(3, 3, "device count"), (4, 2, "class count"), (4, 4, "class count")],
+    )
+    def test_knowledge_of_another_shape_rejected(self, m, k, match):
+        rng = substream(10, "gt-shape")
+        partition = DatasetPartition(counts=rng.integers(1, 10, size=(4, 3)))
+        global_target(make_knowledge_set(rng, 4, 3), partition)  # accepted
+        with pytest.raises(ValueError, match=f"disagree on the {match}"):
+            global_target(make_knowledge_set(rng, m, k), partition)
+
 
 class TestPartitionAndPlanTypes:
     def test_partition_totals_consistency(self):

@@ -835,6 +835,52 @@ class TestOrthogonalBaseline:
         target = global_target(knowledge, partition)
         assert np.max(np.abs(est.real - target)) <= 1e-12
 
+    def inputs(self):
+        rng = np.random.default_rng(65)
+        m, k, n = 4, 3, 2
+        channel = random_channel(rng, m, n)
+        partition = random_partition(rng, m, k)
+        knowledge = random_knowledge(rng, m, k)
+        return channel, knowledge, partition, np.ones(m), np.zeros((m, k, k, n))
+
+    @pytest.mark.parametrize("m, k", [(3, 3), (4, 2)])
+    def test_knowledge_of_another_shape_rejected(self, m, k):
+        channel, _, partition, peaks, noise = self.inputs()
+        knowledge = random_knowledge(np.random.default_rng(66), m, k)
+        with pytest.raises(ValueError, match=r"disagree on \(M, K\)"):
+            orthogonal_receive(channel, knowledge, partition, peaks, noise)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 3, 3), (4, 3, 9, 2), (36, 2)])
+    def test_noise_of_another_shape_rejected(self, shape):
+        channel, knowledge, partition, peaks, _ = self.inputs()
+        with pytest.raises(ValueError, match="noise must have shape"):
+            orthogonal_receive(channel, knowledge, partition, peaks, np.zeros(shape))
+
+    def test_zero_channel_row_rejected(self):
+        channel, knowledge, partition, peaks, noise = self.inputs()
+        coefficients = channel.coefficients.copy()
+        coefficients[2] = 0.0
+        with pytest.raises(ValueError, match="identically zero"):
+            orthogonal_receive(
+                ChannelState(coefficients=coefficients), knowledge, partition, peaks, noise
+            )
+
+
+class TestBeamformerLengthCheck:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_beamformer_of_another_length_rejected(self, n):
+        rng = np.random.default_rng(67)
+        channel = random_channel(rng, 4, 3)
+        partition = random_partition(rng, 4, 3)
+        knowledge = random_knowledge(rng, 4, 3)
+        peaks = np.ones(4)
+        w = random_beamformer(rng, n)
+        with pytest.raises(ValueError, match="beamformer length"):
+            optimal_postprocessing(w, channel, knowledge.stds, partition, peaks)
+        problem = build_relaxation(channel, knowledge.stds, partition, peaks)
+        with pytest.raises(ValueError, match=r"beamformer must have shape \(3,\)"):
+            relaxation_objective(w, problem)
+
 
 class TestPlanTypeAndDump:
     def build_plan(self):
