@@ -89,6 +89,8 @@ from .transceiver import (
 from scipy.linalg import helmert
 
 METHODS = ("proposed", "uniform", "orthogonal", "error_free")
+# The methods whose knowledge is superposed over the air through a plan.
+_SUPERPOSED = ("proposed", "uniform")
 
 # Airtime of one transmitted scalar, used only for reporting in the summary.
 AIRTIME_PER_SCALAR_S = 3.6e-6
@@ -361,7 +363,6 @@ distill_weight = 3.0
 init_lr = 0.15
 rounds = 200
 local_epochs = 1
-lr_cap = inf
 """
 
 def default_parser() -> configparser.ConfigParser:
@@ -501,7 +502,7 @@ def communication_accounting(
     """
     m, k, d = int(num_wds), int(num_classes), int(model_dim)
     side = 2 * m * k + m * k
-    if method in ("proposed", "uniform"):
+    if method in _SUPERPOSED:
         uses = k * k
         scalars = uses + side
     elif method == "orthogonal":
@@ -547,13 +548,25 @@ class ExperimentResult(NamedTuple):
     aborts: list[TrialAbort]
 
 
+class _TrialResult(NamedTuple):
+    """One completed trial, each field keyed by method: its CSV rows, its
+    final mean test accuracy, its final (M, P) model stack, and its plan
+    construction seconds and solver iterations (superposed methods only)."""
+
+    rows: dict[str, list[RoundMetrics]]
+    accuracy: dict[str, float]
+    params: dict[str, ModelParams]
+    plan_seconds: dict[str, float]
+    plan_iterations: dict[str, int]
+
+
 def _run_trial(
     config: ExperimentConfig,
     arch: Architecture,
     peaks: np.ndarray,
     a2: float,
     trial: int,
-):
+) -> _TrialResult:
     """All configured methods on one trial's data and channel draws, round
     by round: every method runs round t on the same fading, estimate and
     noise before any method starts round t + 1."""
@@ -599,7 +612,7 @@ def _run_trial(
     rows: dict[str, list[RoundMetrics]] = {m: [] for m in config.methods}
     plan_seconds = dict.fromkeys(config.methods, 0.0)
     plan_iterations = dict.fromkeys(config.methods, 0)
-    superposed = any(m in ("proposed", "uniform") for m in config.methods)
+    superposed = any(m in _SUPERPOSED for m in config.methods)
 
     for t in range(rounds):
         # One fading, channel estimate and receiver noise per round, shared
@@ -709,7 +722,7 @@ def _run_trial(
                     test_acc_mean=accuracy[method],
                 )
             )
-    return rows, accuracy, params, plan_seconds, plan_iterations
+    return _TrialResult(rows, accuracy, params, plan_seconds, plan_iterations)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -717,6 +730,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Trials are independent; a failure inside one aborts that trial alone (its
     rows are dropped, a diagnostic is recorded) and the remaining trials run.
+    Every output is read from the completed trials' records in trial order.
     Rerunning with an identical configuration rewrites byte-identical CSVs;
     wall-clock timing appears only in the summary file.
     """
@@ -728,36 +742,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     peaks = np.full(config.channel.num_wds, config.peak_power)
     a2 = a2_coefficient(config.learner)
 
-    rows: dict[str, list[RoundMetrics]] = {m: [] for m in config.methods}
-    final_accuracies: dict[str, list[float]] = {m: [] for m in config.methods}
-    final_params: dict[str, list[ModelParams]] = {m: [] for m in config.methods}
-    plan_seconds: dict[str, float] = {m: 0.0 for m in config.methods}
-    plan_iterations: dict[str, int] = {m: 0 for m in config.methods}
-    completed: list[int] = []
+    done: dict[int, _TrialResult] = {}
     aborts: list[TrialAbort] = []
 
     wall_start = time.perf_counter()
     for trial in range(config.trials):
         try:
-            (
-                trial_rows,
-                trial_acc,
-                trial_finals,
-                trial_times,
-                trial_iterations,
-            ) = _run_trial(config, arch, peaks, a2, trial)
+            done[trial] = _run_trial(config, arch, peaks, a2, trial)
         except Exception as exc:  # deliberate: record and move to next trial
             aborts.append(TrialAbort(trial, f"{type(exc).__name__}: {exc}"))
-            continue
-        for method in config.methods:
-            rows[method].extend(trial_rows[method])
-            final_accuracies[method].append(trial_acc[method])
-            final_params[method].append(trial_finals[method])
-            plan_seconds[method] += trial_times[method]
-            plan_iterations[method] += trial_iterations[method]
-        completed.append(trial)
     total_wall = time.perf_counter() - wall_start
 
+    records = done.values()
+    rows = {m: [row for r in records for row in r.rows[m]] for m in config.methods}
     os.makedirs(config.output_dir, exist_ok=True)
     csv_paths: dict[str, str] = {}
     for method in config.methods:
@@ -769,16 +766,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     summary_path = os.path.join(config.output_dir, "summary.txt")
     with open(summary_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(_summarize(config, arch, final_accuracies, plan_seconds,
-                                plan_iterations, completed, aborts, total_wall))
+        handle.write(_summarize(config, arch, done, aborts, total_wall))
 
     return ExperimentResult(
         csv_paths=csv_paths,
         summary_path=summary_path,
         rows=rows,
-        final_accuracies=final_accuracies,
-        final_params=final_params,
-        completed_trials=completed,
+        final_accuracies={m: [r.accuracy[m] for r in records] for m in config.methods},
+        final_params={m: [r.params[m] for r in records] for m in config.methods},
+        completed_trials=list(done),
         aborts=aborts,
     )
 
@@ -786,14 +782,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def _summarize(
     config: ExperimentConfig,
     arch: Architecture,
-    final_accuracies: dict[str, list[float]],
-    plan_seconds: dict[str, float],
-    plan_iterations: dict[str, int],
-    completed: list[int],
+    done: dict[int, _TrialResult],
     aborts: list[TrialAbort],
     total_wall: float,
 ) -> str:
-    """Human-readable run report (the only place wall-clock numbers go)."""
+    """Human-readable run report (the only place wall-clock numbers go);
+    `done` holds the completed trials in trial order."""
     cha, lrn = config.channel, config.learner
     lines = ["run summary", "===========", ""]
     lines.append(dump_config(config).rstrip())
@@ -801,15 +795,15 @@ def _summarize(
     lines.append(f"model parameters per device: {arch.param_count}")
     lines.append(_blas_threads_line())
     lines.append(
-        f"trials completed: {len(completed)} of {config.trials}; "
+        f"trials completed: {len(done)} of {config.trials}; "
         f"total wall time {total_wall:.3f} s"
     )
     lines.append("")
     lines.append("per-method results")
     lines.append("------------------")
-    plan_rounds = len(completed) * lrn.rounds
+    plan_rounds = len(done) * lrn.rounds
     for method in config.methods:
-        accs = final_accuracies[method]
+        accs = [r.accuracy[method] for r in done.values()]
         mean_acc = float(np.mean(accs)) if accs else float("nan")
         cost = communication_accounting(
             method, cha.num_wds, config.dataset.num_classes,
@@ -824,15 +818,16 @@ def _summarize(
             f"{cost.scalars_per_round} scalars; total {cost.total_scalars} "
             f"scalars = {cost.total_scalars * AIRTIME_PER_SCALAR_S:.6f} s airtime"
         )
-        if method in ("proposed", "uniform") and plan_rounds:
+        if method in _SUPERPOSED and plan_rounds:
+            seconds = sum(r.plan_seconds[method] for r in done.values())
             lines.append(
                 f"  mean plan construction time: "
-                f"{1e3 * plan_seconds[method] / plan_rounds:.3f} ms/round"
+                f"{1e3 * seconds / plan_rounds:.3f} ms/round"
             )
         if method == "proposed" and plan_rounds:
+            iterations = sum(r.plan_iterations[method] for r in done.values())
             lines.append(
-                f"  mean IPM iterations per solve: "
-                f"{plan_iterations[method] / plan_rounds:.2f}"
+                f"  mean IPM iterations per solve: {iterations / plan_rounds:.2f}"
             )
     reference = communication_accounting(
         "fl", cha.num_wds, config.dataset.num_classes,

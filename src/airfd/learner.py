@@ -114,14 +114,15 @@ class LearnerConfig:
         rounds: Total training rounds T (>= 1).
         local_epochs: Gradient steps per round; 1 = one full-batch step,
             E > 1 = one pass over the local data split into E minibatches.
-        lr_cap: Upper clip on every step size (> 0; defaults to no clipping).
+
+    No field has a default: a run reads each from the [learner] key of the
+    same name, whose default is in expcli.DEFAULT_CONFIG.
     """
 
     distill_weight: float
     init_lr: float
     rounds: int
-    local_epochs: int = 1
-    lr_cap: float = float("inf")
+    local_epochs: int
 
     def __post_init__(self) -> None:
         # Each test is written so that NaN fails it.
@@ -133,8 +134,6 @@ class LearnerConfig:
             raise ValueError("rounds must be >= 1")
         if self.local_epochs < 1:
             raise ValueError("local_epochs must be >= 1")
-        if not self.lr_cap > 0.0:
-            raise ValueError("lr_cap must be positive")
 
 
 def _unpack(theta: np.ndarray, arch: Architecture):
@@ -491,14 +490,14 @@ def loss_and_grad(
 
 
 def lr_schedule(t: int, config: LearnerConfig) -> float:
-    """Diminishing step size eta_t = init_lr / sqrt(t + 1), clipped to lr_cap.
+    """Diminishing step size eta_t = init_lr / sqrt(t + 1).
 
     The +1 shift makes the first round's step exactly init_lr while keeping
     the square-root decay.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return float(min(config.init_lr / np.sqrt(t + 1.0), config.lr_cap))
+    return float(config.init_lr / np.sqrt(t + 1.0))
 
 
 def train_round(

@@ -186,7 +186,7 @@ def test_large_separation_centralized_model_learns():
         make_spec(num_samples=300, separation=10.0), substream(3, "testdata", 0)
     )
     arch = Architecture(feature_dim=8, hidden_dim=16, num_classes=3)
-    config = LearnerConfig(distill_weight=0.0, init_lr=0.2, rounds=100)
+    config = LearnerConfig(distill_weight=0.0, init_lr=0.2, rounds=100, local_epochs=1)
     params = init_params(arch, [substream(3, "init", 0)])
     unused = np.full((3, 3), 1.0 / 3.0)
     batch = Batch(arch, train.features, train.labels, [300])
@@ -483,7 +483,6 @@ NON_DEFAULT_CONFIG = {
         "init_lr": "0.05",
         "rounds": "20",
         "local_epochs": "2",
-        "lr_cap": "0.25",
     },
 }
 
@@ -529,6 +528,8 @@ def test_config_file_unknown_keys_are_ignored(tmp_path):
     [
         ("[channel]\nnum_wd = 50\n", "channel", "num_wd"),
         ("[bound]\nl1 = 2.0\n\n[learner]\nround = 7\n", "learner", "round"),
+        # Every step is init_lr / sqrt(t + 1); there is no cap to set.
+        ("[learner]\nlr_cap = 0.25\n", "learner", "lr_cap"),
     ],
 )
 def test_config_file_misspelled_key_is_a_usage_error(
@@ -571,50 +572,55 @@ def test_summary_config_reloads_with_a_percent_in_the_output_dir(tmp_path):
     assert config_from_parser(load_config_file(str(path))) == config
 
 
+# Each case names the check that must reject it by that check's message, so a
+# case cannot pass on an earlier check. The ids are "section-key-value".
+REJECTED_VALUES = [
+    ("experiment", "methods", "proposed,teleport", "unknown methods"),
+    ("experiment", "methods", "proposed,proposed", "methods must not repeat"),
+    ("experiment", "trials", "0", "trials must be >= 1"),
+    ("experiment", "eval_every", "0", "eval_every must be >= 1"),
+    ("partition", "dirichlet_param", "0.0", "dirichlet_param must be finite and pos"),
+    ("dataset", "num_classes", "1", "num_classes must be >= 2"),
+    ("dataset", "test_samples", "2", "test_samples must be >= num_classes"),
+    ("learner", "distill_weight", "nan", "distill_weight must be finite"),
+    ("partition", "dirichlet_param", "nan", "dirichlet_param must be finite and pos"),
+    ("learner", "init_lr", "nan", "init_lr must be finite and positive"),
+    ("channel", "peak_power", "nan", "peak_power must be finite and positive"),
+    ("channel", "noise_variance", "nan", "noise_variance must be finite"),
+    ("dataset", "separation", "nan", "separation must be finite and nonnegative"),
+    ("channel", "pathloss_exponent", "nan", "pathloss_exponent must be finite"),
+    ("learner", "init_lr", "inf", "init_lr must be finite and positive"),
+    ("channel", "carrier_freq", "inf", "carrier_freq must be finite and positive"),
+    ("channel", "antenna_gain_ps", "0", "antenna_gain_ps must be finite and pos"),
+    ("channel", "antenna_gain_wd", "-1", "antenna_gain_wd must be finite and pos"),
+    ("learner", "distill_weight", "inf", "distill_weight must be finite"),
+    ("partition", "dirichlet_param", "inf", "dirichlet_param must be finite and pos"),
+    ("channel", "peak_power", "inf", "peak_power must be finite and positive"),
+    ("channel", "noise_variance", "inf", "noise_variance must be finite"),
+    ("dataset", "separation", "inf", "separation must be finite and nonnegative"),
+    ("channel", "pathloss_exponent", "-1", "pathloss_exponent must be finite"),
+    ("channel", "antenna_gain_ps", "inf", "antenna_gain_ps must be finite and pos"),
+    ("channel", "distance_max", "inf", "need 0 < d_min <= d_max < inf"),
+    ("partition", "mode", "random", "unknown partition mode"),
+    ("experiment", "methods", "", "methods must be non-empty"),
+    ("experiment", "seed", "-1", "seed must be nonnegative"),
+    ("learner", "hidden_dim", "0", "hidden_dim must be >= 1"),
+    ("learner", "rounds", "0", "rounds must be >= 1"),
+    ("learner", "local_epochs", "0", "local_epochs must be >= 1"),
+    ("channel", "num_antennas", "0", "num_antennas must be >= 1"),
+    ("dataset", "num_samples", "2", "at least one sample per class"),
+]
+
+
 @pytest.mark.parametrize(
-    "section,key,value",
-    [
-        ("experiment", "methods", "proposed,teleport"),
-        ("experiment", "methods", "proposed,proposed"),
-        ("experiment", "trials", "0"),
-        ("experiment", "eval_every", "0"),
-        ("partition", "dirichlet_param", "0.0"),
-        ("dataset", "num_classes", "1"),
-        ("dataset", "test_samples", "2"),
-        ("learner", "distill_weight", "nan"),
-        ("learner", "lr_cap", "nan"),
-        ("partition", "dirichlet_param", "nan"),
-        ("learner", "init_lr", "nan"),
-        ("channel", "peak_power", "nan"),
-        ("channel", "noise_variance", "nan"),
-        ("dataset", "separation", "nan"),
-        ("channel", "pathloss_exponent", "nan"),
-        ("learner", "init_lr", "inf"),
-        ("channel", "carrier_freq", "inf"),
-        ("channel", "antenna_gain_ps", "0"),
-        ("channel", "antenna_gain_wd", "-1"),
-        ("learner", "distill_weight", "inf"),
-        ("partition", "dirichlet_param", "inf"),
-        ("channel", "peak_power", "inf"),
-        ("channel", "noise_variance", "inf"),
-        ("dataset", "separation", "inf"),
-        ("channel", "pathloss_exponent", "-1"),
-        ("channel", "antenna_gain_ps", "inf"),
-        ("channel", "distance_max", "inf"),
-        ("partition", "mode", "random"),
-        ("experiment", "methods", ""),
-        ("experiment", "seed", "-1"),
-        ("learner", "hidden_dim", "0"),
-        ("learner", "rounds", "0"),
-        ("learner", "local_epochs", "0"),
-        ("channel", "num_antennas", "0"),
-        ("dataset", "num_samples", "2"),
-    ],
+    "section,key,value,match",
+    REJECTED_VALUES,
+    ids=["-".join(case[:3]) for case in REJECTED_VALUES],
 )
-def test_config_validation_rejects(section, key, value):
+def test_config_validation_rejects(section, key, value, match):
     parser = small_parser()
     parser[section][key] = value
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         config_from_parser(parser)
 
 
@@ -712,17 +718,17 @@ def test_a_trial_run_alone_matches_the_same_trial_of_a_run(tmp_path):
         num_classes=config.dataset.num_classes,
     )
     peaks = np.full(config.channel.num_wds, config.peak_power)
-    rows, _, finals, _, _ = expcli._run_trial(
+    alone = expcli._run_trial(
         config, arch, peaks, expcli.a2_coefficient(config.learner), 1
     )
     for method in config.methods:
         in_run = [row for row in result.rows[method] if row.trial == 1]
         assert [row.to_csv_row() for row in in_run] == [
-            row.to_csv_row() for row in rows[method]
+            row.to_csv_row() for row in alone.rows[method]
         ]
         assert np.array_equal(
             result.final_params[method][1].theta.view(np.uint64),
-            finals[method].theta.view(np.uint64),
+            alone.params[method].theta.view(np.uint64),
         )
 
 
@@ -1015,8 +1021,13 @@ def test_aborted_trials_are_recorded_and_skipped(tmp_path, monkeypatch):
         lines = handle.read().splitlines()
     assert len(lines) == 1 + 2 * 3  # header and trials 0 and 2
     assert [line.split(",")[0] for line in lines[1:]] == ["0"] * 3 + ["2"] * 3
+    assert len(result.final_accuracies["error_free"]) == 2
+    assert len(result.final_params["error_free"]) == 2
     with open(result.summary_path, "r", encoding="utf-8") as handle:
-        assert "injected partition failure" in handle.read()
+        summary = handle.read()
+    assert "injected partition failure" in summary
+    assert "trials completed: 2 of 3;" in summary
+    assert "method=error_free trials=2 " in summary
 
 
 def test_summary_reports_the_plans_mean_solver_iterations(tmp_path, monkeypatch):

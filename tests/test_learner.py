@@ -408,7 +408,7 @@ class TestLossAndGrad:
 
 
 class TestSchedule:
-    CONFIG = LearnerConfig(distill_weight=0.5, init_lr=0.01, rounds=100)
+    CONFIG = LearnerConfig(distill_weight=0.5, init_lr=0.01, rounds=100, local_epochs=1)
 
     def test_first_round(self):
         assert lr_schedule(0, self.CONFIG) == pytest.approx(0.01, rel=1e-15)
@@ -418,13 +418,6 @@ class TestSchedule:
 
     def test_round_hundred(self):
         assert lr_schedule(99, self.CONFIG) == pytest.approx(0.001, rel=1e-15)
-
-    def test_cap_applies(self):
-        config = LearnerConfig(
-            distill_weight=0.0, init_lr=0.01, rounds=10, lr_cap=0.004
-        )
-        assert lr_schedule(0, config) == 0.004
-        assert lr_schedule(24, config) == pytest.approx(0.002, rel=1e-15)
 
     def test_negative_round_rejected(self):
         with pytest.raises(ValueError):
@@ -437,7 +430,9 @@ class TestTrainRound:
         params = random_model(rng)
         features, labels, knowledge = random_batch(rng, batch=40)
         batch = batch_of(features, [40], labels)
-        config = LearnerConfig(distill_weight=0.5, init_lr=1e-4, rounds=10)
+        config = LearnerConfig(
+            distill_weight=0.5, init_lr=1e-4, rounds=10, local_epochs=1
+        )
         losses = []
         for t in range(6):
             params, loss = train_round(params, batch, knowledge, config, t)
@@ -452,7 +447,9 @@ class TestTrainRound:
         start = random_model(rng)
         features, labels, _ = random_batch(rng, batch=20)
         batch = batch_of(features, [20], labels)
-        config = LearnerConfig(distill_weight=0.0, init_lr=0.05, rounds=5)
+        config = LearnerConfig(
+            distill_weight=0.0, init_lr=0.05, rounds=5, local_epochs=1
+        )
         params = start
         manual = start.theta
         for t in range(4):
@@ -549,7 +546,10 @@ class TestTrainRound:
         assert np.array_equal(out_a.theta, out_b.theta)
         single, _ = train_round(
             params, batch, knowledge,
-            LearnerConfig(distill_weight=0.3, init_lr=0.01, rounds=5), 0,
+            LearnerConfig(
+                distill_weight=0.3, init_lr=0.01, rounds=5, local_epochs=1
+            ),
+            0,
         )
         assert not np.array_equal(out_a.theta, single.theta)
 

@@ -96,7 +96,9 @@ def phi1_loop_oracle(plan, channel, knowledge, partition):
 
 class TestBoundCoefficients:
     def test_formulas(self):
-        config = LearnerConfig(distill_weight=0.5, init_lr=0.01, rounds=10)
+        config = LearnerConfig(
+            distill_weight=0.5, init_lr=0.01, rounds=10, local_epochs=1
+        )
         assert a2_coefficient(config) == pytest.approx(6.0 * 0.01 * 0.25, rel=1e-15)
 
 
